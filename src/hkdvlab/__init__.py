@@ -1,11 +1,11 @@
 """Pseudospectral laboratory for higher-order generalized KdV equations."""
 
 from .spectral import (Grid, RealField, SpectralField, MultiplierSpec,
-                       make_grid, forward, inverse, inverse_complex,
-                       apply_multiplier, apply_multiplier_spectral, derivative,
-                       frac_deriv, stein_deriv, dealias, dealias_cutoff,
-                       synthesize_at, require_decay, save_field, load_field,
-                       save_spectral, load_spectral)
+                       make_grid, forward, inverse, apply_multiplier,
+                       apply_multiplier_spectral, derivative, frac_deriv,
+                       stein_deriv, dealias, dealias_cutoff, synthesize_at,
+                       require_decay, save_field, load_field, save_spectral,
+                       load_spectral)
 from .propagators import (DispersionParams, ConjugationSpec, Trajectory,
                           linear_flow, conjugated_flow, evolve, duhamel_split,
                           duhamel_quadrature, save_trajectory, load_trajectory)

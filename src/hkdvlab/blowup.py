@@ -284,14 +284,16 @@ class ContrastRecord:
         return self.quotient_rational / self.quotient_irrational
 
 
-def blowup_contrast(spec: BlowupDatumSpec, params: DispersionParams, grid: Grid,
+def blowup_contrast(datum: tuple[RealField, list[DatumTerm]],
+                    params: DispersionParams,
                     t_rational: float, t_irrational: float = math.sqrt(2.0),
                     x_star: float | None = None, h_set=None,
                     probe_halfwidth: float = 0.0, n_offsets: int = 9,
                     kmax: int = 50) -> list[ContrastRecord]:
     """Jump-quotient contrast between a manifest time and an irrational probe.
 
-    The datum is evolved linearly to both times; at each singular location of
+    ``datum`` is the ``(u0, manifest)`` pair of :func:`build_blowup_datum`.
+    It is evolved linearly to both times; at each singular location of
     ``t_rational`` (or at ``x_star`` only, when given) the ratio of the
     second-difference quotients is reported.  ``probe_halfwidth > 0`` takes a
     local sup over a window of offsets, stabilizing background comparisons.
@@ -300,7 +302,8 @@ def blowup_contrast(spec: BlowupDatumSpec, params: DispersionParams, grid: Grid,
     cert = irrationality_gap(t_irrational, kmax)
     if cert.rational_in_range:
         raise ValueError(f"probe time {t_irrational} is rational within kmax={kmax}")
-    u0, manifest = build_blowup_datum(spec, params, grid)
+    u0, manifest = datum
+    grid = u0.grid
     locations = sorted({t.singular_location for t in manifest
                         if abs(t.singular_time - t_rational) < 1e-12})
     if not locations:
@@ -320,18 +323,20 @@ def blowup_contrast(spec: BlowupDatumSpec, params: DispersionParams, grid: Grid,
     return out
 
 
-def excluded_time_ratio(spec: BlowupDatumSpec, params: DispersionParams,
-                        grid: Grid, t_excluded: float,
+def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
+                        params: DispersionParams, t_excluded: float,
                         t_irrational: float = math.sqrt(2.0),
                         h_set=None) -> float:
     """Geometric-mean quotient ratio at the manifest locations.
 
+    ``datum`` is the ``(u0, manifest)`` pair of :func:`build_blowup_datum`.
     For rational times absent from the truncation every term is a dispersed
     smooth wave, so the quotient should match the irrational probe's to
     within a factor ~2; the geometric mean across the singular locations
     stabilizes the pointwise ripple ratio.
     """
-    u0, manifest = build_blowup_datum(spec, params, grid)
+    u0, manifest = datum
+    grid = u0.grid
     if any(abs(trm.singular_time - t_excluded) < 1e-12 for trm in manifest):
         raise ValueError(f"t={t_excluded} is a manifest singular time")
     locations = sorted({trm.singular_location for trm in manifest})

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from . import fields
-from .blowup import (BlowupDatumSpec, blowup_contrast, excluded_time_ratio,
-                     irrationality_gap, smoothing_gain)
+from .blowup import (BlowupDatumSpec, blowup_contrast, build_blowup_datum,
+                     excluded_time_ratio, irrationality_gap, smoothing_gain)
 from .errors import ConfigError
 from .identities import (dispersive_decay_probe, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator)
@@ -731,8 +731,8 @@ def _run_blowup(cfg: ExperimentConfig, outdir: str):
     cert = irrationality_gap(probe_t, kmax)
     checks.append(Check("probe_gap_positive", cert.gap, "> 0", cert.gap > 0))
 
-    from .blowup import build_blowup_datum
-    _, manifest = build_blowup_datum(spec, params, g)
+    datum = build_blowup_datum(spec, params, g)
+    manifest = datum[1]
     man_path = os.path.join(outdir, "manifest.csv")
     _write_csv(man_path, ["p1", "q1", "p2", "q2", "weight", "t_singular", "x_singular"],
                [(t.p1, t.q1, t.p2, t.q2, t.weight, t.singular_time,
@@ -743,7 +743,7 @@ def _run_blowup(cfg: ExperimentConfig, outdir: str):
     cmin = v[("suite", "contrast_min")]
     worst = math.inf
     for t_rat in sorted({t.singular_time for t in manifest}):
-        for rec in blowup_contrast(spec, params, g, t_rat, probe_t):
+        for rec in blowup_contrast(datum, params, t_rat, probe_t):
             rows.append((rec.t_rational, rec.x_star, rec.quotient_rational,
                          rec.quotient_irrational, rec.contrast, "singular"))
             worst = min(worst, rec.contrast)
@@ -753,7 +753,7 @@ def _run_blowup(cfg: ExperimentConfig, outdir: str):
     for tok in v[("suite", "excluded_times")].split(","):
         p, q = _parse_rational(tok)
         t_ex = p / q
-        ratio = excluded_time_ratio(spec, params, g, t_ex, probe_t)
+        ratio = excluded_time_ratio(datum, params, t_ex, probe_t)
         rows.append((t_ex, float("nan"), float("nan"), float("nan"), ratio, "excluded"))
         checks.append(Check(f"excluded_ratio_{p}_{q}", ratio, f"in [{lo}, {hi}]",
                             lo <= ratio <= hi))
@@ -804,10 +804,10 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     outdir = os.environ.get("HKDVLAB_OUTPUT", cfg.output_dir)
     outdir = os.path.join(outdir, cfg.name)
     os.makedirs(outdir, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks, artifacts = _RUNNERS[cfg.name](cfg, outdir)
     report = ExperimentReport(cfg.name, cfg.flat(), RNG_ALGORITHM, checks,
-                              artifacts, time.time() - t0)
+                              artifacts, time.perf_counter() - t0)
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.to_json())
     return report

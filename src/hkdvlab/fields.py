@@ -105,11 +105,5 @@ def scale(f: RealField, factor: float) -> RealField:
     return RealField(f.grid, factor * f.samples)
 
 
-def add(f: RealField, g: RealField) -> RealField:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return RealField(f.grid, f.samples + g.samples)
-
-
 def weighted(f: RealField, weight: np.ndarray) -> RealField:
     return RealField(f.grid, f.samples * np.asarray(weight, dtype=float))

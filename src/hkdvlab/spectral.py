@@ -160,19 +160,8 @@ def inverse(F: SpectralField) -> RealField:
     # high-order multipliers amplify rounding at the top frequencies, so the
     # tolerance is loose; genuinely one-sided coefficients give O(1) residue
     if float(np.max(np.abs(raw.imag))) > 1e-6 * scale:
-        raise ValueError("coefficients are not Hermitian-symmetric; "
-                         "use inverse_complex for complex synthesis")
+        raise ValueError("coefficients are not Hermitian-symmetric")
     return RealField(g, raw.real)
-
-
-def inverse_complex(F: SpectralField) -> np.ndarray:
-    """Complex-valued synthesis for non-Hermitian coefficient sets.
-
-    Used by oscillatory-kernel diagnostics where the symbol is genuinely
-    complex (e.g. ``|xi|^{i*beta}`` factors).  Returns bare samples.
-    """
-    g = F.grid
-    return np.fft.ifft(F.coeffs * g.phase_signs()) / g.dx
 
 
 def synthesize_at(F: SpectralField, points: np.ndarray) -> np.ndarray:

@@ -170,7 +170,7 @@ def contrast_grid():
 class TestContrast:
     def test_one_term_contrast(self, contrast_grid):
         spec = BlowupDatumSpec(qmax=1, pmax=1, scheme="normalized", delta=0.15)
-        rec = blowup_contrast(spec, J2, contrast_grid, 1.0)[0]
+        rec = blowup_contrast(build_blowup_datum(spec, J2, contrast_grid), J2, 1.0)[0]
         assert rec.contrast >= 10.0
         # refocusing is exact: the quotient equals the weighted raw profile's
         prof = singular_profile(SingularProfileSpec(3.0, center=1.0), contrast_grid)
@@ -179,10 +179,10 @@ class TestContrast:
         assert rec.quotient_rational == pytest.approx(w * qprof, rel=1e-6)
 
     def test_weight_scheme_only_rescales_one_term(self, contrast_grid):
-        a = blowup_contrast(BlowupDatumSpec(1, 1, "normalized", 0.15),
-                            J2, contrast_grid, 1.0)[0]
-        b = blowup_contrast(BlowupDatumSpec(1, 1, "paper"),
-                            J2, contrast_grid, 1.0)[0]
+        a = blowup_contrast(build_blowup_datum(BlowupDatumSpec(1, 1, "normalized", 0.15),
+                                               J2, contrast_grid), J2, 1.0)[0]
+        b = blowup_contrast(build_blowup_datum(BlowupDatumSpec(1, 1, "paper"),
+                                               J2, contrast_grid), J2, 1.0)[0]
         # contrast is scale-free; quotients scale with the term weight
         assert a.contrast == pytest.approx(b.contrast, rel=1e-6)
         wa = BlowupDatumSpec(1, 1, "normalized", 0.15).weight(1, 1, 1, 1)
@@ -192,18 +192,19 @@ class TestContrast:
 
     def test_excluded_time_behaves_like_irrational(self, contrast_grid):
         spec = BlowupDatumSpec(qmax=2, pmax=2, scheme="normalized", delta=0.15)
-        ratio = excluded_time_ratio(spec, J2, contrast_grid, 2.5)
+        ratio = excluded_time_ratio(build_blowup_datum(spec, J2, contrast_grid), J2, 2.5)
         assert 0.5 <= ratio <= 2.0
 
     def test_rational_probe_rejected(self, contrast_grid):
         spec = BlowupDatumSpec(qmax=1, pmax=1)
         with pytest.raises(ValueError, match="rational"):
-            blowup_contrast(spec, J2, contrast_grid, 1.0, t_irrational=0.5)
+            blowup_contrast(build_blowup_datum(spec, J2, contrast_grid), J2, 1.0,
+                            t_irrational=0.5)
 
     def test_non_manifest_time_rejected(self, contrast_grid):
         spec = BlowupDatumSpec(qmax=1, pmax=1)
         with pytest.raises(ValueError, match="singular time"):
-            blowup_contrast(spec, J2, contrast_grid, 0.75)
+            blowup_contrast(build_blowup_datum(spec, J2, contrast_grid), J2, 0.75)
 
 
 class TestSmoothingGain:

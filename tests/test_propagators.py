@@ -9,7 +9,8 @@ from hkdvlab.propagators import (ConjugationSpec, DispersionParams, Trajectory,
                                  conjugated_flow, duhamel_quadrature,
                                  duhamel_split, evolve, linear_flow,
                                  load_trajectory, save_trajectory)
-from hkdvlab.spectral import RealField, derivative, make_grid
+from hkdvlab.spectral import (RealField, dealias_cutoff, derivative, make_grid,
+                              odd_frequencies)
 
 KDV = DispersionParams(1, 1)
 
@@ -212,3 +213,56 @@ class TestBandPinning:
         coarse = finals[128].samples
         fine = finals[256].samples[::2]
         assert np.linalg.norm(fine - coarse) < 1e-9 * np.linalg.norm(coarse)
+
+
+def _reference_ifrk4(params, u0, T, dt, xi_cut=None):
+    """IF-RK4 on full complex spectra, written out apart from ``evolve``."""
+    g = u0.grid
+    xi, xi_odd = g.frequencies, odd_frequencies(g)
+    theta = (-1.0) ** (params.j + 1) * xi_odd ** (2 * params.j + 1)
+    dj = (1j * (xi_odd if params.j % 2 else xi)) ** params.j
+    keep = np.abs(g.freq_index) <= dealias_cutoff(g.n, params.k)
+    if xi_cut is not None:
+        keep &= np.abs(xi) <= xi_cut
+
+    def rhs(uh):
+        u = np.fft.ifft(uh).real
+        du = np.fft.ifft(dj * uh).real
+        return -np.where(keep, np.fft.fft(u ** params.k * du), 0.0)
+
+    E = np.exp(1j * theta * (dt / 2.0))
+    uh = np.where(keep, np.fft.fft(u0.samples), 0.0)
+    for _ in range(int(round(T / dt))):
+        na = rhs(uh)
+        nb = rhs(E * (uh + dt / 2.0 * na))
+        nc = rhs(E * uh + dt / 2.0 * nb)
+        nd = rhs(E * E * uh + dt * E * nc)
+        uh = E * E * uh + dt / 6.0 * (E * E * na + 2.0 * E * (nb + nc) + nd)
+    return np.fft.ifft(uh).real
+
+
+class TestAgainstComplexReference:
+    """``evolve`` on rfft half spectra against the full complex-FFT scheme."""
+
+    @pytest.mark.parametrize("j,k,xi_cut", [(1, 1, None), (1, 2, None),
+                                            (2, 1, None), (1, 1, 2.0)])
+    def test_matches_reference(self, j, k, xi_cut):
+        g = make_grid(256, 60.0)
+        x = g.nodes
+        u0 = RealField(g, np.exp(-(x / 2.0) ** 2)
+                       + 0.5 * np.sin(x) * np.exp(-(x / 4.0) ** 2))
+        p = DispersionParams(j, k)
+        T, dt = 0.05, 1e-3
+        traj = evolve(p, u0, T, dt, stride=10, xi_cut=xi_cut)
+        ref = _reference_ifrk4(p, u0, T, dt, xi_cut)
+        got = traj.final().samples
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the nonlinear part is far above the tolerance
+        lin = linear_flow(p, T, u0).samples
+        assert np.max(np.abs(got - lin)) > 1e-3 * np.max(np.abs(ref))
+        if j == 1:
+            # the truncated j = 1 system conserves the mean and the L2 mass
+            mean0, mass0 = traj.slices[0].samples.sum(), traj.slices[0].l2()
+            for s in traj.slices[1:]:
+                assert abs(s.samples.sum() - mean0) <= 1e-12 * abs(mean0)
+                assert abs(s.l2() - mass0) <= 1e-12 * mass0
