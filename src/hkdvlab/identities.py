@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len
 
 from .errors import EnvelopeTooNarrow
 from .fields import band_noise_by_index, gaussian, weighted
@@ -181,62 +182,67 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
     """sup over the grid of the envelope-regularized oscillatory kernel.
 
     The grid is sized so the stationary-phase fold from periodization is
-    suppressed by ``exp(-kappa^2)`` at the box edge; large grids switch to
-    single precision (the sup is needed to ~1e-3, the phase is reduced mod
-    2 pi in double before narrowing).
+    suppressed by ``exp(-kappa^2)`` at the box edge.  The amplitude is even
+    and ``t theta`` odd in ``xi``, so the symbol is built on the ``n//2 + 1``
+    non-negative bins only and the kernel comes back real from ``irfft``.
+    For ``beta != 0`` the even factor ``|xi|^{i beta}`` splits the symbol
+    into two Hermitian rows, ``cos(beta log xi)`` and ``sin(beta log xi)``
+    times the rest, transformed together; ``|K|`` is the root of the sum of
+    their squares.  Grids of ``2^22`` points and more run in single
+    precision (the sup is needed to ~1e-3, the phase is reduced mod 2 pi in
+    double before narrowing).
     """
     xi_cut = 3.2 * env       # envelope below exp(-10.2) ~ 3.6e-5 beyond
     span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + pad
     if x_probe is not None:
         span = max(span, 4.0 * x_probe)
     dx = math.pi / xi_cut
-    from scipy.fft import next_fast_len
     n = next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
     if n > _MAX_KERNEL_N:
-        raise MemoryError(f"kernel grid n={n} exceeds the supported maximum")
+        raise MemoryError(f"kernel grid n={n} for j={j}, t={t:g}, env={env:g} exceeds "
+                          f"the supported maximum {_MAX_KERNEL_N}")
     L = n * dx
     big = n >= (1 << 22)
-    dtype = np.complex64 if big else np.complex128
-    sym = np.empty(n, dtype=dtype)
+    real = np.float32 if big else np.float64
+    nbins = n // 2 + 1
+    sym = np.empty((1 if beta == 0.0 else 2, nbins),
+                   dtype=np.complex64 if big else np.complex128)
     sign = 1.0 if (j + 1) % 2 == 0 else -1.0
     chunk = 1 << 21
     two_pi_over_L = 2.0 * math.pi / L
-    half = n - n // 2   # first negative slot in fft order
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        q = np.arange(start, stop, dtype=np.float64)
-        q[q >= half] -= n
-        xi = two_pi_over_L * q
-        axi = np.abs(xi)
-        root = np.sqrt(axi)
-        amp = root.copy()
+    for start in range(0, nbins, chunk):
+        stop = min(start + chunk, nbins)
+        xi = two_pi_over_L * np.arange(start, stop, dtype=np.float64)
+        amp = np.sqrt(xi)
         for _ in range(j - 1):
-            amp *= axi
-        amp *= np.exp(-(axi / env) ** 2)
+            amp *= xi
+        amp *= np.exp(-(xi / env) ** 2)
         phase = _odd_power(xi, j)
         phase *= sign * t
-        if beta != 0.0:
-            nz = axi > 0
-            phase[nz] += beta * np.log(axi[nz])
         np.mod(phase, 2.0 * math.pi, out=phase)
-        if big:
-            ph32 = phase.astype(np.float32)
-            amp32 = amp.astype(np.float32)
-            out = np.cos(ph32)
-            out *= amp32
-            im = np.sin(ph32)
-            im *= amp32
-            sym[start:stop] = out + 1j * im
+        ph = phase.astype(real, copy=False)
+        cos, sin = np.cos(ph), np.sin(ph)
+        if beta == 0.0:
+            rows = (amp,)
         else:
-            sym[start:stop] = amp * np.exp(1j * phase)
-    kern = np.fft.ifft(sym)
+            lb = np.zeros_like(xi)
+            np.log(xi, out=lb, where=xi > 0)
+            lb *= beta
+            rows = (amp * np.cos(lb), amp * np.sin(lb))
+        for r, a in enumerate(rows):
+            a = a.astype(real, copy=False)
+            np.multiply(cos, a, out=sym.real[r, start:stop])
+            np.multiply(sin, a, out=sym.imag[r, start:stop])
+    kern = irfft(sym, n=n)
     del sym
-    if x_probe is None:
-        sup = float(np.max(np.abs(kern)))
-    else:
+    if x_probe is not None:
         m = max(1, int(x_probe / dx))
-        mags = np.concatenate([np.abs(kern[:m + 1]), np.abs(kern[-m:])])
-        sup = float(np.max(mags))
+        kern = np.concatenate([kern[:, :m + 1], kern[:, -m:]], axis=1)
+    kern *= kern                 # in place: the kernel reaches 35M points
+    power = kern[0]
+    for row in kern[1:]:
+        power += row
+    sup = math.sqrt(float(np.max(power)))
     return sup * n * two_pi_over_L, n
 
 

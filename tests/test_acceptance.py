@@ -44,7 +44,7 @@ def suite_reports(outdir):
 
 
 def test_criterion_01_coefficient_system():
-    t0 = time.time()
+    t0 = time.perf_counter()
     c1 = solve_coefficients(1).c
     c2 = solve_coefficients(2).c
     exact = (c1 == (Fraction(-3), Fraction(1))
@@ -56,14 +56,14 @@ def test_criterion_01_coefficient_system():
         for _ in range(20):
             f = fields.random_band_limited(g, rng, band=g.n // 4 - 2, decay=1.0)
             worst = max(worst, verify_reduction_identity(j, f))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = exact and worst < 1e-8 and elapsed < 10.0
     _verdict(1, ok, f"coefficients exact={exact}, max residual {worst:.2e} < 1e-8, "
                     f"{elapsed:.1f}s < 10s")
 
 
 def test_criterion_02_linear_flow_algebra():
-    t0 = time.time()
+    t0 = time.perf_counter()
     g = make_grid(1024, 1100.0)   # dispersive phases stay within float resolution
     rng = np.random.default_rng(1)
     worst_u = worst_g = 0.0
@@ -76,14 +76,14 @@ def test_criterion_02_linear_flow_algebra():
             a = linear_flow(p, 0.3, linear_flow(p, 0.2, u0))
             b = linear_flow(p, 0.5, u0)
             worst_g = max(worst_g, float(np.max(np.abs(a.samples - b.samples))) / u0.linf())
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = worst_u < 1e-12 and worst_g < 1e-12 and elapsed < 10.0
     _verdict(2, ok, f"unitarity {worst_u:.2e}, group law {worst_g:.2e} < 1e-12, "
                     f"{elapsed:.1f}s < 10s")
 
 
 def test_criterion_03_dispersive_decay():
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     for j in (1, 2):
@@ -94,7 +94,7 @@ def test_criterion_03_dispersive_decay():
             lines.append(f"j={j} env={env:g}: {sl:.4f}")
         ok &= fit.slope_shift < 0.02
         lines.append(f"j={j} shift={fit.slope_shift:.4f}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     _verdict(3, ok, "; ".join(lines) + f"; {elapsed:.0f}s < 60s")
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
 
 import hkdvlab.fields as fields
 from hkdvlab.errors import BandLimitError, EnvelopeTooNarrow
-from hkdvlab.identities import (InequalityProbeSpec, dispersive_decay_probe,
-                                frac_weight_decomposition,
+from hkdvlab.identities import (_MAX_KERNEL_N, InequalityProbeSpec, _kernel_sup,
+                                dispersive_decay_probe, frac_weight_decomposition,
                                 inequality_ratio_probe, solve_coefficients,
                                 verify_reduction_identity, x_weight_commutator)
 from hkdvlab.propagators import DispersionParams
@@ -250,3 +251,56 @@ class TestDecayProbe:
     def test_t_below_one_rejected(self):
         with pytest.raises(ValueError):
             dispersive_decay_probe(1, t_list=(0.5, 1, 2))
+
+    def test_grid_cap_error_names_the_point(self):
+        with pytest.raises(MemoryError, match=f"n=170698752 for j=2, t=10000, env=3 "
+                                              f"exceeds the supported maximum {_MAX_KERNEL_N}"):
+            dispersive_decay_probe(2, t_list=(1, 1e4), envelopes=(3.0,))
+
+
+def _reference_kernel_sup(j, t, env, beta, kappa, pad, x_probe):
+    """The kernel sup from the full complex symbol and a complex inverse FFT."""
+    xi_cut = 3.2 * env
+    span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + pad
+    if x_probe is not None:
+        span = max(span, 4.0 * x_probe)
+    dx = math.pi / xi_cut
+    n = next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
+    big = n >= (1 << 22)
+    q = np.fft.fftfreq(n, 1.0 / n)
+    xi = 2.0 * math.pi / (n * dx) * q
+    axi = np.abs(xi)
+    amp = np.sqrt(axi) * axi ** (j - 1) * np.exp(-(axi / env) ** 2)
+    sign = 1.0 if j % 2 == 1 else -1.0
+    phase = sign * t * xi ** (2 * j + 1)
+    phase[axi > 0] += beta * np.log(axi[axi > 0])
+    phase = np.mod(phase, 2.0 * math.pi)
+    if big:
+        sym = (amp.astype(np.float32) * np.exp(1j * phase.astype(np.float32))).astype(np.complex64)
+    else:
+        sym = amp * np.exp(1j * phase)
+    kern = np.abs(np.fft.ifft(sym))
+    if x_probe is not None:
+        m = max(1, int(x_probe / dx))
+        kern = np.concatenate([kern[:m + 1], kern[-m:]])
+    return float(np.max(kern)) * 2.0 * xi_cut, n
+
+
+class TestKernelAgainstComplexReference:
+    """``_kernel_sup`` (half spectrum, real ``irfft``) against the full
+    complex symbol synthesized with ``np.fft.ifft``."""
+
+    @pytest.mark.parametrize("j, env, t, beta, x_probe, rtol, n_expected", [
+        (1, 4.0, 1.0, 0.0, None, 1e-11, None),
+        (2, 3.0, 4.0, 0.0, None, 1e-11, None),
+        (1, 3.0, 2.0, 1.0, None, 1e-5, None),
+        (1, 8.0, 2.0, 0.0, 400.0, 1e-11, None),
+        (1, 3.0, 8.0, 0.0, None, 1e-11, 6237),          # odd n: no Nyquist bin
+        (2, 6.0, 4.0, 0.0, None, 1e-6, 5_080_320),
+    ])
+    def test_matches_reference(self, j, env, t, beta, x_probe, rtol, n_expected):
+        sup, n = _kernel_sup(j, t, env, beta, 2.0, 300.0, x_probe)
+        ref, n_ref = _reference_kernel_sup(j, t, env, beta, 2.0, 300.0, x_probe)
+        assert n == n_ref
+        assert n == n_expected if n_expected else n < (1 << 22)
+        assert sup == pytest.approx(ref, rel=rtol)
