@@ -222,15 +222,14 @@ class WindowSpec:
     """Moving half-line / band windows for propagation energies.
 
     Half-line lower limit ``x0 + eps - v t``; band upper limit
-    ``x0 + R - v t``.  Derivative orders run 0..m for the sup energies and
-    ``m + j`` for the space-time band integral.
+    ``x0 + R - v t``.  Derivative orders run 0..m for the half-line
+    energies and ``m + j`` for the space-time band integral.
     """
 
     x0: float
     eps: float
     R: float
     v: float = 0.0
-    ell: int = 0
     m: int = 1
 
     def __post_init__(self):
@@ -238,8 +237,6 @@ class WindowSpec:
             raise ValueError("need 0 < eps < R")
         if self.v < 0:
             raise ValueError("v must be >= 0")
-        if not 0 <= self.ell <= self.m:
-            raise ValueError("need 0 <= ell <= m")
 
 
 def _halfline_integral(g: np.ndarray, grid, a: float) -> float:
@@ -267,13 +264,14 @@ def _band_integral(g: np.ndarray, grid, a: float, b: float) -> float:
 
 
 def window_energy(traj: Trajectory, w: WindowSpec, j: int | None = None):
-    """Sup-in-time half-line energies and the band space-time integral.
+    """Half-line energies at every stored time and the band space-time integral.
 
-    Returns ``(sup_energy, spacetime)`` where ``sup_energy[l]`` is the sup
-    over stored times of the window integral of ``(d^l u)^2`` for
-    ``l = 0..m``, and ``spacetime`` integrates ``(d^(m+j) u)^2`` over the
-    moving band and [0, T].  ``j`` defaults to the trajectory's dispersion
-    order.
+    Returns ``(table, spacetime)``.  ``table`` has shape ``(len(traj), m + 1)``
+    and ``table[i, l]`` is the window integral of ``(d^l u)^2`` at the i-th
+    stored time, so ``table.max(axis=0)`` are the sup-in-time energies and
+    ``table[0]`` the initial ones.  ``spacetime`` integrates ``(d^(m+j) u)^2``
+    over the moving band and [0, T].  ``j`` defaults to the trajectory's
+    dispersion order.
     """
     if j is None:
         if traj.params is None:
@@ -288,23 +286,16 @@ def window_energy(traj: Trajectory, w: WindowSpec, j: int | None = None):
     max_order = w.m + j
     if max_order > grid.n // 8:
         raise ValueError(f"derivative order {max_order} exceeds the n/8 margin")
-    sup_energy = {}
-    for ell in range(0, w.m + 1):
-        best = 0.0
-        for t, s in zip(traj.times, traj.slices):
-            gsq = derivative(s, ell).samples ** 2
-            a = w.x0 + w.eps - w.v * t
-            best = max(best, _halfline_integral(gsq, grid, a))
-        sup_energy[ell] = best
-    vals = []
-    for t, s in zip(traj.times, traj.slices):
-        gsq = derivative(s, max_order).samples ** 2
+    table = np.empty((len(traj), w.m + 1))
+    band = np.empty(len(traj))
+    for i, (t, s) in enumerate(zip(traj.times, traj.slices)):
         a = w.x0 + w.eps - w.v * t
+        for ell in range(0, w.m + 1):
+            table[i, ell] = _halfline_integral(derivative(s, ell).samples ** 2, grid, a)
         b = w.x0 + w.R - w.v * t
-        vals.append(_band_integral(gsq, grid, a, b))
-    vals = np.array(vals)
+        band[i] = _band_integral(derivative(s, max_order).samples ** 2, grid, a, b)
     if len(traj) > 1:
-        spacetime = float(np.trapezoid(vals, traj.times))
+        spacetime = float(np.trapezoid(band, traj.times))
     else:
         spacetime = 0.0
-    return sup_energy, spacetime
+    return table, spacetime

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -47,6 +48,36 @@ dt = 0.004
     def test_bad_type(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             parse_config("[experiment]\nname = persistence\n[suite]\nT = fast\n")
+
+    def test_option_types_round_trip(self):
+        # an option's type is the type of its default
+        for name in SUITES:
+            for (section, key), default in default_config(name).values.items():
+                head = f"[experiment]\nname = {name}\n[{section}]\n"
+                got = parse_config(f"{head}{key} = {default}\n").get(section, key)
+                assert got == default and type(got) is type(default), (name, key)
+                bad = {int: "1.5", float: "fast"}.get(type(default))
+                if bad is not None:
+                    with pytest.raises(ConfigError, match="cannot parse"):
+                        parse_config(f"{head}{key} = {bad}\n")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_config("[experiment]\nname = decay\n[run]\nseed = 1.5\n")
+
+    @pytest.mark.parametrize("suite,option,raw", [
+        ("decay", "t_list", "1,x"),
+        ("blowup", "excluded_times", "5/2/1"),
+        ("blowup", "excluded_times", "5/0"),
+        ("decay", "j_list", "1,3"),
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, suite, option, raw):
+        text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
+        with pytest.raises(ConfigError, match=re.escape(f"suite.{option}")):
+            parse_config(text)
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        assert main(["run", suite, "--config", str(path),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / suite).exists()
 
     def test_precondition_validation(self):
         with pytest.raises(ConfigError, match="s >= 2"):

@@ -7,11 +7,11 @@ from scipy.integrate import quad
 
 import hkdvlab.fields as fields
 from hkdvlab.errors import BoundaryDecayError, WindowExitsGrid
-from hkdvlab.norms import (CutoffSpec, MixedNormSpec, WindowSpec, make_cutoff,
-                           mixed_norm, sobolev_norm, weighted_norm,
+from hkdvlab.norms import (CutoffSpec, MixedNormSpec, WindowSpec, _halfline_integral,
+                           make_cutoff, mixed_norm, sobolev_norm, weighted_norm,
                            window_energy, z_norm)
 from hkdvlab.propagators import DispersionParams, Trajectory, evolve
-from hkdvlab.spectral import RealField, make_grid
+from hkdvlab.spectral import RealField, derivative, make_grid
 
 KDV = DispersionParams(1, 1)
 
@@ -171,7 +171,8 @@ class TestWindowEnergy:
     def test_zero_field(self):
         g = make_grid(128, 40.0)
         traj = _constant_trajectory(g, RealField(g, np.zeros(g.n)), T=0.2, m=3)
-        sup, st_int = window_energy(traj, WindowSpec(0.0, 1.0, 5.0, v=0.0, m=1), j=1)
+        table, st_int = window_energy(traj, WindowSpec(0.0, 1.0, 5.0, v=0.0, m=1), j=1)
+        sup = table.max(axis=0)
         assert sup[0] == 0.0 and sup[1] == 0.0 and st_int == 0.0
 
     def test_whole_domain_matches_mixed_norm(self):
@@ -180,7 +181,8 @@ class TestWindowEnergy:
         u0 = fields.gaussian(g, width=2.0, amplitude=0.8)
         traj = evolve(KDV, u0, 0.2, 2e-3, stride=20)
         w = WindowSpec(x0=g.nodes[0] + 1e-9, eps=1e-9, R=g.L - 1.0, v=0.0, m=0)
-        sup, _ = window_energy(traj, w, j=1)
+        table, _ = window_energy(traj, w, j=1)
+        sup = table.max(axis=0)
         linf_l2 = mixed_norm(traj, MixedNormSpec(p=2, q=math.inf,
                                                  order="t_outer_x_inner"))
         assert sup[0] == pytest.approx(linf_l2 ** 2, rel=1e-9)
@@ -191,9 +193,30 @@ class TestWindowEnergy:
         traj = evolve(KDV, u0, 0.2, 2e-3, stride=20)
         vals = []
         for eps in (0.5, 1.5, 3.0):
-            sup, _ = window_energy(traj, WindowSpec(0.0, eps, 10.0, v=1.0, m=1), j=1)
-            vals.append(sup[1])
+            table, _ = window_energy(traj, WindowSpec(0.0, eps, 10.0, v=1.0, m=1), j=1)
+            vals.append(table.max(axis=0)[1])
         assert vals[0] >= vals[1] >= vals[2]
+
+    def test_table_entries_are_the_window_integrals(self, rng):
+        g = make_grid(256, 60.0)
+        u0 = fields.random_band_limited(g, rng, band=30, amplitude=0.4)
+        traj = evolve(KDV, u0, 0.2, 2e-3, stride=20)
+        w = WindowSpec(0.0, 1.0, 10.0, v=1.0, m=2)
+        table, _ = window_energy(traj, w, j=1)
+        assert table.shape == (len(traj), w.m + 1)
+
+        def integral(t, sl, ell):
+            return _halfline_integral(derivative(sl, ell).samples ** 2, g,
+                                      w.x0 + w.eps - w.v * t)
+
+        for i, (t, sl) in enumerate(zip(traj.times, traj.slices)):
+            for ell in range(w.m + 1):
+                assert table[i, ell] == integral(t, sl, ell)
+        # per-order sups over the stored times, as a running max from 0
+        old_sups = [max([0.0] + [integral(t, sl, ell)
+                                 for t, sl in zip(traj.times, traj.slices)])
+                    for ell in range(w.m + 1)]
+        assert list(table.max(axis=0)) == old_sups
 
     def test_window_exits_grid(self, rng):
         g = make_grid(128, 20.0)
