@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import TailFitError
 from .propagators import DispersionParams, Trajectory, dispersion_phase
-from .spectral import (Grid, RealField, SpectralField, dealias_cutoff, forward,
-                       synthesize_at)
+from .spectral import (Grid, RealField, SpectralField, dealias_cutoff, deriv_symbol,
+                       forward, synthesize_at)
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,7 @@ def singularity_indicator(f: RealField, order: int, x_star: float,
         raise ValueError("requested order unresolvable at this band limit")
     if h_set is None:
         h_set = tuple(g.dx * c for c in (16, 8, 4, 2))
-    xi = g.frequencies.copy()
-    if order % 2 == 1:
-        xi[g.nyquist_slot] = 0.0
-    dF = SpectralField(g, (1j * xi) ** order * forward(f).coeffs)
+    dF = SpectralField(g, deriv_symbol(g, order, full=True) * forward(f).coeffs)
     best = 0.0
     for h in h_set:
         vals = synthesize_at(dF, np.array([x_star - h, x_star, x_star + h]))
@@ -252,11 +249,9 @@ def _quotient(params: DispersionParams, u0h: np.ndarray, grid: Grid, t: float,
     coefficient convention before off-node synthesis.
     """
     theta = dispersion_phase(params, grid)
-    xi = grid.frequencies.copy()
-    if order % 2 == 1:
-        xi[grid.nyquist_slot] = 0.0
     pkg = grid.dx * grid.phase_signs() * u0h
-    dF = SpectralField(grid, (1j * xi) ** order * np.exp(1j * t * theta) * pkg)
+    dF = SpectralField(grid, deriv_symbol(grid, order, full=True)
+                       * np.exp(1j * t * theta) * pkg)
     offsets = (np.linspace(-halfwidth, halfwidth, n_offsets)
                if halfwidth > 0 else np.array([0.0]))
     best = 0.0

@@ -205,7 +205,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     if ("params", "k") in v:
         _need(v[("params", "k")] >= 1, "params.k must be >= 1")
     if ("suite", "dt") in v:
-        _need(v[("suite", "dt")] > 0 and v[("suite", "T")] > 0, "positive dt and T required")
+        dt, T = v[("suite", "dt")], v[("suite", "T")]
+        _need(dt > 0 and T > 0, "positive dt and T required")
+        # the same test evolve() applies
+        _need(abs(round(T / dt) * dt - T) <= 1e-9 * max(1.0, T),
+              f"suite.dt = {dt} does not divide suite.T = {T}")
     _suite(cfg.name).validate(v)
 
 
@@ -242,6 +246,7 @@ def _check_decay(v: dict) -> None:
     ts = _float_list(v, "t_list")
     _need(all(t >= 1 for t in ts), "suite.t_list entries must be >= 1")
     _need(all(a < b for a, b in zip(ts, ts[1:])), "suite.t_list must increase")
+    _need(len(ts) >= 2, "suite.t_list needs at least two times to fit a slope")
     _need(v[("suite", "slope_lo")] < v[("suite", "slope_hi")],
           "suite.slope_lo must be below suite.slope_hi")
     for key in ("envelopes_j1", "envelopes_j2"):
@@ -273,6 +278,12 @@ def _run_decay(cfg: ExperimentConfig, outdir: str):
     artifacts.append(_write_csv(outdir, "decay.csv",
                                 ["j", "envelope", "t", "sup", "grid_n"], rows))
     return checks, artifacts
+
+
+def _check_identities(v: dict) -> None:
+    n = v[("suite", "algebra_n")]
+    _need(n >= 16 and n % 2 == 0, "suite.algebra_n must be even and >= 16")
+    _need(v[("suite", "algebra_L")] > 0, "suite.algebra_L must be positive")
 
 
 def _run_identities(cfg: ExperimentConfig, outdir: str):
@@ -660,7 +671,7 @@ for (j, env), pts in sorted(series.items()):
 ax.set_xlabel("t"); ax.set_ylabel("sup |I_t|"); ax.legend()
 fig.savefig(os.path.join(HERE, "decay.png"), dpi=150)
 """}),
-    Suite("identities", _run_identities, lambda v: None,
+    Suite("identities", _run_identities, _check_identities,
           "reduction coefficients, linear-flow algebra, first-moment "
           "commutator, and principal-value fractional derivative agree "
           "with their independent evaluations",

@@ -33,6 +33,22 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, band: int,
     return RealField(grid, samples * (amplitude / peak))
 
 
+def _enveloped_zero_mean(grid: Grid, samples: np.ndarray,
+                         envelope: tuple[float, float]) -> np.ndarray:
+    """``samples`` times the Gaussian ``envelope = (center, width)``, with the
+    mean removed by a multiple of the envelope.
+
+    Subtracting a constant instead would leave an offset on the whole box
+    that jumps at the periodic seam ``x = +-L/2``, so the datum's spectrum
+    would decay only like ``1/xi``.
+    """
+    c, w = envelope
+    env = np.exp(-(((grid.nodes - c) / w) ** 2))
+    out = samples * env
+    out -= np.sum(out) / np.sum(env) * env
+    return out
+
+
 def rough_spectrum_field(grid: Grid, rng: np.random.Generator, s: float,
                          amplitude: float = 1.0, band: tuple[float, float] | None = None,
                          envelope: tuple[float, float] | None = None) -> RealField:
@@ -52,9 +68,7 @@ def rough_spectrum_field(grid: Grid, rng: np.random.Generator, s: float,
     phases = rng.uniform(0.0, 2.0 * np.pi, nf)
     samples = np.fft.irfft(mags * np.exp(1j * phases), grid.n)
     if envelope is not None:
-        c, w = envelope
-        samples = samples * np.exp(-(((grid.nodes - c) / w) ** 2))
-        samples = samples - np.mean(samples)
+        samples = _enveloped_zero_mean(grid, samples, envelope)
     peak = float(np.max(np.abs(samples))) or 1.0
     return RealField(grid, samples * (amplitude / peak))
 
@@ -80,9 +94,7 @@ def band_noise_by_index(grid: Grid, rng: np.random.Generator, q_lo: int,
         coeffs[-q] = np.conj(c)
     samples = np.fft.ifft(coeffs).real * grid.n
     if envelope is not None:
-        c0, w = envelope
-        samples = samples * np.exp(-(((grid.nodes - c0) / w) ** 2))
-        samples = samples - np.mean(samples)
+        samples = _enveloped_zero_mean(grid, samples, envelope)
     peak = float(np.max(np.abs(samples))) or 1.0
     return RealField(grid, samples * (amplitude / peak))
 

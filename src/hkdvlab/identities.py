@@ -21,8 +21,8 @@ from .fields import band_noise_by_index, gaussian, weighted
 from .norms import MixedNormSpec, mixed_norm, sobolev_norm, weighted_norm
 from .propagators import (DispersionParams, Trajectory, dispersion_phase,
                           linear_flow)
-from .spectral import (RealField, band_limit_check, derivative, frac_deriv,
-                       make_grid, require_decay)
+from .spectral import (RealField, _power, band_limit_check, derivative,
+                       frac_deriv, make_grid, require_decay)
 
 MAX_COEFF_ORDER = 32
 
@@ -168,15 +168,6 @@ class DecayFit:
 _MAX_KERNEL_N = 2 ** 26
 
 
-def _odd_power(xi: np.ndarray, j: int) -> np.ndarray:
-    """xi**(2j+1) by a multiply chain (pow is the hot spot on big grids)."""
-    sq = xi * xi
-    out = xi.copy()
-    for _ in range(j):
-        out *= sq
-    return out
-
-
 def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
                 pad: float, x_probe: float | None) -> tuple[float, int]:
     """sup over the grid of the envelope-regularized oscillatory kernel.
@@ -217,7 +208,7 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
         for _ in range(j - 1):
             amp *= xi
         amp *= np.exp(-(xi / env) ** 2)
-        phase = _odd_power(xi, j)
+        phase = _power(xi, 2 * j + 1)
         phase *= sign * t
         np.mod(phase, 2.0 * math.pi, out=phase)
         ph = phase.astype(real, copy=False)

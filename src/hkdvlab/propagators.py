@@ -4,8 +4,8 @@ The equation family is ``u_t + u^(2j+1)_x + u^k u^(j)_x = 0``.  Its linear
 part is solved exactly by the unitary multiplier
 ``exp(i t (-1)^(j+1) xi^(2j+1))``; the full flow uses an integrating-factor
 classical RK4 with the nonlinear product dealiased by the degree-dependent
-rule.  The solver (``evolve``, ``duhamel_quadrature``) runs on real
-half-spectra: its state is the ``n//2 + 1`` bins of ``scipy.fft.rfft``.
+rule.  Every operator here runs on real half-spectra, the ``n//2 + 1`` bins
+of ``scipy.fft.rfft``; the solver's state is such a half spectrum.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from scipy.fft import irfft, rfft
 
 from .errors import SolverBlowup, UnstableConjugation
-from .spectral import (Grid, RealField, SpectralField, dealias_cutoff, forward,
-                       inverse, load_field, make_grid, odd_frequencies, save_field)
+from .spectral import (Grid, RealField, _apply_half, _context, dealias_cutoff,
+                       deriv_symbol, load_field, make_grid, save_field)
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,21 @@ class ConjugationSpec:
             raise ValueError("sigma and time_sign must be +1 or -1")
 
 
+def _phase(params: DispersionParams, grid: Grid, full: bool = False) -> np.ndarray:
+    """``theta`` on the rfft bins (FFT order with ``full``): the linear part is
+    ``-(i xi)^(2j+1) = i theta``, so ``theta = (-1)^(j+1) xi^(2j+1)``."""
+    return -deriv_symbol(grid, 2 * params.j + 1, full).imag
+
+
 def dispersion_phase(params: DispersionParams, grid: Grid) -> np.ndarray:
-    """Phase polynomial ``(-1)^(j+1) xi^(2j+1)`` with the odd-symbol Nyquist rule."""
-    xi = odd_frequencies(grid)
-    sign = 1.0 if (params.j + 1) % 2 == 0 else -1.0
-    return sign * xi ** (2 * params.j + 1)
+    """Phase polynomial ``(-1)^(j+1) xi^(2j+1)`` with the odd-symbol Nyquist
+    rule, in full FFT order."""
+    return _phase(params, grid, full=True)
 
 
 def linear_flow(params: DispersionParams, t: float, u0: RealField) -> RealField:
     """Apply the unitary group at time ``t``."""
-    theta = dispersion_phase(params, u0.grid)
-    F = forward(u0)
-    return inverse(SpectralField(u0.grid, np.exp(1j * t * theta) * F.coeffs))
+    return _apply_half(u0, np.exp(1j * t * _phase(params, u0.grid)))
 
 
 def conjugated_flow(params: DispersionParams, spec: ConjugationSpec, t: float,
@@ -76,7 +79,7 @@ def conjugated_flow(params: DispersionParams, spec: ConjugationSpec, t: float,
     if t * spec.time_sign < 0:
         raise ValueError(f"t={t} contradicts time_sign={spec.time_sign}")
     g = w0.grid
-    xi = g.frequencies
+    xi = _context(g).xi
     z = (1j * xi - spec.sigma) ** (2 * params.j + 1)
     growth = -t * z.real
     if float(growth.max()) > growth_cap * abs(t):
@@ -84,10 +87,8 @@ def conjugated_flow(params: DispersionParams, spec: ConjugationSpec, t: float,
             f"symbol magnitude reaches exp({float(growth.max()):.3g}) > "
             f"exp({growth_cap * abs(t):.3g}); sigma={spec.sigma:+d} with this "
             f"time direction is unstable for j={params.j}")
-    sym = np.exp(-t * z)
-    sym[g.nyquist_slot] = sym[g.nyquist_slot].real
-    F = forward(w0)
-    return inverse(SpectralField(g, sym * F.coeffs))
+    # irfft reads only the real part of the Nyquist bin
+    return _apply_half(w0, np.exp(-t * z))
 
 
 @dataclass
@@ -138,12 +139,10 @@ def _nonlinear_rhs(params: DispersionParams, grid: Grid,
     boolean mask of retained bins.
     """
     n, k = grid.n, params.k
-    half = slice(0, n // 2 + 1)
-    xi = odd_frequencies(grid) if params.j % 2 == 1 else grid.frequencies
-    dj = (1j * xi[half]) ** params.j
-    keep = np.abs(grid.freq_index[half]) <= dealias_cutoff(n, k)
+    dj = deriv_symbol(grid, params.j)
+    keep = np.arange(n // 2 + 1) <= dealias_cutoff(n, k)
     if xi_cut is not None:
-        keep &= np.abs(grid.frequencies[half]) <= xi_cut
+        keep &= _context(grid).xi <= xi_cut
     neg_keep = np.where(keep, -1.0, 0.0)
     # u and d^j u come back from one batched inverse transform
     pair = np.empty((2, dj.size), dtype=complex)
@@ -179,7 +178,7 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     g = u0.grid
-    theta = dispersion_phase(params, g)[: g.n // 2 + 1]
+    theta = _phase(params, g)
     rhs, keep = _nonlinear_rhs(params, g, xi_cut)
     E = np.exp(1j * theta * (dt / 2.0))
     E2 = E * E
@@ -221,13 +220,13 @@ def duhamel_split(traj: Trajectory, u0: RealField,
         raise ValueError("dispersion parameters unavailable")
     if u0.grid != traj.grid:
         raise ValueError("datum grid differs from trajectory grid")
-    theta = dispersion_phase(params, traj.grid)
-    F0 = forward(u0).coeffs
     g = traj.grid
+    theta = _phase(params, g)
+    u0h = rfft(u0.samples)
     slices = []
     for t, s in zip(traj.times, traj.slices):
-        lin = inverse(SpectralField(g, np.exp(1j * t * theta) * F0))
-        slices.append(RealField(g, s.samples - lin.samples))
+        lin = irfft(np.exp(1j * t * theta) * u0h, g.n)
+        slices.append(RealField(g, s.samples - lin))
     return Trajectory(g, traj.times.copy(), slices, params, traj.dt, traj.stride)
 
 
@@ -249,7 +248,7 @@ def duhamel_quadrature(traj: Trajectory, params: DispersionParams | None = None)
     if not np.allclose(hsteps, h, rtol=1e-8):
         raise ValueError("stored times must be uniformly spaced")
     g = traj.grid
-    theta = dispersion_phase(params, g)[: g.n // 2 + 1]
+    theta = _phase(params, g)
     rhs, _ = _nonlinear_rhs(params, g)
     T = float(traj.times[-1])
     acc = np.zeros(g.n // 2 + 1, dtype=complex)

@@ -19,18 +19,29 @@ The ``(-1)^q`` factor accounts for the node origin at ``x = -L/2``; with it a
 real, even, origin-centered bump has real positive coefficients, matching the
 integral transform it discretizes.
 
+Real-to-real operators (``derivative``, ``frac_deriv`` and the flows in
+``propagators``) never form the full coefficient array: they multiply the
+``n//2 + 1`` bins of ``scipy.fft.rfft`` by the symbol's values on the
+non-negative frequencies and return ``irfft(..., n)``.  Their symbols are
+Hermitian, so the half spectrum determines the result.  ``forward`` and
+``inverse`` give the full coefficients above, for callers that need them.
+The frequencies and phase signs of a grid are built once and cached.
+
 Odd-order symbols (``i*xi``, ``xi**(2j+1)``) are evaluated with the Nyquist
 frequency zeroed: that mode has no well-defined sign under an odd symbol on an
-even grid.  ``odd_frequencies`` returns the adjusted frequency array.
+even grid.  ``deriv_symbol`` applies this rule on the half spectrum and
+``odd_frequencies`` returns the adjusted full frequency array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import irfft, rfft
 from scipy.special import zeta
 
 from .errors import BandLimitError, BoundaryDecayError
@@ -75,8 +86,13 @@ class Grid:
         return self.n // 2
 
     def phase_signs(self) -> np.ndarray:
-        """(-1)^q factors aligning FFT output with the -L/2 node origin."""
-        return np.where(self.freq_index.astype(np.int64) % 2 == 0, 1.0, -1.0)
+        """(-1)^q factors aligning FFT output with the -L/2 node origin.
+
+        ``n`` is even, so ``q`` has the parity of its FFT slot.
+        """
+        signs = np.ones(self.n)
+        signs[1::2] = -1.0
+        return signs
 
 
 def make_grid(n: int, L: float) -> Grid:
@@ -89,6 +105,50 @@ def odd_frequencies(grid: Grid) -> np.ndarray:
     xi = grid.frequencies.copy()
     xi[grid.nyquist_slot] = 0.0
     return xi
+
+
+@dataclass(frozen=True)
+class _Context:
+    """Read-only per-grid arrays: ``xi`` on the ``n//2 + 1`` rfft bins and
+    the ``(-1)^q`` phase signs in full FFT order."""
+
+    xi: np.ndarray
+    signs: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _context(grid: Grid) -> _Context:
+    # FFT order puts q = -n/2 in the last half-spectrum slot; rfft has +n/2
+    xi = np.abs(grid.frequencies[: grid.n // 2 + 1])
+    signs = grid.phase_signs()
+    for a in (xi, signs):
+        a.flags.writeable = False
+    return _Context(xi, signs)
+
+
+def _power(xi: np.ndarray, order: int) -> np.ndarray:
+    """``xi**order`` by a multiply chain, ``xi * (xi*xi)**(order//2)`` for
+    odd orders (``pow`` is the hot spot on big grids)."""
+    sq = xi * xi
+    out = xi.copy() if order % 2 else np.ones_like(xi)
+    for _ in range(order // 2):
+        out *= sq
+    return out
+
+
+def deriv_symbol(grid: Grid, order: int, full: bool = False) -> np.ndarray:
+    """``(i xi)^order`` on the ``n//2 + 1`` rfft bins, Nyquist zeroed for odd
+    orders; ``full=True`` extends it Hermitian-symmetrically to FFT order.
+
+    Even orders give a real array, odd orders a purely imaginary one.
+    """
+    p = _power(_context(grid).xi, order)
+    if order % 2:
+        p[-1] = 0.0
+    sym = (1.0, 1j, -1.0, -1j)[order % 4] * p
+    if full:
+        sym = np.concatenate([sym[:-1], np.conj(sym[:0:-1])])
+    return sym
 
 
 @dataclass(frozen=True)
@@ -144,7 +204,7 @@ class SpectralField:
 def forward(f: RealField) -> SpectralField:
     """Forward transform; see module docstring for the normalization."""
     g = f.grid
-    coeffs = g.dx * g.phase_signs() * np.fft.fft(f.samples)
+    coeffs = g.dx * _context(g).signs * np.fft.fft(f.samples)
     return SpectralField(g, coeffs)
 
 
@@ -155,7 +215,7 @@ def inverse(F: SpectralField) -> RealField:
     sanity check; genuinely non-Hermitian coefficient sets are rejected.
     """
     g = F.grid
-    raw = np.fft.ifft(F.coeffs * g.phase_signs()) / g.dx
+    raw = np.fft.ifft(F.coeffs * _context(g).signs) / g.dx
     scale = float(np.max(np.abs(raw))) or 1.0
     # high-order multipliers amplify rounding at the top frequencies, so the
     # tolerance is loose; genuinely one-sided coefficients give O(1) residue
@@ -167,15 +227,18 @@ def inverse(F: SpectralField) -> RealField:
 def synthesize_at(F: SpectralField, points: np.ndarray) -> np.ndarray:
     """Band-limited evaluation of a spectral field at arbitrary points.
 
-    Direct Fourier sum; O(n) per point, intended for small point sets.
+    Direct Fourier sum, one ``(points, n)`` phase table per call; intended
+    for small point sets.
     """
     g = F.grid
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    # samples(x) = (1/L) * sum_q coeff[q] e^{i xi_q x}
-    out = np.empty(pts.shape, dtype=float)
-    for i, p in enumerate(pts):
-        out[i] = np.sum(F.coeffs * np.exp(1j * g.frequencies * p)).real / g.L
-    return out
+    half = g.n // 2
+    # samples(x) = (1/L) * sum_q coeff[q] e^{i xi_q x}; xi_{-q} = -xi_q, so the
+    # phases of q = 1 - n/2 .. -1 are the conjugates of those of n/2 - 1 .. 1
+    phases = np.empty(pts.shape + (g.n,), dtype=complex)
+    phases[..., :half + 1] = np.exp(1j * np.multiply.outer(pts, g.frequencies[:half + 1]))
+    phases[..., half + 1:] = np.conj(phases[..., half - 1:0:-1])
+    return np.sum(F.coeffs * phases, axis=-1).real / g.L
 
 
 @dataclass(frozen=True)
@@ -222,16 +285,18 @@ def apply_multiplier_spectral(spec: MultiplierSpec, F: SpectralField) -> Spectra
     return SpectralField(F.grid, vals * F.coeffs)
 
 
+def _apply_half(f: RealField, sym: np.ndarray) -> RealField:
+    """Real field of the Hermitian multiplier with half-spectrum values ``sym``."""
+    return RealField(f.grid, irfft(sym * rfft(f.samples), f.grid.n))
+
+
 def derivative(f: RealField, order: int) -> RealField:
     """Spectral derivative of integer order; odd orders use the Nyquist rule."""
     if order < 0:
         raise ValueError("derivative order must be >= 0")
     if order == 0:
         return RealField(f.grid, f.samples.copy())
-    xi = odd_frequencies(f.grid) if order % 2 == 1 else f.grid.frequencies
-    sym = (1j * xi) ** order
-    F = forward(f)
-    return inverse(SpectralField(f.grid, sym * F.coeffs))
+    return _apply_half(f, deriv_symbol(f.grid, order))
 
 
 def frac_deriv(f: RealField, s: float, kind: str = "homogeneous") -> RealField:
@@ -242,19 +307,15 @@ def frac_deriv(f: RealField, s: float, kind: str = "homogeneous") -> RealField:
     """
     if s < 0:
         raise ValueError("negative-order derivatives are out of scope")
-    xi = f.grid.frequencies
+    xi = _context(f.grid).xi
     if kind == "homogeneous":
-        sym = np.zeros(f.grid.n)
-        nz = xi != 0.0
-        sym[nz] = np.abs(xi[nz]) ** s
-        if s == 0.0:
-            sym[~nz] = 0.0  # mean removed even at s=0 for consistency
+        sym = np.zeros(xi.size)
+        sym[1:] = xi[1:] ** s
     elif kind == "inhomogeneous":
         sym = (1.0 + xi * xi) ** (s / 2.0)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    F = forward(f)
-    return inverse(SpectralField(f.grid, sym * F.coeffs))
+    return _apply_half(f, sym)
 
 
 def require_decay(f: RealField, rel: float = DECAY_GATE, what: str = "field") -> None:
@@ -294,14 +355,17 @@ def _stein_truncated(f: RealField, alpha: float, m_min: int, kernel_folds: int) 
     n, L, dx = g.n, g.L, g.dx
     s = f.samples
     half = n // 2
-    acc = np.zeros(n)
-    for m in range(m_min, half + 1):
-        w = 0.5 if (m == m_min or m == half) else 1.0
-        y = m * dx
-        ker = y ** (-1.0 - alpha)
-        for fold in range(1, kernel_folds + 1):
-            ker += (fold * L + y) ** (-1.0 - alpha) + (fold * L - y) ** (-1.0 - alpha)
-        acc += (w * ker) * (np.roll(s, -m) + np.roll(s, m) - 2.0 * s)
+    # sum_m w_m ker_m (s[x+m] + s[x-m] - 2 s[x]) as one circular convolution
+    # with the kernel placed at the offsets +m and -m (both are n/2 at m = n/2)
+    y = np.arange(m_min, half + 1) * dx
+    ker = y ** (-1.0 - alpha)
+    for fold in range(1, kernel_folds + 1):
+        ker += (fold * L + y) ** (-1.0 - alpha) + (fold * L - y) ** (-1.0 - alpha)
+    ker[[0, -1]] *= 0.5
+    kern = np.zeros(n)
+    kern[m_min:half + 1] = ker
+    kern[n - half:n - m_min + 1] += ker[::-1]
+    acc = irfft(rfft(s) * rfft(kern), n) - (2.0 * np.sum(ker)) * s
     acc *= dx
     x = g.nodes
     c0 = 2.0 * zeta(1.0 + alpha, kernel_folds + 1) / L ** (1.0 + alpha)

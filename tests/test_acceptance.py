@@ -240,12 +240,16 @@ def test_criterion_12_cutoff_suite():
     _verdict(12, ok, "ramp properties on 1e4-point samples: " + ", ".join(details))
 
 
-def test_criterion_13_determinism(outdir):
+def test_criterion_13_determinism(outdir, suite_reports):
+    # the suites of ``suite_reports`` already ran once; one fresh run each
+    # gives the second independent run to compare with
     mismatched = []
     for name in ("decay", "identities", "persistence", "propagation", "blowup",
                  "smoothing"):
         paths = []
-        for sub in ("d1", "d2"):
+        if name in suite_reports:
+            paths.append([a for a in suite_reports[name].artifacts if a.endswith(".csv")])
+        for sub in ("d1", "d2")[len(paths):]:
             cfg = default_config(name, seed=0, output_dir=str(outdir / sub))
             rep = run(cfg)
             paths.append([a for a in rep.artifacts if a.endswith(".csv")])

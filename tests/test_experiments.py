@@ -68,6 +68,9 @@ dt = 0.004
         ("blowup", "excluded_times", "5/2/1"),
         ("blowup", "excluded_times", "5/0"),
         ("decay", "j_list", "1,3"),
+        ("identities", "algebra_n", "7"),
+        ("persistence", "dt", "0.3"),
+        ("decay", "t_list", "2"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, suite, option, raw):
         text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
@@ -114,6 +117,17 @@ class TestRunAndReport:
             csv = tmp_path / sub / "persistence" / "persistence.csv"
             blobs.append(csv.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_propagation_passes_at_seeds_0_to_7(self, tmp_path):
+        # the datum's verdicts must not rest on one seed
+        failed = {}
+        for seed in range(8):
+            cfg = default_config("propagation", seed=seed,
+                                 output_dir=str(tmp_path / str(seed)))
+            bad = [(c.name, c.measured) for c in run(cfg).checks if not c.passed]
+            if bad:
+                failed[seed] = bad
+        assert not failed
 
     def test_output_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HKDVLAB_OUTPUT", str(tmp_path / "envdir"))

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import zeta
 
 import hkdvlab.fields as fields
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
+from hkdvlab.propagators import DispersionParams, linear_flow
 from hkdvlab.spectral import (MultiplierSpec, RealField, SpectralField,
-                              apply_multiplier, apply_multiplier_spectral,
-                              band_limit_check, dealias, dealias_cutoff,
-                              derivative, forward, frac_deriv, inverse,
-                              load_field, load_spectral, make_grid,
+                              _context, _stein_truncated, apply_multiplier,
+                              apply_multiplier_spectral, band_limit_check,
+                              dealias, dealias_cutoff, deriv_symbol, derivative,
+                              forward, frac_deriv, inverse, load_field,
+                              load_spectral, make_grid, odd_frequencies,
                               require_decay, save_field, save_spectral,
-                              stein_deriv)
+                              stein_constant, stein_deriv)
 
 
 class TestGrid:
@@ -189,6 +192,85 @@ class TestSteinDeriv:
         g = make_grid(512, 40.0)
         with pytest.raises(ValueError):
             stein_deriv(fields.gaussian(g), alpha)
+
+
+class TestHalfSpectrumOracle:
+    """The rfft operators against the full-complex forward/multiplier/inverse
+    path, and the Stein convolution against the O(n^2) shift loop."""
+
+    @staticmethod
+    def _full_symbol(g, order):
+        xi = odd_frequencies(g) if order % 2 == 1 else g.frequencies
+        return (1j * xi) ** order
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_derivative(self, order):
+        g = make_grid(256, 40.0)
+        # white noise: every bin, the Nyquist bin included, carries content
+        f = RealField(g, np.random.default_rng(order).standard_normal(g.n))
+        ref = inverse(SpectralField(g, self._full_symbol(g, order) * forward(f).coeffs))
+        got = derivative(f, order)
+        scale = np.max(np.abs(ref.samples))
+        assert np.max(np.abs(got.samples - ref.samples)) <= 1e-12 * scale
+        # the FFT-order extension used for off-node evaluation; the odd-order
+        # Nyquist rule shows only here, as irfft drops that bin's imaginary part
+        full = self._full_symbol(g, order)
+        err = np.max(np.abs(deriv_symbol(g, order, full=True) - full))
+        assert err <= 1e-12 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_linear_flow(self, j):
+        g = make_grid(256, 40.0)
+        u0 = RealField(g, np.random.default_rng(j).standard_normal(g.n))
+        sign = 1.0 if (j + 1) % 2 == 0 else -1.0
+        theta = sign * odd_frequencies(g) ** (2 * j + 1)
+        # t keeps t * max|theta| near 10, so the phase is not dominated by rounding
+        t = 10.0 / np.max(np.abs(theta))
+        ref = inverse(SpectralField(g, np.exp(1j * t * theta) * forward(u0).coeffs))
+        got = linear_flow(DispersionParams(j), t, u0)
+        assert np.max(np.abs(got.samples - ref.samples)) <= 1e-12 * np.max(np.abs(ref.samples))
+
+    def test_context_is_read_only(self):
+        ctx = _context(make_grid(64, 10.0))
+        for a in (ctx.xi, ctx.signs):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    @staticmethod
+    def _stein_loop(f, alpha, m_min, kernel_folds):
+        # the O(n^2) reference: one np.roll pair per offset m, then the same
+        # Hurwitz-zeta fold tail
+        g = f.grid
+        n, L, dx = g.n, g.L, g.dx
+        s = f.samples
+        half = n // 2
+        acc = np.zeros(n)
+        for m in range(m_min, half + 1):
+            w = 0.5 if (m == m_min or m == half) else 1.0
+            y = m * dx
+            ker = y ** (-1.0 - alpha)
+            for fold in range(1, kernel_folds + 1):
+                ker += (fold * L + y) ** (-1.0 - alpha) + (fold * L - y) ** (-1.0 - alpha)
+            acc += (w * ker) * (np.roll(s, -m) + np.roll(s, m) - 2.0 * s)
+        acc *= dx
+        x = g.nodes
+        c0 = 2.0 * zeta(1.0 + alpha, kernel_folds + 1) / L ** (1.0 + alpha)
+        c2 = ((1.0 + alpha) * (2.0 + alpha) * zeta(3.0 + alpha, kernel_folds + 1)
+              / L ** (3.0 + alpha))
+        m0, m1, m2 = dx * np.sum(s), dx * np.sum(x * s), dx * np.sum(x * x * s)
+        acc += c0 * (m0 - L * s)
+        acc += c2 * ((m2 - 2.0 * x * m1 + x * x * m0) - s * L ** 3 / 12.0)
+        return acc / stein_constant(alpha)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
+    @pytest.mark.parametrize("m_min", [4, 32])
+    def test_stein_convolution_matches_roll_loop(self, alpha, m_min):
+        g = make_grid(512, 30.0)
+        # noise, so the offset m = n/2 (counted from both sides) carries weight
+        f = RealField(g, np.random.default_rng(7).standard_normal(g.n))
+        ref = self._stein_loop(f, alpha, m_min, 3)
+        got = _stein_truncated(f, alpha, m_min, 3)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestDealias:
