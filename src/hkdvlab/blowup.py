@@ -356,24 +356,22 @@ class SmoothingGainReport:
 
 
 def smoothing_gain(traj: Trajectory, u0: RealField,
-                   params: DispersionParams | None = None,
-                   remove_drift: bool | None = None) -> SmoothingGainReport:
+                   params: DispersionParams | None = None) -> SmoothingGainReport:
     """Tail-exponent gain of the Duhamel part over the linear evolution.
 
     Fits decay exponents of ``z(T)`` and ``W(T) u0`` over the top two octaves
     of the dealiased band; the predicted gain is the dispersion order ``j``.
-    For ``k >= 2`` the exactly resonant mode pairs generate a secular rigid
-    translation (velocity tied to the conserved L2 mass) that is not part of
-    the smoothing statement; ``remove_drift`` (default: ``k >= 2``) estimates
-    that translation by a grid search and removes it before the fit.  Returns
-    a report with ``gain=None`` when the Duhamel part sits at the solver's
-    noise floor (e.g. linear-limit amplitudes).
+    For ``(j, k) = (1, 2)`` the exactly resonant part of ``u^2 u_x`` is
+    ``<u^2> u_x`` (the renormalized periodic mKdV), a rigid translation at
+    the conserved mean of ``u^2`` that is not part of the smoothing
+    statement; it is removed as ``drift = -T <u^2>``, taken on the stored
+    (dealiased) initial slice, before the fit.  Returns a report with
+    ``gain=None`` when the Duhamel part sits at the solver's noise floor
+    (e.g. linear-limit amplitudes).
     """
     params = params or traj.params
     if params is None:
         raise ValueError("dispersion parameters unavailable")
-    if remove_drift is None:
-        remove_drift = params.k >= 2
     g = traj.grid
     T = float(traj.times[-1])
     theta = dispersion_phase(params, g)
@@ -386,20 +384,8 @@ def smoothing_gain(traj: Trajectory, u0: RealField,
         return SmoothingGainReport(None, None, None, 0.0,
                                    "duhamel part at noise floor")
     drift = 0.0
-    if remove_drift:
-        cut_xi = 2 * math.pi * dealias_cutoff(g.n, params.k) / g.L
-        sel = (np.abs(g.freq_index) >= 1) & (np.abs(g.frequencies) < cut_xi / 3.0)
-        xs, ws, us = g.frequencies[sel], wh[sel], uh[sel]
-        cands = np.linspace(-0.25, 0.25, 2001)
-        res = np.array([np.sum(np.abs(us - np.exp(1j * c * xs) * ws) ** 2)
-                        for c in cands])
-        i0 = int(np.argmin(res))
-        drift = float(cands[i0])
-        if 0 < i0 < cands.size - 1:
-            y0, y1, y2 = res[i0 - 1], res[i0], res[i0 + 1]
-            denom = y0 - 2 * y1 + y2
-            if denom > 0:
-                drift += 0.5 * float((y0 - y2) / denom) * (cands[1] - cands[0])
+    if (params.j, params.k) == (1, 2):
+        drift = -T * float(np.mean(traj.slices[0].samples ** 2))
     zh = uh - np.exp(1j * drift * g.frequencies) * wh
     cut_xi = 2 * math.pi * dealias_cutoff(g.n, params.k) / g.L
     sign_fix = g.phase_signs() * g.dx

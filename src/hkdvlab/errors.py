@@ -40,5 +40,9 @@ class EnvelopeTooNarrow(HkdvError):
     """Oscillatory-kernel envelope too narrow for the probed x-range."""
 
 
+class KernelWindowError(HkdvError):
+    """The oscillatory-kernel sup lies on the edge of its evaluation window."""
+
+
 class ConfigError(HkdvError):
     """Experiment configuration failed validation."""

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len
+from scipy.fft import ifft, next_fast_len
 
-from .errors import EnvelopeTooNarrow
+from .errors import EnvelopeTooNarrow, KernelWindowError
 from .fields import band_noise_by_index, gaussian, weighted
 from .norms import MixedNormSpec, mixed_norm, sobolev_norm, weighted_norm
 from .propagators import (DispersionParams, Trajectory, dispersion_phase,
@@ -166,22 +166,38 @@ class DecayFit:
 
 
 _MAX_KERNEL_N = 2 ** 26
+#: half-width of the automatic sup window in units of t^(1/(2j+1)); the
+#: suite's argmax lies at |x| <= 19
+_WINDOW_REACH = 24.0
+#: smallest inverse-DFT length of the folded spectrum
+_MIN_FOLD = 1 << 14
+#: folded-spectrum bins evaluated and transformed per block
+_BLOCK_BINS = 1 << 20
 
 
 def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
                 pad: float, x_probe: float | None) -> tuple[float, int]:
-    """sup over the grid of the envelope-regularized oscillatory kernel.
+    """sup of the envelope-regularized oscillatory kernel on a window of nodes.
 
     The grid is sized so the stationary-phase fold from periodization is
-    suppressed by ``exp(-kappa^2)`` at the box edge.  The amplitude is even
-    and ``t theta`` odd in ``xi``, so the symbol is built on the ``n//2 + 1``
-    non-negative bins only and the kernel comes back real from ``irfft``.
-    For ``beta != 0`` the even factor ``|xi|^{i beta}`` splits the symbol
-    into two Hermitian rows, ``cos(beta log xi)`` and ``sin(beta log xi)``
-    times the rest, transformed together; ``|K|`` is the root of the sum of
-    their squares.  Grids of ``2^22`` points and more run in single
-    precision (the sup is needed to ~1e-3, the phase is reduced mod 2 pi in
-    double before narrowing).
+    suppressed by ``exp(-kappa^2)`` at the box edge.  The sup is taken over
+    the ``2m+1`` nodes ``|x_k| <= 24 t^(1/(2j+1))`` (or ``|x_k| <= x_probe``),
+    which hold the Airy region; an argmax on the edge of the automatic
+    window raises ``KernelWindowError``.  No array of grid length is built:
+    with ``Q`` the smallest divisor of ``n`` of at least ``max(2^14, 2m+1)``
+    and ``P = n/Q``, each bin ``q = aP + b`` gives
+    ``K(x_k) = 2 Re sum_b e^(2 pi i b k/n) G_b(k mod Q)``, where ``G_b`` is
+    the unnormalized ``Q``-point inverse DFT over ``a`` of the symbol at
+    ``aP + b``.  The symbol is evaluated on the ``n//2 + 1`` non-negative
+    bins only (the amplitude is even and ``t theta`` odd, so the kernel is
+    real), with the Nyquist bin halved, a block of ``b``-rows at a time, and
+    each block is transformed by one batched ``ifft``.  For ``beta != 0``
+    the even factor ``|xi|^{i beta}`` splits the symbol into two Hermitian
+    rows, ``cos(beta log xi)`` and ``sin(beta log xi)`` times the rest;
+    ``|K|`` is the root of the sum of their squares.  Grids of ``2^22``
+    points and more take the trig and the transform in single precision
+    (the sup is needed to ~1e-3, the phase is reduced mod 2 pi in double
+    before narrowing).
     """
     xi_cut = 3.2 * env       # envelope below exp(-10.2) ~ 3.6e-5 beyond
     span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + pad
@@ -192,22 +208,33 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
     if n > _MAX_KERNEL_N:
         raise MemoryError(f"kernel grid n={n} for j={j}, t={t:g}, env={env:g} exceeds "
                           f"the supported maximum {_MAX_KERNEL_N}")
-    L = n * dx
+    two_pi_over_L = 2.0 * math.pi / (n * dx)
     big = n >= (1 << 22)
     real = np.float32 if big else np.float64
-    nbins = n // 2 + 1
-    sym = np.empty((1 if beta == 0.0 else 2, nbins),
-                   dtype=np.complex64 if big else np.complex128)
+    half = n // 2
+    reach = _WINDOW_REACH * t ** (1.0 / (2 * j + 1)) if x_probe is None else x_probe
+    m = min(max(1, int(reach / dx)), half)
+    k = np.arange(-m, m + 1)
+    fold = min(n, max(_MIN_FOLD, k.size))
+    Q = min(d for i in range(1, math.isqrt(n) + 1) if n % i == 0
+            for d in (i, n // i) if d >= fold)
+    P = n // Q
+    aP = P * np.arange(half // P + 1, dtype=np.float64)   # every a with aP + b <= n//2
+    cols = k % Q
     sign = 1.0 if (j + 1) % 2 == 0 else -1.0
-    chunk = 1 << 21
-    two_pi_over_L = 2.0 * math.pi / L
-    for start in range(0, nbins, chunk):
-        stop = min(start + chunk, nbins)
-        xi = two_pi_over_L * np.arange(start, stop, dtype=np.float64)
+    block = max(1, _BLOCK_BINS // Q)
+    kern = np.zeros((1 if beta == 0.0 else 2, k.size))
+    for b0 in range(0, P, block):
+        b = np.arange(b0, min(b0 + block, P))
+        q = b[:, None] + aP
+        xi = two_pi_over_L * q
         amp = np.sqrt(xi)
         for _ in range(j - 1):
             amp *= xi
         amp *= np.exp(-(xi / env) ** 2)
+        amp[q > half] = 0.0
+        if n % 2 == 0:
+            amp[q == half] *= 0.5
         phase = _power(xi, 2 * j + 1)
         phase *= sign * t
         np.mod(phase, 2.0 * math.pi, out=phase)
@@ -220,21 +247,21 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
             np.log(xi, out=lb, where=xi > 0)
             lb *= beta
             rows = (amp * np.cos(lb), amp * np.sin(lb))
+        sym = np.empty((len(rows),) + q.shape, dtype=np.complex64 if big else np.complex128)
         for r, a in enumerate(rows):
             a = a.astype(real, copy=False)
-            np.multiply(cos, a, out=sym.real[r, start:stop])
-            np.multiply(sin, a, out=sym.imag[r, start:stop])
-    kern = irfft(sym, n=n)
-    del sym
-    if x_probe is not None:
-        m = max(1, int(x_probe / dx))
-        kern = np.concatenate([kern[:, :m + 1], kern[:, -m:]], axis=1)
-    kern *= kern                 # in place: the kernel reaches 35M points
-    power = kern[0]
-    for row in kern[1:]:
-        power += row
-    sup = math.sqrt(float(np.max(power)))
-    return sup * n * two_pi_over_L, n
+            np.multiply(cos, a, out=sym.real[r])
+            np.multiply(sin, a, out=sym.imag[r])
+        g = ifft(sym, n=Q, axis=-1, norm="forward")[..., cols]
+        twiddle = np.exp((2j * math.pi / n) * ((b[:, None] * k) % n))
+        kern += np.einsum("rbw,bw->rw", g, twiddle).real
+    power = np.sum(kern * kern, axis=0)
+    i = int(np.argmax(power))
+    if x_probe is None and m < half and i in (0, k.size - 1):
+        raise KernelWindowError(
+            f"kernel sup for j={j}, t={t:g}, env={env:g} lies at argmax index {i}, on "
+            f"the edge of the window |x| <= {m * dx:.4g} of m={m} nodes each side")
+    return 2.0 * math.sqrt(float(power[i])) * two_pi_over_L, n
 
 
 def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),

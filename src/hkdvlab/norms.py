@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import WindowExitsGrid
 from .propagators import Trajectory
-from .spectral import (RealField, SpectralField, derivative, forward, inverse,
+from .spectral import (RealField, derivative, forward, frac_deriv,
                        require_decay)
 
 
@@ -77,13 +77,9 @@ class MixedNormSpec:
 def _apply_smoothing(f: RealField, spec: MixedNormSpec) -> RealField:
     g = f
     if spec.js is not None:
-        xi = f.grid.frequencies
-        sym = (1.0 + xi * xi) ** (spec.js / 2.0)
-        g = inverse(SpectralField(f.grid, sym * forward(g).coeffs))
+        g = frac_deriv(g, spec.js, "inhomogeneous")
     if spec.da is not None:
-        xi = f.grid.frequencies
-        sym = np.where(xi == 0.0, 0.0, np.abs(xi) ** spec.da)
-        g = inverse(SpectralField(f.grid, sym * forward(g).coeffs))
+        g = frac_deriv(g, spec.da)
     if spec.dx_order:
         g = derivative(g, spec.dx_order)
     return g

@@ -303,12 +303,13 @@ def frac_deriv(f: RealField, s: float, kind: str = "homogeneous") -> RealField:
     """Fractional derivative by Fourier multiplier.
 
     ``homogeneous`` applies ``|xi|^s`` (zero at the origin, removing the
-    mean); ``inhomogeneous`` applies ``(1 + xi^2)^{s/2}``.
+    mean); ``inhomogeneous`` applies ``(1 + xi^2)^{s/2}``, for any real
+    ``s`` (the Bessel potential when ``s < 0``).
     """
-    if s < 0:
-        raise ValueError("negative-order derivatives are out of scope")
     xi = _context(f.grid).xi
     if kind == "homogeneous":
+        if s < 0:
+            raise ValueError("negative-order homogeneous derivatives are out of scope")
         sym = np.zeros(xi.size)
         sym[1:] = xi[1:] ** s
     elif kind == "inhomogeneous":

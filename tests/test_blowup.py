@@ -13,6 +13,7 @@ from hkdvlab.blowup import (BlowupDatumSpec, SingularProfileSpec, TimeProbe,
                             singular_profile, singularity_indicator,
                             smoothing_gain, tail_exponent)
 from hkdvlab.errors import TailFitError
+from hkdvlab.experiments import default_config
 from hkdvlab.propagators import DispersionParams, evolve, linear_flow
 from hkdvlab.spectral import forward, make_grid
 
@@ -230,3 +231,18 @@ class TestSmoothingGain:
             rep = smoothing_gain(traj, u0, p)
             gains.append(rep.gain)
         assert gains[0] == pytest.approx(gains[1], abs=0.1)
+
+    def test_k2_gain_at_seed_3(self):
+        # the smoothing suite's k = 2 integration at seed 3, where a drift
+        # fitted to the modes below cut/3 took up nonlinear content and the
+        # gain fell to 0.44; the closed-form drift gives 1.04
+        v = default_config("smoothing").values
+        g = make_grid(v[("grid", "n")], v[("suite", "L_k2")])
+        u0 = fields.rough_spectrum_field(g, np.random.default_rng(3), s=v[("suite", "s")],
+                                         amplitude=v[("suite", "amplitude")])
+        p = DispersionParams(1, 2)
+        T = v[("suite", "T")]
+        traj = evolve(p, u0, T, v[("suite", "dt")], stride=10 ** 9)
+        rep = smoothing_gain(traj, u0, p)
+        assert rep.gain >= 0.5
+        assert rep.drift == -T * float(np.mean(traj.slices[0].samples ** 2))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 import hkdvlab.fields as fields
-from hkdvlab.errors import BandLimitError, EnvelopeTooNarrow
+import hkdvlab.identities as identities
+from hkdvlab.errors import BandLimitError, EnvelopeTooNarrow, KernelWindowError
 from hkdvlab.identities import (_MAX_KERNEL_N, InequalityProbeSpec, _kernel_sup,
                                 dispersive_decay_probe, frac_weight_decomposition,
                                 inequality_ratio_probe, solve_coefficients,
@@ -257,6 +259,31 @@ class TestDecayProbe:
                                               f"exceeds the supported maximum {_MAX_KERNEL_N}"):
             dispersive_decay_probe(2, t_list=(1, 1e4), envelopes=(3.0,))
 
+    def test_argmax_on_window_edge_raises(self, monkeypatch):
+        # a window far inside the Airy region puts the sup on its edge
+        monkeypatch.setattr(identities, "_WINDOW_REACH", 0.5)
+        with pytest.raises(KernelWindowError, match=r"j=1, t=2, env=4 lies at argmax "
+                                                    r"index (0|4), .* m=2 nodes"):
+            _kernel_sup(1, 2.0, 4.0, 0.0, 2.0, 300.0, None)
+
+    def test_probe_window_has_no_edge_check(self, monkeypatch):
+        monkeypatch.setattr(identities, "_WINDOW_REACH", 0.5)
+        sup, _ = _kernel_sup(1, 2.0, 4.0, 0.0, 2.0, 300.0, 0.5)
+        assert sup > 0.0
+
+    def test_memory_is_bounded_by_the_block(self):
+        # n = 5,080,320: a full-grid synthesis holds the half-spectrum symbol
+        # and the kernel, 103 MiB traced; the folded one 40 MiB
+        _kernel_sup(1, 1.0, 4.0, 0.0, 2.0, 300.0, None)     # load the FFT backend
+        tracemalloc.start()
+        try:
+            _, n = _kernel_sup(2, 4.0, 6.0, 0.0, 2.0, 300.0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 5_080_320
+        assert peak < 64 * 2 ** 20
+
 
 def _reference_kernel_sup(j, t, env, beta, kappa, pad, x_probe):
     """The kernel sup from the full complex symbol and a complex inverse FFT."""
@@ -287,8 +314,8 @@ def _reference_kernel_sup(j, t, env, beta, kappa, pad, x_probe):
 
 
 class TestKernelAgainstComplexReference:
-    """``_kernel_sup`` (half spectrum, real ``irfft``) against the full
-    complex symbol synthesized with ``np.fft.ifft``."""
+    """``_kernel_sup`` (half spectrum folded onto the sup window) against the
+    full complex symbol synthesized on the whole grid with ``np.fft.ifft``."""
 
     @pytest.mark.parametrize("j, env, t, beta, x_probe, rtol, n_expected", [
         (1, 4.0, 1.0, 0.0, None, 1e-11, None),
@@ -304,3 +331,14 @@ class TestKernelAgainstComplexReference:
         assert n == n_ref
         assert n == n_expected if n_expected else n < (1 << 22)
         assert sup == pytest.approx(ref, rel=rtol)
+
+    @pytest.mark.parametrize("j, env, t", [
+        (j, env, t) for j, envs in ((1, (4.0, 8.0)), (2, (3.0, 6.0))) for env in envs
+        for t in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if (j, env, t) < (2, 6.0, 4.0)])
+    def test_suite_grid_window_holds_the_sup(self, j, env, t):
+        # every decay-suite grid below 2^22 points: the sup over the window
+        # equals the sup over the whole grid
+        sup, n = _kernel_sup(j, t, env, 0.0, 2.0, 300.0, None)
+        ref, n_ref = _reference_kernel_sup(j, t, env, 0.0, 2.0, 300.0, None)
+        assert n == n_ref < (1 << 22)
+        assert sup == pytest.approx(ref, rel=1e-12)

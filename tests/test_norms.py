@@ -108,6 +108,22 @@ class TestMixedNorm:
                    * mixed_norm(tv, MixedNormSpec(p=2, q=2, order="x_outer_t_inner")))
             assert lhs <= rhs * (1 + 1e-12)
 
+    @pytest.mark.parametrize("js, da", [(2.0, None), (None, 0.25), (2.0, 0.125), (-0.6, None)])
+    def test_smoothing_weights_match_full_spectrum(self, grid, rng, js, da):
+        # J^s and D^a applied to the full complex spectrum, written out here;
+        # a negative js (a persistence config with small s) stays allowed
+        f = fields.random_band_limited(grid, rng, band=grid.n // 2 - 2)
+        xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, grid.dx)
+        sym = np.ones(grid.n)
+        if js is not None:
+            sym *= (1.0 + xi * xi) ** (js / 2.0)
+        if da is not None:
+            sym *= np.where(xi == 0.0, 0.0, np.abs(xi) ** da)
+        g = np.fft.ifft(sym * np.fft.fft(f.samples)).real
+        traj = Trajectory(grid, np.array([0.0]), [f], KDV)
+        got = mixed_norm(traj, MixedNormSpec(p=2, q=2, js=js, da=da))
+        assert got == pytest.approx(math.sqrt(grid.dx * np.sum(g * g)), rel=1e-12)
+
     def test_empty_trajectory_rejected(self, grid):
         traj = Trajectory(grid, np.array([]), [], KDV)
         with pytest.raises(ValueError, match="empty"):
