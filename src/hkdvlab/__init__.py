@@ -8,7 +8,7 @@ from .spectral import (Grid, RealField, SpectralField, MultiplierSpec,
                        load_spectral)
 from .propagators import (DispersionParams, ConjugationSpec, Trajectory,
                           linear_flow, conjugated_flow, evolve, duhamel_split,
-                          duhamel_quadrature, save_trajectory, load_trajectory)
+                          duhamel_quadrature)
 from .identities import (CoefficientVector, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator,
                          frac_weight_decomposition, InequalityProbeSpec,

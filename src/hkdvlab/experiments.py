@@ -204,12 +204,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         _need(v[("params", "j")] >= 1, "params.j must be >= 1")
     if ("params", "k") in v:
         _need(v[("params", "k")] >= 1, "params.k must be >= 1")
-    if ("suite", "dt") in v:
-        dt, T = v[("suite", "dt")], v[("suite", "T")]
-        _need(dt > 0 and T > 0, "positive dt and T required")
+    for key in ("dt", "dt_k1", "dt_k2"):
+        if ("suite", key) not in v:
+            continue
+        dt, T = v[("suite", key)], v[("suite", "T")]
+        _need(dt > 0 and T > 0, f"positive suite.{key} and suite.T required")
         # the same test evolve() applies
         _need(abs(round(T / dt) * dt - T) <= 1e-9 * max(1.0, T),
-              f"suite.dt = {dt} does not divide suite.T = {T}")
+              f"suite.{key} = {dt} does not divide suite.T = {T}")
     _suite(cfg.name).validate(v)
 
 
@@ -602,13 +604,14 @@ def _run_smoothing(cfg: ExperimentConfig, outdir: str):
     n = v[("grid", "n")]
     rows = []
     gmin = v[("suite", "gain_min")]
-    for k, L in ((1, v[("suite", "L_k1")]), (2, v[("suite", "L_k2")])):
+    for k in (1, 2):
+        L = v[("suite", f"L_k{k}")]
         g = make_grid(n, L)
         rng = np.random.default_rng(cfg.seed)
         u0 = fields.rough_spectrum_field(g, rng, s=v[("suite", "s")],
                                          amplitude=v[("suite", "amplitude")])
         params = DispersionParams(1, k)
-        traj = evolve(params, u0, v[("suite", "T")], v[("suite", "dt")],
+        traj = evolve(params, u0, v[("suite", "T")], v[("suite", f"dt_k{k}")],
                       stride=10 ** 9)
         rep = smoothing_gain(traj, u0, params)
         rows.append((1, k, L, cfg.seed, rep.tail_linear, rep.tail_duhamel,
@@ -785,7 +788,10 @@ fig.savefig(os.path.join(HERE, "contrast.png"), dpi=150)
            ("suite", "L_k2"): 320.0,
            ("suite", "s"): 2.0,
            ("suite", "T"): 0.5,
-           ("suite", "dt"): 5e-5,
+           # k = 1 needs the small step; the k = 2 gain agrees with its
+           # value at 5e-5 to 3e-6 (seeds 0-3)
+           ("suite", "dt_k1"): 5e-5,
+           ("suite", "dt_k2"): 5e-4,
            ("suite", "amplitude"): 0.5,
            ("suite", "gain_min"): 0.5},
           {"smoothing.csv": """

@@ -10,8 +10,6 @@ of ``scipy.fft.rfft``; the solver's state is such a half spectrum.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +17,7 @@ from scipy.fft import irfft, rfft
 
 from .errors import SolverBlowup, UnstableConjugation
 from .spectral import (Grid, RealField, _apply_half, _context, dealias_cutoff,
-                       deriv_symbol, load_field, make_grid, save_field)
+                       deriv_symbol)
 
 
 @dataclass(frozen=True)
@@ -93,11 +91,7 @@ def conjugated_flow(params: DispersionParams, spec: ConjugationSpec, t: float,
 
 @dataclass
 class Trajectory:
-    """Time-indexed field slices on one grid.
-
-    ``cfl_phase`` records ``dt * max|theta|`` for solver outputs (a sanity
-    diagnostic only: the integrating factor absorbs the linear stiffness).
-    """
+    """Time-indexed field slices on one grid."""
 
     grid: Grid
     times: np.ndarray
@@ -105,7 +99,6 @@ class Trajectory:
     params: DispersionParams | None = None
     dt: float | None = None
     stride: int | None = None
-    cfl_phase: float | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -133,7 +126,9 @@ def _nonlinear_rhs(params: DispersionParams, grid: Grid,
     """Half-spectrum evaluator of ``- F[u^k * d^j u]``, dealiased.
 
     States are ``rfft`` half spectra.  One real multiplier applies the
-    dealias mask and the minus sign.  ``xi_cut`` optionally pins the retained
+    dealias mask and the minus sign.  For (j, k) = (1, 1) the product is
+    taken in conservative form, ``- F[(u^2)_x] / 2``, which needs one inverse
+    transform instead of two.  ``xi_cut`` optionally pins the retained
     band below the degree-dependent dealias rule, so grid-refinement studies
     compare the same truncated system.  Returns the evaluator and the
     boolean mask of retained bins.
@@ -144,6 +139,16 @@ def _nonlinear_rhs(params: DispersionParams, grid: Grid,
     if xi_cut is not None:
         keep &= _context(grid).xi <= xi_cut
     neg_keep = np.where(keep, -1.0, 0.0)
+    if (params.j, k) == (1, 1):
+        # conservative form u u_x = (u^2)_x / 2: one inverse transform
+        mult = 0.5 * neg_keep * dj
+
+        def rhs(uh: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = irfft(uh, n)
+                return mult * rfft(u * u)
+
+        return rhs, keep
     # u and d^j u come back from one batched inverse transform
     pair = np.empty((2, dj.size), dtype=complex)
 
@@ -208,8 +213,7 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
         if step % stride == 0 or step == nsteps:
             times.append(step * dt)
             slices.append(snapshot(uh))
-    cfl = dt * float(np.max(np.abs(theta)))
-    return Trajectory(g, np.array(times), slices, params, dt, stride, cfl)
+    return Trajectory(g, np.array(times), slices, params, dt, stride)
 
 
 def duhamel_split(traj: Trajectory, u0: RealField,
@@ -259,34 +263,3 @@ def duhamel_quadrature(traj: Trajectory, params: DispersionParams | None = None)
     acc *= h / 3.0
     return RealField(g, irfft(acc, g.n))
 
-
-def save_trajectory(traj: Trajectory, directory) -> None:
-    """Directory layout: ``meta.json`` plus one CSV field file per slice."""
-    os.makedirs(directory, exist_ok=True)
-    meta = {
-        "n": traj.grid.n, "L": traj.grid.L,
-        "j": traj.params.j if traj.params else None,
-        "k": traj.params.k if traj.params else None,
-        "dt": traj.dt, "stride": traj.stride,
-        "T": float(traj.times[-1]) if len(traj) else 0.0,
-        "cfl_phase": traj.cfl_phase,
-        "times": [float(t) for t in traj.times],
-    }
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=1)
-    for i, s in enumerate(traj.slices):
-        save_field(s, os.path.join(directory, f"slice_{i:06d}.csv"))
-
-
-def load_trajectory(directory) -> Trajectory:
-    with open(os.path.join(directory, "meta.json")) as fh:
-        meta = json.load(fh)
-    grid = make_grid(meta["n"], meta["L"])
-    times = np.array(meta["times"], dtype=float)
-    slices = [load_field(os.path.join(directory, f"slice_{i:06d}.csv"))
-              for i in range(times.size)]
-    params = None
-    if meta.get("j") is not None:
-        params = DispersionParams(meta["j"], meta.get("k") or 1)
-    return Trajectory(grid, times, slices, params, meta.get("dt"),
-                      meta.get("stride"), meta.get("cfl_phase"))

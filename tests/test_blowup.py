@@ -237,12 +237,29 @@ class TestSmoothingGain:
         # fitted to the modes below cut/3 took up nonlinear content and the
         # gain fell to 0.44; the closed-form drift gives 1.04
         v = default_config("smoothing").values
-        g = make_grid(v[("grid", "n")], v[("suite", "L_k2")])
-        u0 = fields.rough_spectrum_field(g, np.random.default_rng(3), s=v[("suite", "s")],
-                                         amplitude=v[("suite", "amplitude")])
+        u0 = _smoothing_k2_datum(v, 3)
         p = DispersionParams(1, 2)
         T = v[("suite", "T")]
-        traj = evolve(p, u0, T, v[("suite", "dt")], stride=10 ** 9)
+        traj = evolve(p, u0, T, v[("suite", "dt_k2")], stride=10 ** 9)
         rep = smoothing_gain(traj, u0, p)
         assert rep.gain >= 0.5
         assert rep.drift == -T * float(np.mean(traj.slices[0].samples ** 2))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_k2_gain_converged_in_dt(self, seed):
+        # the suite's k = 2 step: halving it moves the gain by far less than
+        # the margin to the gate
+        v = default_config("smoothing").values
+        u0 = _smoothing_k2_datum(v, seed)
+        p = DispersionParams(1, 2)
+        T, dt = v[("suite", "T")], v[("suite", "dt_k2")]
+        gains = [smoothing_gain(evolve(p, u0, T, h, stride=10 ** 9), u0, p).gain
+                 for h in (dt, dt / 2)]
+        assert abs(gains[0] - gains[1]) <= 1e-5
+
+
+def _smoothing_k2_datum(v, seed):
+    """The smoothing suite's k = 2 datum at ``seed``."""
+    g = make_grid(v[("grid", "n")], v[("suite", "L_k2")])
+    return fields.rough_spectrum_field(g, np.random.default_rng(seed), s=v[("suite", "s")],
+                                       amplitude=v[("suite", "amplitude")])

@@ -71,6 +71,8 @@ dt = 0.004
         ("identities", "algebra_n", "7"),
         ("persistence", "dt", "0.3"),
         ("decay", "t_list", "2"),
+        ("smoothing", "dt_k1", "3e-5"),
+        ("smoothing", "dt_k2", "3e-4"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, suite, option, raw):
         text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, rfft
 
 import hkdvlab.fields as fields
 from hkdvlab.errors import SolverBlowup, UnstableConjugation
 from hkdvlab.propagators import (ConjugationSpec, DispersionParams, Trajectory,
-                                 conjugated_flow, duhamel_quadrature,
-                                 duhamel_split, evolve, linear_flow,
-                                 load_trajectory, save_trajectory)
+                                 _nonlinear_rhs, conjugated_flow,
+                                 duhamel_quadrature, duhamel_split, evolve,
+                                 linear_flow)
 from hkdvlab.spectral import (RealField, dealias_cutoff, derivative, make_grid,
                               odd_frequencies)
 
@@ -177,20 +178,7 @@ class TestDuhamel:
             duhamel_split(traj, other)
 
 
-class TestTrajectoryIO:
-    def test_round_trip(self, tmp_path):
-        g = make_grid(64, 20.0)
-        u0 = fields.gaussian(g, width=1.0, amplitude=0.5)
-        traj = evolve(KDV, u0, 0.1, 1e-2, stride=2)
-        d = tmp_path / "traj"
-        save_trajectory(traj, d)
-        back = load_trajectory(d)
-        assert back.grid == traj.grid
-        assert np.allclose(back.times, traj.times)
-        assert back.params == traj.params
-        for a, b in zip(back.slices, traj.slices):
-            assert np.array_equal(a.samples, b.samples)
-
+class TestTrajectory:
     def test_times_must_increase(self):
         g = make_grid(64, 20.0)
         f = fields.gaussian(g)
@@ -266,3 +254,42 @@ class TestAgainstComplexReference:
             for s in traj.slices[1:]:
                 assert abs(s.samples.sum() - mean0) <= 1e-12 * abs(mean0)
                 assert abs(s.l2() - mass0) <= 1e-12 * mass0
+
+
+class TestConservativeRHS:
+    """The (1, 1) right-hand side ``-(u^2)_x / 2`` against the product form."""
+
+    @staticmethod
+    def _product_rhs(g, uh, keep):
+        xi = 2.0 * np.pi * np.arange(g.n // 2 + 1) / g.L
+        xi[-1] = 0.0                # odd symbol: zero Nyquist bin
+        u = irfft(uh, g.n)
+        ux = irfft(1j * xi * uh, g.n)
+        return np.where(keep, -rfft(u * ux), 0.0)
+
+    @pytest.mark.parametrize("xi_cut", [None, 20.0])
+    def test_matches_product_form(self, rng, xi_cut):
+        g = make_grid(4096, 160.0)
+        rhs, keep = _nonlinear_rhs(KDV, g, xi_cut)
+        q = np.arange(g.n // 2 + 1)
+        want = q <= dealias_cutoff(g.n, 1)
+        if xi_cut is not None:
+            want &= 2.0 * np.pi * q / g.L <= xi_cut
+        assert np.array_equal(keep, want)
+        uh = rfft(rng.standard_normal(g.n))
+        uh[~keep] = 0.0
+        got, ref = rhs(uh), self._product_rhs(g, uh, keep)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_evolve_conserves_mean_and_mass(self, rng):
+        g = make_grid(4096, 160.0)
+        x = g.nodes
+        bump = RealField(g, 0.5 * np.exp(-(x / 4.0) ** 2))
+        noise = fields.rough_spectrum_field(g, rng, s=2.0, amplitude=0.5)
+        u0 = RealField(g, bump.samples + noise.samples)
+        traj = evolve(KDV, u0, 2e-3, 5e-5, stride=10)
+        mean0, mass0 = traj.slices[0].samples.sum(), traj.slices[0].l2()
+        for s in traj.slices[1:]:
+            assert abs(s.samples.sum() - mean0) <= 1e-12 * abs(mean0)
+            assert abs(s.l2() - mass0) <= 1e-12 * mass0
+        assert np.max(np.abs(traj.final().samples - u0.samples)) > 1e-3
