@@ -1,4 +1,4 @@
-"""Singular profiles, focusing data, rational-time probes, and tail gains.
+"""Singular profiles, focusing data, rational-time contrasts, and tail gains.
 
 The construction superposes back-propagated copies of a profile with one
 derivative-jump point.  Under the linear flow each copy refocuses exactly at
@@ -12,8 +12,7 @@ nonlinear (Duhamel) part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -39,22 +38,6 @@ class SingularProfileSpec:
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-
-    @property
-    def holder_failure_order(self) -> int | None:
-        """Order of the first derivative jump, or None when analytic."""
-        a = self.alpha
-        if a == int(a) and int(a) % 2 == 0:
-            return None
-        return math.ceil(a)
-
-    @property
-    def jump_magnitude(self) -> float | None:
-        """|coefficient| of the sign-type jump for integer odd alpha."""
-        a = self.alpha
-        if a == int(a) and int(a) % 2 == 1:
-            return 2.0 * math.factorial(int(a))
-        return None
 
 
 def singular_profile(spec: SingularProfileSpec, grid: Grid) -> RealField:
@@ -138,20 +121,6 @@ def build_blowup_datum(spec: BlowupDatumSpec, params: DispersionParams,
 
 
 @dataclass(frozen=True)
-class TimeProbe:
-    """Rational refocusing times plus algebraic irrational controls."""
-
-    rationals: tuple[Fraction, ...]
-    irrationals: tuple[float, ...] = (math.sqrt(2.0), (1 + math.sqrt(5.0)) / 2, math.sqrt(3.0))
-    gap_exponent: int = 3
-
-    def __post_init__(self):
-        for r in self.rationals:
-            if r.denominator < 1 or r != Fraction(r.numerator, r.denominator):
-                raise ValueError("rationals must be in lowest terms")
-
-
-@dataclass(frozen=True)
 class GapCertificate:
     t: float
     kmax: int
@@ -211,47 +180,21 @@ def tail_exponent(F: SpectralField, xi_lo: float | None = None,
     return -slope
 
 
-def singularity_indicator(f: RealField, order: int, x_star: float,
-                          h_set=None) -> tuple[float, float]:
-    """Jump witness and spectral tail exponent at a candidate point.
-
-    The witness is the largest second-symmetric-difference quotient
-
-        |d^m f(x*+h) - 2 d^m f(x*) + d^m f(x*-h)| / (2h)
-
-    over dyadic steps ``h`` (band-limited off-node evaluation).  A jump of
-    size ``J`` in ``d^(m+1)`` at ``x*`` drives the quotient to ``J`` as
-    ``h -> 0``, while for fields smooth to order ``m + 2`` it vanishes
-    linearly in ``h``.  Returns ``(quotient, tail_exponent)``.
-    """
-    g = f.grid
-    if not g.nodes[0] <= x_star <= g.nodes[-1]:
-        raise ValueError(f"x*={x_star} outside the grid")
-    if order + 1 > g.n // 8:
-        raise ValueError("requested order unresolvable at this band limit")
-    if h_set is None:
-        h_set = tuple(g.dx * c for c in (16, 8, 4, 2))
-    dF = SpectralField(g, deriv_symbol(g, order, full=True) * forward(f).coeffs)
-    best = 0.0
-    for h in h_set:
-        vals = synthesize_at(dF, np.array([x_star - h, x_star, x_star + h]))
-        q = abs(vals[2] - 2.0 * vals[1] + vals[0]) / (2.0 * h)
-        best = max(best, q)
-    return best, tail_exponent(forward(f))
-
-
 def _quotient(params: DispersionParams, u0h: np.ndarray, grid: Grid, t: float,
               order: int, x_star: float, h_set, halfwidth: float,
               n_offsets: int) -> float:
     """Second-difference quotient of d^order W(t)u0, optionally window-sup.
 
-    ``u0h`` holds raw FFT coefficients; they are rescaled to the package
-    coefficient convention before off-node synthesis.
+    The quotient ``|d^m f(x*+h) - 2 d^m f(x*) + d^m f(x*-h)| / (2h)`` is
+    maximized over ``h_set`` by band-limited off-node evaluation.  A jump of
+    size ``J`` in ``d^(m+1) f`` at ``x*`` drives it to ``J`` as ``h -> 0``;
+    for ``f`` smooth to order ``m + 2`` it vanishes linearly in ``h``.
+    ``u0h`` holds the coefficients of ``forward(u0)``, in the package
+    convention that the off-node synthesis reads.
     """
     theta = dispersion_phase(params, grid)
-    pkg = grid.dx * grid.phase_signs() * u0h
     dF = SpectralField(grid, deriv_symbol(grid, order, full=True)
-                       * np.exp(1j * t * theta) * pkg)
+                       * np.exp(1j * t * theta) * u0h)
     offsets = (np.linspace(-halfwidth, halfwidth, n_offsets)
                if halfwidth > 0 else np.array([0.0]))
     best = 0.0
@@ -307,7 +250,7 @@ def blowup_contrast(datum: tuple[RealField, list[DatumTerm]],
         locations = [x_star]
     if h_set is None:
         h_set = tuple(grid.dx * c for c in (16, 8, 4, 2))
-    u0h = np.fft.fft(u0.samples)
+    u0h = forward(u0).coeffs
     out = []
     for loc in locations:
         qr = _quotient(params, u0h, grid, t_rational, params.j, loc, h_set,
@@ -337,7 +280,7 @@ def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
     locations = sorted({trm.singular_location for trm in manifest})
     if h_set is None:
         h_set = tuple(grid.dx * c for c in (16, 8, 4, 2))
-    u0h = np.fft.fft(u0.samples)
+    u0h = forward(u0).coeffs
     logs = []
     for loc in locations:
         qe = _quotient(params, u0h, grid, t_excluded, params.j, loc, h_set, 0.0, 1)

@@ -404,8 +404,7 @@ def _xt_norms(traj: Trajectory, s: float, r: float, j: int) -> dict:
     return {
         "sup_T_Hs": norm(p=2, q=math.inf, order=tx, js=s),
         # |x|^r u in L^inf_T L^2_x, slice-wise
-        "weight_sup_T": max(weighted_norm(sl, r, "homogeneous", gate=None)
-                            for sl in traj.slices),
+        "weight_sup_T": max(weighted_norm(sl, r, gate=None) for sl in traj.slices),
         "maximal_Js": norm(p=2, q=math.inf, order=xt, js=s - (2 * j + 1) / 4.0 - eps),
         "smoothing_Js_dj": norm(p=math.inf, q=2, order=xt, js=s, dx_order=j),
         "strichartz_half": norm(p=math.inf, q=2, order=tx, js=j + 0.5,

@@ -1,14 +1,12 @@
-"""Exact algebraic identities and numeric inequality probes.
+"""Exact algebraic identities and the dispersive-decay probe.
 
 The reduction-coefficient system is solved in exact rational arithmetic; the
-weight/commutator identities are evaluated spectrally; the inequality lemmas
-are probed as ratio ensembles that assert boundedness and refinement
-stability, not constants.
+weight/commutator identity is evaluated spectrally; the time decay of the
+oscillatory kernel is fitted from its sup on the Airy window.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,12 +15,10 @@ import numpy as np
 from scipy.fft import ifft, next_fast_len
 
 from .errors import EnvelopeTooNarrow, KernelWindowError
-from .fields import band_noise_by_index, gaussian, weighted
-from .norms import MixedNormSpec, mixed_norm, sobolev_norm, weighted_norm
-from .propagators import (DispersionParams, Trajectory, dispersion_phase,
-                          linear_flow)
+from .fields import weighted
+from .propagators import DispersionParams, linear_flow
 from .spectral import (RealField, _power, band_limit_check, derivative,
-                       frac_deriv, make_grid, require_decay)
+                       require_decay)
 
 MAX_COEFF_ORDER = 32
 
@@ -116,30 +112,6 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
     den = xwu0.l2()
     num = math.sqrt(u0.grid.dx * float(np.sum(resid ** 2)))
     return num / den if den > 0 else num
-
-
-def frac_weight_decomposition(params: DispersionParams, t: float, r: float,
-                              u0: RealField, s: float,
-                              gate: float = 1e-6) -> tuple[RealField, float]:
-    """Remainder of the fractional-weight exchange and its normalized size.
-
-    ``|x|^r W(t) u0 = W(t)(|x|^r u0) + W(t)(remainder)``; the remainder is
-    obtained by conjugating back with ``W(-t)``, and its L2 norm is reported
-    relative to ``(1 + |t|) * ||u0||_{H^s}`` (requires ``s >= 2 j r``).
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
-    if s < 2 * params.j * r:
-        raise ValueError(f"need s >= 2*j*r = {2 * params.j * r}")
-    require_decay(u0, rel=gate, what="u0")
-    x = u0.grid.nodes
-    wgt = np.abs(x) ** r
-    wu0 = linear_flow(params, t, u0)
-    require_decay(wu0, rel=gate, what="W(t)u0")
-    back = linear_flow(params, -t, weighted(wu0, wgt))
-    remainder = RealField(u0.grid, back.samples - wgt * u0.samples)
-    ratio = remainder.l2() / ((1.0 + abs(t)) * sobolev_norm(u0, s))
-    return remainder, ratio
 
 
 # ---------------------------------------------------------------------------
@@ -307,247 +279,3 @@ def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),
         fit.slopes[env] = float(np.polyfit(np.log(np.asarray(t_list, float)),
                                            np.log(sups), 1)[0])
     return fit
-
-
-# ---------------------------------------------------------------------------
-# inequality ratio probes
-
-PROBE_KINDS = ("dispersive_decay", "strichartz", "kato_smoothing", "maximal",
-               "kato_ponce", "frac_leibniz", "interpolation",
-               "weighted_decomposition")
-
-
-@dataclass(frozen=True)
-class InequalityProbeSpec:
-    """Configuration of one ratio-probe ensemble."""
-
-    kind: str
-    parameters: dict = field(default_factory=dict)
-    ensemble_size: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in PROBE_KINDS:
-            raise ValueError(f"unknown probe kind {self.kind!r}")
-        th = self.parameters.get("theta")
-        if th is not None and not 0.0 <= th <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-        s = self.parameters.get("s")
-        if self.kind == "frac_leibniz" and s is not None and not 0.0 < s < 1.0:
-            raise ValueError("frac_leibniz requires s in (0, 1)")
-
-
-@dataclass
-class ProbeReport:
-    kind: str
-    parameters: dict
-    ensemble_size: int
-    seed: int
-    max_ratio: float
-    quantiles: dict
-    refinement_trend: float
-    passed: bool
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind, "params": self.parameters,
-            "ensemble_size": self.ensemble_size, "seed": self.seed,
-            "max_ratio": self.max_ratio, "quantiles": self.quantiles,
-            "refinement_trend": self.refinement_trend, "pass": self.passed,
-            "extra": self.extra,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def _linear_trajectory(params, u0, T, nt) -> Trajectory:
-    times = np.linspace(0.0, T, nt + 1)
-    slices = [linear_flow(params, float(t), u0) for t in times]
-    return Trajectory(u0.grid, times, slices, params)
-
-
-def _resolve_nt(norm_fn, params, u0, T, nt0=32, tol=5e-3, rounds=3):
-    """Double the time sampling until the norm changes by < 0.5%."""
-    nt = nt0
-    prev = norm_fn(_linear_trajectory(params, u0, T, nt))
-    for _ in range(rounds):
-        nt *= 2
-        cur = norm_fn(_linear_trajectory(params, u0, T, nt))
-        if abs(cur - prev) <= tol * max(abs(prev), 1e-300):
-            return nt, cur
-        prev = cur
-    return nt, prev
-
-
-def _probe_ratios(spec: InequalityProbeSpec, n: int, L: float) -> tuple[list[float], dict]:
-    """Ensemble of LHS/RHS ratios for one grid size.
-
-    Ensemble members are built from fixed frequency indices of the box, so a
-    grid-refinement rerun with the same seed resamples the same functions.
-    """
-    p = dict(spec.parameters)
-    j = int(p.get("j", 1))
-    params = DispersionParams(j, int(p.get("k", 1)))
-    T = float(p.get("T", 1.0))
-    rng = np.random.default_rng(spec.seed)
-    grid = make_grid(n, L)
-    extra: dict = {}
-    ratios: list[float] = []
-    dxi = 2.0 * math.pi / L
-
-    def member(xi_decay, xi_hi=12.0, envelope=(0.0, L / 10.0)):
-        return band_noise_by_index(grid, rng, q_lo=max(1, int(0.5 / dxi) + 1),
-                                   q_hi=int(xi_hi / dxi), xi_decay=xi_decay,
-                                   envelope=envelope)
-
-    if spec.kind == "strichartz":
-        theta = float(p.get("theta", 0.5))
-        if theta == 0.0:       # (q,p) = (inf, 2): unitarity makes the ratio 1
-            qq, pp = math.inf, 2.0
-        elif theta == 1.0:
-            qq, pp = 4.0, math.inf
-        else:
-            qq, pp = 4.0 / theta, 2.0 / (1.0 - theta)
-        a = theta * (2 * j - 1) / 4.0
-        mspec = MixedNormSpec(p=pp, q=qq, order="t_outer_x_inner", da=a)
-        nt = None
-        for i in range(spec.ensemble_size):
-            u0 = member(xi_decay=1.0)
-            if nt is None:
-                nt, _ = _resolve_nt(lambda tr: mixed_norm(tr, mspec), params, u0, T)
-                extra["nt"] = nt
-            traj = _linear_trajectory(params, u0, T, nt)
-            ratios.append(mixed_norm(traj, mspec) / u0.l2())
-
-    elif spec.kind == "maximal":
-        s = float(p.get("s", (2 * j + 1) / 4.0 + 0.5))
-        if s <= (2 * j + 1) / 4.0:
-            raise ValueError(f"maximal probe needs s > (2j+1)/4 = {(2 * j + 1) / 4.0}")
-        epsilon = float(p.get("epsilon", 0.05))
-        extra["epsilon"] = epsilon
-        mspec = MixedNormSpec(p=2.0, q=math.inf, order="x_outer_t_inner")
-        nt = None
-        for i in range(spec.ensemble_size):
-            u0 = member(xi_decay=s + 0.5)
-            if nt is None:
-                nt, _ = _resolve_nt(lambda tr: mixed_norm(tr, mspec), params, u0, T)
-                extra["nt"] = nt
-            traj = _linear_trajectory(params, u0, T, nt)
-            ratios.append(mixed_norm(traj, mspec)
-                          / ((1.0 + T) ** (0.75 + epsilon) * sobolev_norm(u0, s)))
-
-    elif spec.kind == "kato_smoothing":
-        n_x = int(p.get("n_probe_points", 8))
-        nt = int(p.get("nt", 8000))
-        theta = dispersion_phase(params, grid)
-        u0 = gaussian(grid, width=float(p.get("width", 1.0)))
-        dmul = (1j * grid.frequencies) ** j
-        if j % 2 == 1:
-            dmul[grid.nyquist_slot] = 0.0
-        dt = 2.0 * T / nt
-        # march W(t) by repeated phase multiplication; trapezoid in t
-        coeffs = np.exp(-1j * T * theta) * dmul * np.fft.fft(u0.samples)
-        step = np.exp(1j * dt * theta)
-        acc = np.zeros(grid.n)
-        for i in range(nt + 1):
-            w = 0.5 if i in (0, nt) else 1.0
-            acc += w * np.fft.ifft(coeffs).real ** 2
-            coeffs *= step
-        acc *= dt
-        xs = np.linspace(-L / 6, L / 6, n_x)
-        idx = np.searchsorted(grid.nodes, xs)
-        vals = acc[np.clip(idx, 0, grid.n - 1)]
-        mean = float(np.mean(vals))
-        extra["x_spread"] = float((vals.max() - vals.min()) / mean)
-        extra["measured_constant"] = mean / u0.l2() ** 2
-        # periodic recurrence: every mode re-passes each x, so the [-T, T]
-        # integral approaches 2T/L * ||d^j u0||^2 instead of the single-pass
-        # line value ||u0||^2 / (2j+1); x-independence is the probed claim
-        extra["predicted_constant"] = (2.0 * T / L) * derivative(u0, j).l2() ** 2 / u0.l2() ** 2
-        ratios = [float(v) / u0.l2() ** 2 for v in vals]
-
-    elif spec.kind == "kato_ponce":
-        s = float(p.get("s", 1.5))
-        for i in range(spec.ensemble_size):
-            f = member(xi_decay=s + 2.5)
-            g = member(xi_decay=s + 2.5)
-            comm = (frac_deriv(RealField(grid, f.samples * g.samples), s, "inhomogeneous").samples
-                    - f.samples * frac_deriv(g, s, "inhomogeneous").samples)
-            num = math.sqrt(grid.dx * float(np.sum(comm ** 2)))
-            den = (sobolev_norm(f, s) * g.linf()
-                   + derivative(f, 1).linf() * sobolev_norm(g, s - 1.0))
-            ratios.append(num / den)
-
-    elif spec.kind == "frac_leibniz":
-        s = float(p.get("s", 0.5))
-        for i in range(spec.ensemble_size):
-            f = member(xi_decay=3.0)
-            g = member(xi_decay=3.0)
-            lhs = (frac_deriv(RealField(grid, f.samples * g.samples), s).samples
-                   - f.samples * frac_deriv(g, s).samples
-                   - g.samples * frac_deriv(f, s).samples)
-            num = math.sqrt(grid.dx * float(np.sum(lhs ** 2)))
-            den = g.linf() * math.sqrt(grid.dx * float(np.sum(frac_deriv(f, s).samples ** 2)))
-            ratios.append(num / den)
-
-    elif spec.kind == "interpolation":
-        theta = float(p.get("theta", 0.5))
-        a = float(p.get("a", 1.0))
-        b = float(p.get("b", 1.0))
-        x = grid.nodes
-        jap = lambda r: (1.0 + x * x) ** (r / 2.0)
-        for i in range(spec.ensemble_size):
-            width = float(rng.uniform(0.5, 2.0))
-            center = float(rng.uniform(-1.0, 1.0))
-            f = gaussian(grid, center=center, width=width)
-            lhs_field = frac_deriv(weighted(f, jap((1.0 - theta) * b)), theta * a,
-                                   "inhomogeneous")
-            # J^{theta a} applied after the partial weight (the L2 variant)
-            num = lhs_field.l2()
-            den = (weighted_norm(f, b, "japanese") ** (1.0 - theta)
-                   * sobolev_norm(f, a) ** theta)
-            ratios.append(num / den)
-
-    elif spec.kind == "weighted_decomposition":
-        r = float(p.get("r", 0.4))
-        s = float(p.get("s", max(1.0, 2 * j * r + 0.5)))
-        for i in range(spec.ensemble_size):
-            width = float(rng.uniform(0.8, 1.6))
-            u0 = gaussian(grid, width=width)
-            t = float(rng.uniform(0.1, T))
-            _, ratio = frac_weight_decomposition(params, t, r, u0, s)
-            ratios.append(ratio)
-
-    elif spec.kind == "dispersive_decay":
-        fitobj = dispersive_decay_probe(j, beta=float(p.get("beta", 0.0)))
-        for env in fitobj.envelopes:
-            for t, sup in zip(fitobj.t_list, fitobj.sups[env]):
-                ratios.append(sup * math.sqrt(t) / (1.0 + abs(float(p.get("beta", 0.0)))))
-        extra["slopes"] = {str(e): fitobj.slopes[e] for e in fitobj.envelopes}
-
-    else:  # pragma: no cover
-        raise ValueError(spec.kind)
-    return ratios, extra
-
-
-def inequality_ratio_probe(spec: InequalityProbeSpec, n: int = 512,
-                           L: float = 60.0, refine: bool = True) -> ProbeReport:
-    """Run a ratio ensemble and a one-step grid-refinement study.
-
-    The report asserts boundedness (all ratios finite) and non-growth of the
-    maximum ratio under doubling the grid (within 15%); constants themselves
-    are not asserted.
-    """
-    ratios, extra = _probe_ratios(spec, n, L)
-    arr = np.asarray(ratios, dtype=float)
-    trend = 1.0
-    if refine and spec.kind not in ("dispersive_decay",):
-        refined, _ = _probe_ratios(spec, 2 * n, L)
-        base_max = float(arr.max())
-        trend = float(np.max(refined) / base_max) if base_max > 0 else 1.0
-    passed = bool(np.all(np.isfinite(arr)) and trend < 1.15)
-    if spec.kind == "kato_smoothing":
-        passed = passed and extra.get("x_spread", 1.0) < 0.02
-    qs = {f"q{int(100 * q)}": float(np.quantile(arr, q)) for q in (0.25, 0.5, 0.75, 0.9)}
-    return ProbeReport(spec.kind, dict(spec.parameters), spec.ensemble_size,
-                       spec.seed, float(arr.max()), qs, trend, passed, extra)

@@ -1,32 +1,19 @@
-"""Sobolev, weighted, and mixed space-time norms; cutoffs; window energies."""
+"""Weighted and mixed space-time norms; cutoffs; window energies."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import WindowExitsGrid
 from .propagators import Trajectory
-from .spectral import (RealField, derivative, forward, frac_deriv,
-                       require_decay)
+from .spectral import RealField, derivative, frac_deriv, require_decay
 
 
-def sobolev_norm(f: RealField, s: float) -> float:
-    """H^s norm through Parseval: ``|| (1+xi^2)^{s/2} fhat ||``."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    F = forward(f)
-    xi = f.grid.frequencies
-    w = (1.0 + xi * xi) ** s
-    return math.sqrt(float(np.sum(w * np.abs(F.coeffs) ** 2)) / f.grid.L)
-
-
-def weighted_norm(f: RealField, r: float, kind: str = "homogeneous",
-                  gate: float | None = 1e-6) -> float:
-    """``|| |x|^r f ||_2`` or ``|| <x>^r f ||_2`` by node quadrature.
+def weighted_norm(f: RealField, r: float, gate: float | None = 1e-6) -> float:
+    """``|| |x|^r f ||_2`` by node quadrature.
 
     The weight grows toward the box edges, so the field must pass the decay
     gate (disable with ``gate=None``).
@@ -35,19 +22,8 @@ def weighted_norm(f: RealField, r: float, kind: str = "homogeneous",
         raise ValueError("r must be positive")
     if gate is not None:
         require_decay(f, rel=gate, what="weighted_norm input")
-    x = f.grid.nodes
-    if kind == "homogeneous":
-        w = np.abs(x) ** r
-    elif kind == "japanese":
-        w = (1.0 + x * x) ** (r / 2.0)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    w = np.abs(f.grid.nodes) ** r
     return math.sqrt(f.grid.dx * float(np.sum((w * f.samples) ** 2)))
-
-
-def z_norm(f: RealField, s: float, r: float, gate: float | None = 1e-6) -> float:
-    """Weighted-Sobolev composite ``H^s`` + ``L^2(|x|^{2r} dx)``."""
-    return sobolev_norm(f, s) + weighted_norm(f, r, "homogeneous", gate)
 
 
 @dataclass(frozen=True)

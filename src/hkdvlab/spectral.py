@@ -23,9 +23,11 @@ Real-to-real operators (``derivative``, ``frac_deriv`` and the flows in
 ``propagators``) never form the full coefficient array: they multiply the
 ``n//2 + 1`` bins of ``scipy.fft.rfft`` by the symbol's values on the
 non-negative frequencies and return ``irfft(..., n)``.  Their symbols are
-Hermitian, so the half spectrum determines the result.  ``forward`` and
-``inverse`` give the full coefficients above, for callers that need them.
-The frequencies and phase signs of a grid are built once and cached.
+Hermitian, so the half spectrum determines the result.  ``forward`` gives
+the full coefficients above, for the band-limit check and the off-node
+synthesis of ``blowup``; with ``inverse`` it is the full-complex reference
+the half-spectrum operators are tested against.  The frequencies and phase
+signs of a grid are built once and cached.
 
 Odd-order symbols (``i*xi``, ``xi**(2j+1)``) are evaluated with the Nyquist
 frequency zeroed: that mode has no well-defined sign under an odd symbol on an
@@ -38,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.fft import irfft, rfft
@@ -192,10 +194,6 @@ class SpectralField:
             raise ValueError(f"expected {self.grid.n} coefficients, got {c.shape}")
         object.__setattr__(self, "coeffs", c)
 
-    def coeff(self, q: int) -> complex:
-        """Coefficient for integer frequency index q (negative allowed)."""
-        return complex(self.coeffs[q % self.grid.n])
-
     def l2(self) -> float:
         """Parseval norm ``sqrt(sum |coeff|^2 / L)``."""
         return math.sqrt(float(np.vdot(self.coeffs, self.coeffs).real) / self.grid.L)
@@ -239,50 +237,6 @@ def synthesize_at(F: SpectralField, points: np.ndarray) -> np.ndarray:
     phases[..., :half + 1] = np.exp(1j * np.multiply.outer(pts, g.frequencies[:half + 1]))
     phases[..., half + 1:] = np.conj(phases[..., half - 1:0:-1])
     return np.sum(F.coeffs * phases, axis=-1).real / g.L
-
-
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Pointwise Fourier multiplier ``coeff_out = symbol(xi) * coeff_in``."""
-
-    symbol: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-
-    def evaluate(self, grid: Grid) -> np.ndarray:
-        vals = np.asarray(self.symbol(grid.frequencies), dtype=complex)
-        if vals.shape != (grid.n,):
-            vals = np.broadcast_to(vals, (grid.n,)).astype(complex)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"multiplier {self.label!r} is not finite on the grid")
-        return vals
-
-
-def is_real_preserving(values: np.ndarray, grid: Grid, tol: float = 1e-12) -> bool:
-    """Check the Hermitian property m(-xi) = conj(m(xi)) on evaluated values."""
-    n = grid.n
-    idx = (-np.arange(n)) % n
-    herm = np.conj(values[idx])
-    scale = float(np.max(np.abs(values))) or 1.0
-    if float(np.max(np.abs(values - herm))) > tol * scale:
-        return False
-    ny = values[grid.nyquist_slot]
-    return abs(ny.imag) <= tol * scale
-
-
-def apply_multiplier(spec: MultiplierSpec, f: RealField) -> RealField:
-    """Apply a real-preserving multiplier to a real field."""
-    vals = spec.evaluate(f.grid)
-    if not is_real_preserving(vals, f.grid):
-        raise ValueError(
-            f"multiplier {spec.label!r} does not preserve real fields; "
-            "apply it to a SpectralField instead")
-    F = forward(f)
-    return inverse(SpectralField(f.grid, vals * F.coeffs))
-
-
-def apply_multiplier_spectral(spec: MultiplierSpec, F: SpectralField) -> SpectralField:
-    vals = spec.evaluate(F.grid)
-    return SpectralField(F.grid, vals * F.coeffs)
 
 
 def _apply_half(f: RealField, sym: np.ndarray) -> RealField:
@@ -424,13 +378,6 @@ def dealias_cutoff(n: int, k: int = 1) -> int:
     return n // (k + 2)
 
 
-def dealias(F: SpectralField, k: int = 1) -> SpectralField:
-    """Zero all modes with ``|q| > n/(k+2)`` (2/3 rule for k=1)."""
-    cut = dealias_cutoff(F.grid.n, k)
-    keep = np.abs(F.grid.freq_index) <= cut
-    return SpectralField(F.grid, np.where(keep, F.coeffs, 0.0))
-
-
 def band_limit_check(f: RealField, max_index: int, rel: float = 1e-10) -> None:
     """Reject fields with spectral content beyond ``|q| <= max_index``."""
     F = forward(f)
@@ -441,41 +388,3 @@ def band_limit_check(f: RealField, max_index: int, rel: float = 1e-10) -> None:
         raise BandLimitError(
             f"field has spectral content beyond |q| = {max_index} "
             f"({float(outside.max()):.2e} vs peak {peak:.2e})")
-
-
-def save_field(f: RealField, path) -> None:
-    """CSV serialization: header ``n,L`` then one sample per row."""
-    with open(path, "w") as fh:
-        fh.write(f"{f.grid.n},{float(f.grid.L)!r}\n")
-        for v in f.samples:
-            fh.write(f"{float(v)!r}\n")
-
-
-def load_field(path) -> RealField:
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        n, L = int(head[0]), float(head[1])
-        samples = np.array([float(line) for line in fh if line.strip()])
-    return RealField(make_grid(n, L), samples)
-
-
-def save_spectral(F: SpectralField, path) -> None:
-    """CSV serialization: header ``n,L`` then ``q,re,im`` rows."""
-    with open(path, "w") as fh:
-        fh.write(f"{F.grid.n},{float(F.grid.L)!r}\n")
-        for q, c in zip(F.grid.freq_index.astype(int), F.coeffs):
-            fh.write(f"{q},{float(c.real)!r},{float(c.imag)!r}\n")
-
-
-def load_spectral(path) -> SpectralField:
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        n, L = int(head[0]), float(head[1])
-        grid = make_grid(n, L)
-        coeffs = np.zeros(n, dtype=complex)
-        for line in fh:
-            if not line.strip():
-                continue
-            qs, re, im = line.strip().split(",")
-            coeffs[int(qs) % n] = float(re) + 1j * float(im)
-    return SpectralField(grid, coeffs)

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,10 +10,9 @@ from scipy.fft import next_fast_len
 import hkdvlab.fields as fields
 import hkdvlab.identities as identities
 from hkdvlab.errors import BandLimitError, EnvelopeTooNarrow, KernelWindowError
-from hkdvlab.identities import (_MAX_KERNEL_N, InequalityProbeSpec, _kernel_sup,
-                                dispersive_decay_probe, frac_weight_decomposition,
-                                inequality_ratio_probe, solve_coefficients,
-                                verify_reduction_identity, x_weight_commutator)
+from hkdvlab.identities import (_MAX_KERNEL_N, _kernel_sup, dispersive_decay_probe,
+                                solve_coefficients, verify_reduction_identity,
+                                x_weight_commutator)
 from hkdvlab.propagators import DispersionParams
 from hkdvlab.spectral import RealField, make_grid
 
@@ -114,131 +112,6 @@ class TestCommutator:
         e1 = x_weight_commutator(DispersionParams(1), 0.1, u0)
         e2 = x_weight_commutator(DispersionParams(1), 0.1, fields.scale(u0, 7.5))
         assert e2 == pytest.approx(e1, rel=1e-10)
-
-
-class TestFracWeightDecomposition:
-    def test_time_zero_remainder_vanishes(self):
-        g = make_grid(512, 60.0)
-        u0 = fields.gaussian(g, width=1.0)
-        rem, ratio = frac_weight_decomposition(DispersionParams(1), 0.0, 0.4, u0, s=2.0)
-        assert rem.l2() < 1e-12
-        assert ratio < 1e-12
-
-    def test_ratio_bounded_over_times(self):
-        # the box must hold the dispersed tail at the latest probe time
-        g = make_grid(4096, 400.0)
-        u0 = fields.gaussian(g, width=1.0)
-        ratios = [frac_weight_decomposition(DispersionParams(1), t, 0.4, u0, s=2.0)[1]
-                  for t in (0.1, 0.5, 1.0)]
-        assert max(ratios) < 2.0
-
-    def test_ratio_stable_under_refinement(self):
-        p = DispersionParams(1)
-        vals = []
-        for n in (4096, 8192):
-            g = make_grid(n, 400.0)
-            u0 = fields.gaussian(g, width=1.0)
-            vals.append(frac_weight_decomposition(p, 0.5, 0.4, u0, s=2.0)[1])
-        assert abs(vals[1] - vals[0]) < 0.1 * vals[0]
-
-    def test_requires_s_geq_2jr(self):
-        g = make_grid(512, 60.0)
-        with pytest.raises(ValueError, match="2\\*j\\*r"):
-            frac_weight_decomposition(DispersionParams(2), 0.1, 0.9, fields.gaussian(g), s=1.0)
-
-
-class TestRatioProbes:
-    def test_kato_ponce_degenerate_factor(self):
-        # commutator J^s(f g) - f J^s g vanishes identically when f == 1
-        from hkdvlab.spectral import frac_deriv
-        g = make_grid(256, 40.0)
-        r = np.random.default_rng(0)
-        gfield = fields.rough_spectrum_field(g, r, s=3.0, envelope=(0.0, 4.0))
-        ones = np.ones(g.n)
-        comm = (frac_deriv(RealField(g, ones * gfield.samples), 1.5, "inhomogeneous").samples
-                - ones * frac_deriv(gfield, 1.5, "inhomogeneous").samples)
-        assert np.max(np.abs(comm)) < 1e-12 * gfield.linf()
-
-    def test_kato_ponce_bounded_and_stable(self):
-        spec = InequalityProbeSpec("kato_ponce", {"s": 1.5}, ensemble_size=6, seed=5)
-        rep = inequality_ratio_probe(spec, n=256, L=60.0)
-        assert rep.passed
-        assert rep.max_ratio < 10.0
-
-    def test_frac_leibniz_bounded(self):
-        spec = InequalityProbeSpec("frac_leibniz", {"s": 0.5}, ensemble_size=6, seed=5)
-        rep = inequality_ratio_probe(spec, n=256, L=60.0)
-        assert rep.passed
-
-    def test_interpolation_gaussians(self):
-        spec = InequalityProbeSpec("interpolation",
-                                   {"theta": 0.5, "a": 1.0, "b": 1.0},
-                                   ensemble_size=8, seed=2)
-        rep = inequality_ratio_probe(spec, n=512, L=60.0)
-        assert rep.passed
-        assert 0.9 < rep.refinement_trend < 1.1
-
-    def test_kato_smoothing_x_independent(self):
-        spec = InequalityProbeSpec(
-            "kato_smoothing", {"j": 1, "T": 300.0, "nt": 24000}, 1, 0)
-        rep = inequality_ratio_probe(spec, n=512, L=40.0, refine=False)
-        assert rep.extra["x_spread"] < 0.02
-        assert rep.extra["measured_constant"] == pytest.approx(
-            rep.extra["predicted_constant"], rel=0.02)
-
-    def test_kato_smoothing_quadratic_scaling(self):
-        base = InequalityProbeSpec(
-            "kato_smoothing", {"j": 1, "T": 100.0, "nt": 6000, "width": 1.0}, 1, 0)
-        big = InequalityProbeSpec(
-            "kato_smoothing", {"j": 1, "T": 100.0, "nt": 6000, "width": 1.0}, 1, 0)
-        r1 = inequality_ratio_probe(base, n=512, L=40.0, refine=False)
-        # ratios are already normalized by ||u0||^2, so scaling u0 is a no-op
-        r2 = inequality_ratio_probe(big, n=512, L=40.0, refine=False)
-        assert r1.max_ratio == pytest.approx(r2.max_ratio, rel=1e-12)
-
-    def test_strichartz_theta_zero_is_unitary(self):
-        spec = InequalityProbeSpec("strichartz", {"theta": 0.0, "T": 0.5},
-                                   ensemble_size=3, seed=1)
-        rep = inequality_ratio_probe(spec, n=256, L=60.0, refine=False)
-        assert rep.max_ratio == pytest.approx(1.0, rel=1e-10)
-
-    def test_maximal_probe_bounded(self):
-        spec = InequalityProbeSpec("maximal", {"j": 1, "T": 1.0},
-                                   ensemble_size=4, seed=3)
-        rep = inequality_ratio_probe(spec, n=256, L=60.0, refine=False)
-        assert rep.max_ratio < 10.0
-        assert rep.extra["epsilon"] == 0.05
-
-    def test_weighted_decomposition_ensemble(self):
-        spec = InequalityProbeSpec("weighted_decomposition",
-                                   {"j": 1, "r": 0.4, "s": 2.0, "T": 1.0},
-                                   ensemble_size=4, seed=7)
-        rep = inequality_ratio_probe(spec, n=2048, L=400.0, refine=False)
-        assert rep.max_ratio < 2.0
-
-    def test_scale_invariance_of_ratios(self):
-        # the reported ratios are homogeneous of degree zero in the data;
-        # identical seeds must reproduce them exactly
-        spec = InequalityProbeSpec("kato_ponce", {"s": 1.5}, 4, 11)
-        a = inequality_ratio_probe(spec, n=256, L=60.0, refine=False)
-        b = inequality_ratio_probe(spec, n=256, L=60.0, refine=False)
-        assert a.max_ratio == b.max_ratio
-
-    def test_report_json_schema(self):
-        spec = InequalityProbeSpec("frac_leibniz", {"s": 0.5}, 3, 0)
-        rep = inequality_ratio_probe(spec, n=256, L=60.0, refine=False)
-        payload = json.loads(rep.to_json())
-        for key in ("kind", "params", "ensemble_size", "seed", "max_ratio",
-                    "quantiles", "refinement_trend", "pass"):
-            assert key in payload
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            InequalityProbeSpec("strichartz", {"theta": 1.5})
-        with pytest.raises(ValueError):
-            InequalityProbeSpec("frac_leibniz", {"s": 1.5})
-        with pytest.raises(ValueError):
-            InequalityProbeSpec("nonsense", {})
 
 
 class TestDecayProbe:

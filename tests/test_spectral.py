@@ -8,14 +8,10 @@ from scipy.special import zeta
 import hkdvlab.fields as fields
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
 from hkdvlab.propagators import DispersionParams, linear_flow
-from hkdvlab.spectral import (MultiplierSpec, RealField, SpectralField,
-                              _context, _stein_truncated, apply_multiplier,
-                              apply_multiplier_spectral, band_limit_check,
-                              dealias, dealias_cutoff, deriv_symbol, derivative,
-                              forward, frac_deriv, inverse, load_field,
-                              load_spectral, make_grid, odd_frequencies,
-                              require_decay, save_field, save_spectral,
-                              stein_constant, stein_deriv)
+from hkdvlab.spectral import (RealField, SpectralField, _context, _stein_truncated,
+                              band_limit_check, deriv_symbol, derivative, forward,
+                              frac_deriv, inverse, make_grid, odd_frequencies,
+                              require_decay, stein_constant, stein_deriv)
 
 
 class TestGrid:
@@ -91,41 +87,12 @@ def test_frac_deriv_eigenmode(k, s):
 
 
 class TestMultipliers:
-    def test_identity(self, grid, rng):
-        f = fields.random_band_limited(grid, rng, band=50)
-        out = apply_multiplier(MultiplierSpec(lambda xi: np.ones_like(xi), "one"), f)
-        assert np.allclose(out.samples, f.samples, atol=1e-14)
-
     def test_first_derivative_of_sine(self):
         g = make_grid(128, 2 * math.pi)
         k = 5
         f = RealField(g, np.sin(k * g.nodes))
         d = derivative(f, 1)
         assert np.allclose(d.samples, k * np.cos(k * g.nodes), atol=1e-11)
-
-    def test_semigroup_composition(self, grid, rng):
-        f = fields.random_band_limited(grid, rng, band=60, decay=0.5)
-        m1 = MultiplierSpec(lambda xi: np.exp(-xi ** 2 / 9.0), "heat")
-        m2 = MultiplierSpec(lambda xi: 1.0 / (1.0 + xi ** 2), "bessel")
-        once = apply_multiplier(
-            MultiplierSpec(lambda xi: np.exp(-xi ** 2 / 9.0) / (1.0 + xi ** 2), "prod"), f)
-        twice = apply_multiplier(m2, apply_multiplier(m1, f))
-        assert np.linalg.norm(once.samples - twice.samples) < 1e-13 * np.linalg.norm(f.samples)
-
-    def test_non_real_preserving_rejected(self, grid, rng):
-        f = fields.random_band_limited(grid, rng, band=30)
-        with pytest.raises(ValueError, match="preserve"):
-            apply_multiplier(MultiplierSpec(lambda xi: np.exp(1j * np.abs(xi)), "bad"), f)
-        # same symbol is fine on the spectral side
-        F = apply_multiplier_spectral(
-            MultiplierSpec(lambda xi: np.exp(1j * np.abs(xi)), "bad"), forward(f))
-        assert F.coeffs.shape == (grid.n,)
-
-    def test_nan_symbol_rejected(self, grid, rng):
-        f = fields.random_band_limited(grid, rng, band=30)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            apply_multiplier(MultiplierSpec(lambda xi: xi / np.abs(xi), "sign"), f)
-
 
 class TestFracDeriv:
     def test_j0_is_identity(self, grid, rng):
@@ -273,55 +240,6 @@ class TestHalfSpectrumOracle:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-class TestDealias:
-    def test_band_limited_unchanged(self, grid, rng):
-        f = fields.random_band_limited(grid, rng, band=grid.n // 3 - 1)
-        F = forward(f)
-        assert np.allclose(dealias(F).coeffs, F.coeffs)
-
-    def test_top_mode_zeroed(self):
-        g = make_grid(64, 10.0)
-        coeffs = np.zeros(g.n, dtype=complex)
-        q = g.n // 2 - 1
-        coeffs[q] = 1.0
-        coeffs[-q] = 1.0
-        out = dealias(SpectralField(g, coeffs))
-        assert np.all(out.coeffs == 0)
-
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10 ** 6), k=st.integers(1, 3))
-    def test_idempotent(self, seed, k):
-        g = make_grid(64, 10.0)
-        r = np.random.default_rng(seed)
-        F = forward(fields.random_band_limited(g, r, band=30))
-        once = dealias(F, k)
-        assert np.allclose(dealias(once, k).coeffs, once.coeffs)
-
-    def test_product_matches_direct_convolution(self, rng):
-        # pointwise product then dealias == linear coefficient convolution
-        g = make_grid(64, 10.0)
-        band = g.n // 3
-        f = fields.random_band_limited(g, rng, band=band // 2, decay=0.3)
-        h = fields.random_band_limited(g, rng, band=band // 2, decay=0.3)
-        prod = RealField(g, f.samples * h.samples)
-        got = dealias(forward(prod))
-        cf, ch = forward(f).coeffs, forward(h).coeffs
-        qs = g.freq_index.astype(int)
-        conv = np.zeros(g.n, dtype=complex)
-        cut = dealias_cutoff(g.n, 1)
-        for i, q in enumerate(qs):
-            if abs(q) > cut:
-                continue
-            total = 0.0j
-            for m, qm in enumerate(qs):
-                q2 = q - qm
-                if -g.n // 2 <= q2 <= g.n // 2 - 1:
-                    total += cf[m] * ch[q2 % g.n]
-            conv[i] = total / g.L
-        denom = np.max(np.abs(conv))
-        assert np.max(np.abs(got.coeffs - conv)) < 1e-12 * denom
-
-
 class TestGatesAndIO:
     def test_decay_gate_fires(self):
         g = make_grid(256, 10.0)
@@ -334,18 +252,3 @@ class TestGatesAndIO:
         with pytest.raises(BandLimitError):
             band_limit_check(f, 50)
         band_limit_check(f, 101)  # no raise
-
-    def test_field_csv_round_trip(self, tmp_path, grid, rng):
-        f = fields.random_band_limited(grid, rng, band=30)
-        p = tmp_path / "f.csv"
-        save_field(f, p)
-        r = load_field(p)
-        assert r.grid == f.grid
-        assert np.array_equal(r.samples, f.samples)
-
-    def test_spectral_csv_round_trip(self, tmp_path, grid, rng):
-        F = forward(fields.random_band_limited(grid, rng, band=30))
-        p = tmp_path / "F.csv"
-        save_spectral(F, p)
-        R = load_spectral(p)
-        assert np.array_equal(R.coeffs, F.coeffs)
