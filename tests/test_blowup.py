@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import hkdvlab.fields as fields
-from hkdvlab.blowup import (BlowupDatumSpec, SingularProfileSpec, _quotient,
-                            blowup_contrast, build_blowup_datum,
-                            excluded_time_ratio, irrationality_gap,
+from hkdvlab.blowup import (BlowupDatumSpec, DatumTerm, SingularProfileSpec,
+                            _quotient, blowup_contrast, build_blowup_datum,
+                            coprime_pairs, excluded_time_ratio, irrationality_gap,
                             singular_profile, smoothing_gain, tail_exponent)
 from hkdvlab.errors import TailFitError
 from hkdvlab.experiments import default_config
@@ -93,6 +93,36 @@ class TestBlowupDatum:
         prof = singular_profile(SingularProfileSpec(3.0, center=1.0), g)
         qprof = _jump_quotient(prof, 2, 1.0)
         assert q0 < 0.1 * qprof
+
+
+class TestDatumSpec:
+    def test_coprime_pairs(self):
+        assert coprime_pairs(2, 2) == [(1, 1), (1, 2), (2, 1)]
+        pairs = coprime_pairs(4, 4)
+        assert len(pairs) == 11
+        assert all(math.gcd(p, q) == 1 for p, q in pairs)
+
+    def test_weight_schemes(self):
+        paper = BlowupDatumSpec(scheme="paper")
+        assert paper.weight(1, 2, 2, 1) == pytest.approx(
+            math.exp(-math.exp(3.0)) * math.exp(-5.0), rel=1e-14)
+        normalized = BlowupDatumSpec(scheme="normalized", delta=0.1)
+        assert normalized.weight(1, 1, 1, 1) == math.exp(-2.0)
+        assert normalized.weight(2, 1, 2, 1) == 0.1   # exp(-8) sits below the floor
+
+    def test_term_time_and_location(self):
+        term = DatumTerm(p1=1, q1=2, p2=3, q2=4, weight=0.5)
+        assert term.singular_time == 0.75
+        assert term.singular_location == 0.5
+
+    def test_invalid_specs_rejected(self):
+        for kw in ({"qmax": 0}, {"pmax": 0}, {"scheme": "uniform"}):
+            with pytest.raises(ValueError):
+                BlowupDatumSpec(**kw)
+        with pytest.raises(ValueError, match="alpha"):
+            SingularProfileSpec(0.0)
+        with pytest.raises(ValueError, match="center"):
+            singular_profile(SingularProfileSpec(3.0, center=40.0), make_grid(256, 80.0))
 
 
 class TestIrrationalityGap:

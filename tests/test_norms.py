@@ -10,12 +10,62 @@ from hkdvlab.errors import BoundaryDecayError, WindowExitsGrid
 from hkdvlab.norms import (CutoffSpec, MixedNormSpec, WindowSpec, _halfline_integral,
                            make_cutoff, mixed_norm, weighted_norm, window_energy)
 from hkdvlab.propagators import DispersionParams, Trajectory, evolve
-from hkdvlab.spectral import RealField, derivative, make_grid
+from hkdvlab.spectral import RealField, derivative, forward, make_grid
 
 KDV = DispersionParams(1, 1)
 
 
+def _hs_norm(f, s):
+    """The H^s norm as the persistence suite's ``sup_T_Hs`` column takes it:
+    ``||J^s f||_{L^2}`` over a one-slice trajectory."""
+    traj = Trajectory(f.grid, np.array([0.0]), [f])
+    return mixed_norm(traj, MixedNormSpec(p=2, q=math.inf, order="t_outer_x_inner", js=s))
+
+
+class TestSobolevNorm:
+    def test_s0_is_l2(self, grid, rng):
+        f = fields.random_band_limited(grid, rng, band=40)
+        assert _hs_norm(f, 0.0) == pytest.approx(f.l2(), rel=1e-13)
+
+    def test_single_mode_closed_form(self):
+        g = make_grid(128, 2 * math.pi)
+        k = 5
+        f = RealField(g, np.sin(k * g.nodes))
+        assert _hs_norm(f, 1.5) == pytest.approx((1 + k * k) ** 0.75 * f.l2(), rel=1e-12)
+
+    def test_monotone_in_s(self, grid, rng):
+        f = fields.random_band_limited(grid, rng, band=40)
+        vals = [_hs_norm(f, s) for s in (0.0, 0.5, 1.0, 2.0)]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_matches_quadrature_of_smoothed_field(self, rng):
+        # the node quadrature of |J^s f|^2 equals the Parseval sum of
+        # (1 + xi^2)^s |coeff|^2
+        g = make_grid(256, 40.0)
+        f = fields.random_band_limited(g, rng, band=60, decay=1.0)
+        s = 1.25
+        F = forward(f)
+        parseval = math.sqrt(float(np.sum((1.0 + g.frequencies ** 2) ** s
+                                          * np.abs(F.coeffs) ** 2)) / g.L)
+        assert _hs_norm(f, s) == pytest.approx(parseval, rel=1e-10)
+
+
 class TestWeightedNorm:
+    def test_nonpositive_r_rejected(self, grid):
+        f = fields.gaussian(grid)
+        for r in (0.0, -0.5):
+            with pytest.raises(ValueError, match="positive"):
+                weighted_norm(f, r)
+
+    def test_single_node_closed_form(self, grid):
+        # one unit sample at x_m weighs |x_m|^r, times the node weight sqrt(dx)
+        samples = np.zeros(grid.n)
+        m = grid.n // 2 + 40
+        samples[m] = 1.0
+        f = RealField(grid, samples)
+        expect = abs(grid.nodes[m]) ** 0.75 * math.sqrt(grid.dx)
+        assert weighted_norm(f, 0.75) == pytest.approx(expect, rel=1e-14)
+
     def test_gaussian_against_quadrature_oracle(self):
         # |x|^(2r) has a kink at the origin, so the node quadrature converges
         # at second order; a fine grid is needed for 1e-8 absolute agreement

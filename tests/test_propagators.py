@@ -7,13 +7,36 @@ from scipy.fft import irfft, rfft
 import hkdvlab.fields as fields
 from hkdvlab.errors import SolverBlowup, UnstableConjugation
 from hkdvlab.propagators import (ConjugationSpec, DispersionParams, Trajectory,
-                                 _nonlinear_rhs, conjugated_flow,
+                                 _nonlinear_rhs, conjugated_flow, dispersion_phase,
                                  duhamel_quadrature, duhamel_split, evolve,
                                  linear_flow)
 from hkdvlab.spectral import (RealField, dealias_cutoff, derivative, make_grid,
                               odd_frequencies)
 
 KDV = DispersionParams(1, 1)
+
+
+class TestParams:
+    @pytest.mark.parametrize("j,k", [(0, 1), (1, 0)])
+    def test_nonpositive_orders_rejected(self, j, k):
+        with pytest.raises(ValueError, match="positive"):
+            DispersionParams(j, k)
+
+    def test_conjugation_signs_must_be_unit(self):
+        for kw in ({"sigma": 0}, {"time_sign": 2}):
+            with pytest.raises(ValueError, match="must be"):
+                ConjugationSpec(**kw)
+
+
+class TestDispersionPhase:
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_phase_polynomial(self, j):
+        # theta = (-1)^(j+1) xi^(2j+1), Nyquist zeroed like every odd symbol
+        g = make_grid(128, 2 * math.pi)
+        xi = odd_frequencies(g)
+        expect = (-1) ** (j + 1) * xi ** (2 * j + 1)
+        got = dispersion_phase(DispersionParams(j), g)
+        assert np.allclose(got, expect, rtol=1e-13, atol=0.0)
 
 
 class TestLinearFlow:
@@ -142,6 +165,17 @@ class TestEvolve:
         with pytest.raises(ValueError, match="multiple"):
             evolve(KDV, fields.gaussian(g), 1.0, 0.3)
 
+    def test_nonpositive_dt_rejected(self):
+        g = make_grid(64, 20.0)
+        with pytest.raises(ValueError, match="positive"):
+            evolve(KDV, fields.gaussian(g), 1.0, 0.0)
+
+    def test_stride_keeps_both_endpoints(self):
+        g = make_grid(64, 20.0)
+        traj = evolve(KDV, fields.gaussian(g, amplitude=0.1), 1.0, 0.1, stride=3)
+        assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0.0, atol=1e-12)
+        assert (traj.params, traj.dt, traj.stride) == (KDV, 0.1, 3)
+
 
 class TestDuhamel:
     @pytest.fixture
@@ -177,6 +211,25 @@ class TestDuhamel:
         with pytest.raises(ValueError, match="grid"):
             duhamel_split(traj, other)
 
+    def test_params_required(self):
+        g = make_grid(64, 20.0)
+        f = fields.gaussian(g)
+        bare = Trajectory(g, np.array([0.0, 0.1, 0.2]), [f, f, f])
+        with pytest.raises(ValueError, match="dispersion"):
+            duhamel_split(bare, f)
+        with pytest.raises(ValueError, match="dispersion"):
+            duhamel_quadrature(bare)
+
+    def test_quadrature_needs_even_uniform_intervals(self):
+        g = make_grid(64, 20.0)
+        f = fields.gaussian(g)
+        odd = Trajectory(g, np.array([0.0, 0.1, 0.2, 0.3]), [f] * 4, KDV)
+        with pytest.raises(ValueError, match="even"):
+            duhamel_quadrature(odd)
+        uneven = Trajectory(g, np.array([0.0, 0.1, 0.3]), [f] * 3, KDV)
+        with pytest.raises(ValueError, match="uniformly"):
+            duhamel_quadrature(uneven)
+
 
 class TestTrajectory:
     def test_times_must_increase(self):
@@ -184,6 +237,25 @@ class TestTrajectory:
         f = fields.gaussian(g)
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(g, np.array([0.0, 0.0]), [f, f])
+
+    def test_slices_must_match_times_and_grid(self):
+        g = make_grid(64, 20.0)
+        f = fields.gaussian(g)
+        with pytest.raises(ValueError, match="length"):
+            Trajectory(g, np.array([0.0, 1.0]), [f])
+        other = fields.gaussian(make_grid(128, 20.0))
+        with pytest.raises(ValueError, match="grid"):
+            Trajectory(g, np.array([0.0, 1.0]), [f, other])
+
+    def test_stack_and_final(self):
+        g = make_grid(64, 20.0)
+        f = fields.gaussian(g)
+        h = fields.scale(f, 2.0)
+        traj = Trajectory(g, [0.0, 0.5], [f, h])
+        assert len(traj) == 2
+        assert traj.stack().shape == (2, g.n)
+        assert np.array_equal(traj.stack()[1], h.samples)
+        assert traj.final() is h
 
 
 class TestBandPinning:

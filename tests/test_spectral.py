@@ -7,11 +7,12 @@ from scipy.special import zeta
 
 import hkdvlab.fields as fields
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
-from hkdvlab.propagators import DispersionParams, linear_flow
+from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve, linear_flow
 from hkdvlab.spectral import (RealField, SpectralField, _context, _stein_truncated,
-                              band_limit_check, deriv_symbol, derivative, forward,
-                              frac_deriv, inverse, make_grid, odd_frequencies,
-                              require_decay, stein_constant, stein_deriv)
+                              band_limit_check, dealias_cutoff, deriv_symbol,
+                              derivative, forward, frac_deriv, inverse, make_grid,
+                              odd_frequencies, require_decay, stein_constant,
+                              stein_deriv, synthesize_at)
 
 
 class TestGrid:
@@ -35,6 +36,30 @@ class TestGrid:
     def test_nodes_start_at_left_edge(self, grid):
         assert grid.nodes[0] == pytest.approx(-grid.L / 2)
         assert grid.nodes[-1] == pytest.approx(grid.L / 2 - grid.dx)
+
+    def test_phase_signs_follow_frequency_parity(self, grid):
+        assert np.array_equal(grid.phase_signs(), (-1.0) ** grid.freq_index)
+
+
+class TestFieldValidation:
+    def test_sample_count_checked(self, grid):
+        with pytest.raises(ValueError, match="samples"):
+            RealField(grid, np.zeros(grid.n - 1))
+        with pytest.raises(ValueError, match="coefficients"):
+            SpectralField(grid, np.zeros(grid.n + 1))
+
+    def test_non_finite_samples_rejected(self, grid):
+        samples = np.zeros(grid.n)
+        samples[7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            RealField(grid, samples)
+
+    def test_boundary_amplitude_reads_two_outer_nodes(self, grid):
+        samples = np.zeros(grid.n)
+        samples[1], samples[2], samples[-2] = 3.0, 5.0, -4.0
+        f = RealField(grid, samples)
+        assert f.boundary_amplitude() == 4.0
+        assert f.linf() == 5.0
 
 
 class TestTransforms:
@@ -87,12 +112,46 @@ def test_frac_deriv_eigenmode(k, s):
 
 
 class TestMultipliers:
+    def test_identity(self, grid, rng):
+        # order 0 of the derivative, and |xi|^0 on a zero-mean field
+        f = fields.random_band_limited(grid, rng, band=50)
+        for out in (derivative(f, 0), frac_deriv(f, 0.0, "homogeneous")):
+            assert np.allclose(out.samples, f.samples, atol=1e-14)
+
     def test_first_derivative_of_sine(self):
         g = make_grid(128, 2 * math.pi)
         k = 5
         f = RealField(g, np.sin(k * g.nodes))
         d = derivative(f, 1)
         assert np.allclose(d.samples, k * np.cos(k * g.nodes), atol=1e-11)
+
+    def test_semigroup_composition(self, grid, rng):
+        f = fields.random_band_limited(grid, rng, band=60, decay=0.5)
+        once = frac_deriv(f, -1.3, "inhomogeneous")
+        twice = frac_deriv(frac_deriv(f, 0.7, "inhomogeneous"), -2.0, "inhomogeneous")
+        assert np.linalg.norm(once.samples - twice.samples) < 1e-13 * np.linalg.norm(f.samples)
+        d3 = derivative(f, 3)
+        d12 = derivative(derivative(f, 1), 2)
+        assert np.linalg.norm(d12.samples - d3.samples) < 1e-13 * np.linalg.norm(d3.samples)
+
+
+class TestSymbols:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_full_symbol_is_hermitian_power(self, grid, order):
+        sym = deriv_symbol(grid, order, full=True)
+        xi = odd_frequencies(grid) if order % 2 else grid.frequencies
+        assert np.allclose(sym, (1j * xi) ** order, rtol=1e-13, atol=0.0)
+        # slot n - m holds q = -m, the conjugate of slot m
+        assert np.array_equal(sym[:0:-1], np.conj(sym[1:]))
+
+    def test_odd_symbols_zero_the_nyquist(self, grid):
+        for order in (1, 3, 5):
+            assert deriv_symbol(grid, order)[-1] == 0.0
+        xi = odd_frequencies(grid)
+        assert xi[grid.nyquist_slot] == 0.0
+        keep = np.arange(grid.n) != grid.nyquist_slot
+        assert np.array_equal(xi[keep], grid.frequencies[keep])
+
 
 class TestFracDeriv:
     def test_j0_is_identity(self, grid, rng):
@@ -112,6 +171,31 @@ class TestFracDeriv:
         with pytest.raises(ValueError):
             frac_deriv(f, -0.5)
 
+    def test_bessel_potential_inverts_j_s(self, grid, rng):
+        f = fields.random_band_limited(grid, rng, band=60, decay=0.5)
+        back = frac_deriv(frac_deriv(f, 1.5, "inhomogeneous"), -1.5, "inhomogeneous")
+        assert np.linalg.norm(back.samples - f.samples) < 1e-13 * np.linalg.norm(f.samples)
+
+    def test_unknown_kind_rejected(self, grid, rng):
+        f = fields.random_band_limited(grid, rng, band=20)
+        with pytest.raises(ValueError, match="kind"):
+            frac_deriv(f, 0.5, "riesz")
+
+
+class TestSynthesize:
+    def test_reproduces_samples_at_nodes(self, grid, rng):
+        f = fields.random_band_limited(grid, rng, band=80, decay=0.5)
+        got = synthesize_at(forward(f), grid.nodes)
+        assert np.max(np.abs(got - f.samples)) < 1e-13 * f.linf()
+
+    def test_trig_polynomial_between_nodes(self, rng):
+        g = make_grid(64, 2 * math.pi)
+        f = RealField(g, np.sin(3 * g.nodes) + 0.5 * np.cos(7 * g.nodes))
+        x = rng.uniform(-math.pi, math.pi, 25)
+        got = synthesize_at(forward(f), x)
+        assert np.allclose(got, np.sin(3 * x) + 0.5 * np.cos(7 * x), rtol=0.0, atol=1e-13)
+        assert synthesize_at(forward(f), 0.25).shape == (1,)
+
 
 class TestSteinDeriv:
     def test_matches_fourier_on_gaussian(self):
@@ -127,6 +211,11 @@ class TestSteinDeriv:
         g = make_grid(512, 40.0)
         out = stein_deriv(RealField(g, np.zeros(g.n)), 0.7)
         assert np.allclose(out.samples, 0.0)
+
+    def test_constant_closed_form_at_alpha_one(self):
+        # c_1 = sqrt(pi) * Gamma(-1/2) / (2 * Gamma(1)) = -pi
+        assert stein_constant(1.0) == pytest.approx(-math.pi, rel=1e-15)
+        assert all(stein_constant(a) < 0 for a in (0.1, 0.5, 1.5, 1.9))
 
     def test_windowed_sine_matches_fourier(self):
         g = make_grid(2048, 80.0)
@@ -240,6 +329,66 @@ class TestHalfSpectrumOracle:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+class TestDealias:
+    """The solver's dealias rule: ``evolve`` truncates its datum and
+    ``_nonlinear_rhs`` its products to ``|q| <= dealias_cutoff(n, k)``."""
+
+    @staticmethod
+    def _start(params, f):
+        return evolve(params, f, 1e-3, 1e-3).slices[0]
+
+    def test_band_limited_unchanged(self, grid, rng):
+        f = fields.random_band_limited(grid, rng, band=grid.n // 3 - 1)
+        assert np.allclose(self._start(DispersionParams(1, 1), f).samples, f.samples)
+
+    def test_top_mode_zeroed(self):
+        g = make_grid(64, 10.0)
+        q = g.n // 2 - 1
+        f = RealField(g, np.cos(2 * np.pi * q * g.nodes / g.L))
+        # only the rounding of the datum's transform survives in the band
+        assert self._start(DispersionParams(1, 1), f).linf() < 1e-14
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), k=st.integers(1, 3))
+    def test_idempotent(self, seed, k):
+        g = make_grid(64, 10.0)
+        r = np.random.default_rng(seed)
+        params = DispersionParams(1, k)
+        once = self._start(params, fields.random_band_limited(g, r, band=30))
+        assert np.allclose(self._start(params, once).samples, once.samples)
+
+    @pytest.mark.parametrize("j,k", [(1, 1), (2, 1), (1, 3)])
+    def test_rhs_vanishes_outside_band(self, rng, j, k):
+        g = make_grid(64, 10.0)
+        rhs, keep = _nonlinear_rhs(DispersionParams(j, k), g)
+        assert np.array_equal(keep, np.arange(g.n // 2 + 1) <= dealias_cutoff(g.n, k))
+        out = rhs(np.fft.rfft(fields.random_band_limited(g, rng, band=30).samples))
+        assert np.all(out[~keep] == 0) and np.any(out[keep] != 0)
+
+    def test_product_matches_direct_convolution(self, rng):
+        # the retained bins of the solver's u * u_xx are the linear convolution
+        # of the factors' coefficients
+        g = make_grid(64, 10.0)
+        band = g.n // 3
+        f = fields.random_band_limited(g, rng, band=band // 2, decay=0.3)
+        rhs, _ = _nonlinear_rhs(DispersionParams(2, 1), g)
+        got = rhs(np.fft.rfft(f.samples))   # -rfft(u * u_xx) on the kept bins
+        cf, ch = forward(f).coeffs, forward(derivative(f, 2)).coeffs
+        qs = g.freq_index.astype(int)
+        cut = dealias_cutoff(g.n, 1)
+        expect = np.zeros(g.n // 2 + 1, dtype=complex)
+        for q in range(cut + 1):
+            total = 0.0j
+            for m, qm in enumerate(qs):
+                q2 = q - qm
+                if -g.n // 2 <= q2 <= g.n // 2 - 1:
+                    total += cf[m] * ch[q2 % g.n]
+            # forward coefficients carry dx * (-1)^q over the raw FFT
+            expect[q] = -(total / g.L) * (-1) ** q / g.dx
+        denom = np.max(np.abs(expect))
+        assert np.max(np.abs(got - expect)) < 1e-12 * denom
+
+
 class TestGatesAndIO:
     def test_decay_gate_fires(self):
         g = make_grid(256, 10.0)
@@ -252,3 +401,6 @@ class TestGatesAndIO:
         with pytest.raises(BandLimitError):
             band_limit_check(f, 50)
         band_limit_check(f, 101)  # no raise
+
+    def test_zero_field_passes_decay_gate(self, grid):
+        require_decay(RealField(grid, np.zeros(grid.n)))  # no raise
