@@ -14,11 +14,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.fft import ifft, next_fast_len
 
-from .errors import EnvelopeTooNarrow, KernelWindowError
+from .errors import (EnvelopeTooNarrow, KernelGridTooLarge, KernelWindowError,
+                     PhaseRangeError)
 from .fields import weighted
 from .propagators import DispersionParams, linear_flow
-from .spectral import (RealField, _power, band_limit_check, derivative,
-                       require_decay)
+from .spectral import (RealField, _REDUCE_RANGE, _power, _reduce_2pi,
+                       band_limit_check, derivative, require_decay)
 
 MAX_COEFF_ORDER = 32
 
@@ -143,47 +144,71 @@ _MAX_KERNEL_N = 2 ** 26
 _WINDOW_REACH = 24.0
 #: smallest inverse-DFT length of the folded spectrum
 _MIN_FOLD = 1 << 14
-#: folded-spectrum bins evaluated and transformed per block
-_BLOCK_BINS = 1 << 20
+#: folded-spectrum bins evaluated and transformed per block.  A block holds
+#: about a dozen temporaries of 8 or 16 bytes per bin; on the decay suite
+#: 2^17 bins ran faster than 2^18 and 2^20, and with less peak memory
+_BLOCK_BINS = 1 << 17
+
+
+def _kernel_grid(j: int, t: float, env: float, kappa: float, pad: float,
+                 x_probe: float | None) -> tuple[float, float, int]:
+    """Span, node spacing and size ``n`` of the oscillatory-kernel grid.
+
+    The span suppresses the stationary-phase fold from periodization by
+    ``exp(-kappa^2)`` at the box edge; the spacing resolves the envelope up to
+    ``xi = 3.2 env``, where it is below ``exp(-10.2) ~ 3.6e-5``.
+    """
+    span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + pad
+    if x_probe is not None:
+        span = max(span, 4.0 * x_probe)
+    dx = math.pi / (3.2 * env)
+    return span, dx, next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
 
 
 def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
                 pad: float, x_probe: float | None) -> tuple[float, int]:
     """sup of the envelope-regularized oscillatory kernel on a window of nodes.
 
-    The grid is sized so the stationary-phase fold from periodization is
-    suppressed by ``exp(-kappa^2)`` at the box edge.  The sup is taken over
-    the ``2m+1`` nodes ``|x_k| <= 24 t^(1/(2j+1))`` (or ``|x_k| <= x_probe``),
-    which hold the Airy region; an argmax on the edge of the automatic
-    window raises ``KernelWindowError``.  No array of grid length is built:
-    with ``Q`` the smallest divisor of ``n`` of at least ``max(2^14, 2m+1)``
-    and ``P = n/Q``, each bin ``q = aP + b`` gives
-    ``K(x_k) = 2 Re sum_b e^(2 pi i b k/n) G_b(k mod Q)``, where ``G_b`` is
-    the unnormalized ``Q``-point inverse DFT over ``a`` of the symbol at
-    ``aP + b``.  The symbol is evaluated on the ``n//2 + 1`` non-negative
-    bins only (the amplitude is even and ``t theta`` odd, so the kernel is
-    real), with the Nyquist bin halved, a block of ``b``-rows at a time, and
-    each block is transformed by one batched ``ifft``.  For ``beta != 0``
-    the even factor ``|xi|^{i beta}`` splits the symbol into two Hermitian
-    rows, ``cos(beta log xi)`` and ``sin(beta log xi)`` times the rest;
-    ``|K|`` is the root of the sum of their squares.  Grids of ``2^22``
-    points and more take the trig and the transform in single precision
-    (the sup is needed to ~1e-3, the phase is reduced mod 2 pi in double
-    before narrowing).
+    The grid comes from ``_kernel_grid``.  The sup is taken over the ``2m+1``
+    nodes ``|x_k| <= 24 t^(1/(2j+1))`` (or ``|x_k| <= x_probe``), which hold
+    the Airy region; an argmax on the edge of the automatic window raises
+    ``KernelWindowError``.  No array of grid length is built: with ``Q`` the
+    smallest divisor of ``n`` of at least ``max(2^14, 2m+1)`` and ``P = n/Q``,
+    every bin ``q = aP + b`` (``a < Q``, ``b < P``) of the full spectrum is
+    given its signed frequency (``q - n`` where ``q > n//2``), and
+    ``K(x_k) = sum_b e^(2 pi i b k/n) G_b(k mod Q)``, where ``G_b`` is the
+    unnormalized ``Q``-point inverse DFT over ``a`` of the symbol on row
+    ``b``.  The amplitude is even in ``xi`` (it is built from ``|xi|``) and
+    ``t theta`` exactly odd, so row ``P - b`` is the conjugate mirror of row
+    ``b`` and only rows ``b <= P/2`` are evaluated:
+    ``K = sum_b w_b Re(e^(2 pi i b k/n) G_b)`` with ``w_b = 2``, except
+    ``w = 1`` for row 0 and, for even ``P``, row ``P/2``, which are their own
+    mirrors.  The Nyquist bin of an even ``n`` lies on one of those two rows,
+    so it enters by the real part of its symbol.  Rows are evaluated a block
+    of about ``2^17`` bins at a time, and each block is transformed by one
+    batched ``ifft``.  For ``beta != 0`` the even factor ``|xi|^{i beta}``
+    splits the symbol into two Hermitian symbols, ``cos(beta log|xi|)`` and
+    ``sin(beta log|xi|)`` times the rest; ``|K|`` is the root of the sum of
+    their kernels' squares.  The phase ``t theta`` is reduced by
+    ``_reduce_2pi`` in double; grids of ``2^22`` points and more then take the
+    amplitude, the trig and the transform in single precision (the sup is
+    needed to ~1e-3).  Raises ``KernelGridTooLarge`` past ``_MAX_KERNEL_N``
+    points and ``PhaseRangeError`` when the largest phase is past the exact
+    reduction.
     """
-    xi_cut = 3.2 * env       # envelope below exp(-10.2) ~ 3.6e-5 beyond
-    span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + pad
-    if x_probe is not None:
-        span = max(span, 4.0 * x_probe)
-    dx = math.pi / xi_cut
-    n = next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
+    _, dx, n = _kernel_grid(j, t, env, kappa, pad, x_probe)
     if n > _MAX_KERNEL_N:
-        raise MemoryError(f"kernel grid n={n} for j={j}, t={t:g}, env={env:g} exceeds "
-                          f"the supported maximum {_MAX_KERNEL_N}")
+        raise KernelGridTooLarge(f"kernel grid n={n} for j={j}, t={t:g}, env={env:g} "
+                                 f"exceeds the supported maximum {_MAX_KERNEL_N}")
     two_pi_over_L = 2.0 * math.pi / (n * dx)
+    half = n // 2
+    top = t * (two_pi_over_L * half) ** (2 * j + 1)
+    if top >= _REDUCE_RANGE:
+        raise PhaseRangeError(f"kernel phase up to {top:.4g} rad on n={n} for j={j}, "
+                              f"t={t:g}, env={env:g} exceeds the exact reduction "
+                              f"range {_REDUCE_RANGE:.4g}")
     big = n >= (1 << 22)
     real = np.float32 if big else np.float64
-    half = n // 2
     reach = _WINDOW_REACH * t ** (1.0 / (2 * j + 1)) if x_probe is None else x_probe
     m = min(max(1, int(reach / dx)), half)
     k = np.arange(-m, m + 1)
@@ -191,41 +216,40 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
     Q = min(d for i in range(1, math.isqrt(n) + 1) if n % i == 0
             for d in (i, n // i) if d >= fold)
     P = n // Q
-    aP = P * np.arange(half // P + 1, dtype=np.float64)   # every a with aP + b <= n//2
+    aP = P * np.arange(Q, dtype=np.float64)
     cols = k % Q
     sign = 1.0 if (j + 1) % 2 == 0 else -1.0
+    rows = np.arange(P // 2 + 1)
+    weight = np.where((rows == 0) | (2 * rows == P), 1.0, 2.0)
     block = max(1, _BLOCK_BINS // Q)
     kern = np.zeros((1 if beta == 0.0 else 2, k.size))
-    for b0 in range(0, P, block):
-        b = np.arange(b0, min(b0 + block, P))
-        q = b[:, None] + aP
-        xi = two_pi_over_L * q
-        amp = np.sqrt(xi)
-        for _ in range(j - 1):
-            amp *= xi
-        amp *= np.exp(-(xi / env) ** 2)
-        amp[q > half] = 0.0
-        if n % 2 == 0:
-            amp[q == half] *= 0.5
+    for b0 in range(0, rows.size, block):
+        b = rows[b0:b0 + block]
+        xi = b[:, None] + aP
+        np.subtract(xi, n, out=xi, where=xi > half)     # signed bins, then
+        xi *= two_pi_over_L                             # their frequencies
         phase = _power(xi, 2 * j + 1)
         phase *= sign * t
-        np.mod(phase, 2.0 * math.pi, out=phase)
-        ph = phase.astype(real, copy=False)
+        ph = _reduce_2pi(phase).astype(real, copy=False)
         cos, sin = np.cos(ph), np.sin(ph)
-        if beta == 0.0:
-            rows = (amp,)
-        else:
-            lb = np.zeros_like(xi)
-            np.log(xi, out=lb, where=xi > 0)
+        axi = np.abs(xi)
+        if beta != 0.0:
+            lb = np.zeros_like(axi)
+            np.log(axi, out=lb, where=axi > 0)
             lb *= beta
-            rows = (amp * np.cos(lb), amp * np.sin(lb))
-        sym = np.empty((len(rows),) + q.shape, dtype=np.complex64 if big else np.complex128)
-        for r, a in enumerate(rows):
+        axi = axi.astype(real, copy=False)
+        amp = np.sqrt(axi)
+        for _ in range(j - 1):
+            amp *= axi
+        amp *= np.exp(-(axi / env) ** 2)
+        amps = (amp,) if beta == 0.0 else (amp * np.cos(lb), amp * np.sin(lb))
+        sym = np.empty((len(amps),) + xi.shape, dtype=np.complex64 if big else np.complex128)
+        for r, a in enumerate(amps):
             a = a.astype(real, copy=False)
             np.multiply(cos, a, out=sym.real[r])
             np.multiply(sin, a, out=sym.imag[r])
-        g = ifft(sym, n=Q, axis=-1, norm="forward")[..., cols]
-        twiddle = np.exp((2j * math.pi / n) * ((b[:, None] * k) % n))
+        g = ifft(sym, axis=-1, norm="forward", overwrite_x=True)[..., cols]
+        twiddle = weight[b, None] * np.exp((2j * math.pi / n) * ((b[:, None] * k) % n))
         kern += np.einsum("rbw,bw->rw", g, twiddle).real
     power = np.sum(kern * kern, axis=0)
     i = int(np.argmax(power))
@@ -233,7 +257,7 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
         raise KernelWindowError(
             f"kernel sup for j={j}, t={t:g}, env={env:g} lies at argmax index {i}, on "
             f"the edge of the window |x| <= {m * dx:.4g} of m={m} nodes each side")
-    return 2.0 * math.sqrt(float(power[i])) * two_pi_over_L, n
+    return math.sqrt(float(power[i])) * two_pi_over_L, n
 
 
 def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),
@@ -267,10 +291,8 @@ def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),
     for env in envelopes:
         sups, ns = [], []
         for t in t_list:
-            kappa = 2.0
-            est = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + pad
-            if est / (math.pi / (3.2 * env)) > (1 << 23):
-                kappa = 1.62
+            span, dx, _ = _kernel_grid(j, t, env, 2.0, pad, None)
+            kappa = 1.62 if span / dx > (1 << 23) else 2.0
             sup, n = _kernel_sup(j, float(t), env, beta, kappa, pad, x_probe)
             sups.append(sup)
             ns.append(n)

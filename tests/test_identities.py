@@ -9,12 +9,13 @@ from scipy.fft import next_fast_len
 
 import hkdvlab.fields as fields
 import hkdvlab.identities as identities
-from hkdvlab.errors import BandLimitError, EnvelopeTooNarrow, KernelWindowError
-from hkdvlab.identities import (_MAX_KERNEL_N, _kernel_sup, dispersive_decay_probe,
-                                solve_coefficients, verify_reduction_identity,
-                                x_weight_commutator)
+from hkdvlab.errors import (BandLimitError, EnvelopeTooNarrow, KernelGridTooLarge,
+                            KernelWindowError, PhaseRangeError)
+from hkdvlab.identities import (_MAX_KERNEL_N, _kernel_grid, _kernel_sup,
+                                dispersive_decay_probe, solve_coefficients,
+                                verify_reduction_identity, x_weight_commutator)
 from hkdvlab.propagators import DispersionParams
-from hkdvlab.spectral import RealField, make_grid
+from hkdvlab.spectral import RealField, _REDUCE_RANGE, make_grid
 
 
 class TestCoefficients:
@@ -129,8 +130,27 @@ class TestDecayProbe:
 
     def test_grid_cap_error_names_the_point(self):
         with pytest.raises(MemoryError, match=f"n=170698752 for j=2, t=10000, env=3 "
-                                              f"exceeds the supported maximum {_MAX_KERNEL_N}"):
+                                              f"exceeds the supported maximum {_MAX_KERNEL_N}") as err:
             dispersive_decay_probe(2, t_list=(1, 1e4), envelopes=(3.0,))
+        assert err.type is KernelGridTooLarge
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_phases_below_the_grid_cap_reduce_exactly(self, j):
+        # the largest phase t xi^(2j+1) at the top bin of every grid the cap
+        # admits, for both kappa values of the probe's rule
+        top = 0.0
+        for kappa in (1.62, 2.0):
+            for env in (3.0, 4.0, 6.0, 8.0):
+                for t in np.geomspace(1.0, 1e5, 400):
+                    _, dx, n = _kernel_grid(j, t, env, kappa, 300.0, None)
+                    if n <= _MAX_KERNEL_N:
+                        top = max(top, t * (2.0 * math.pi / (n * dx) * (n // 2)) ** (2 * j + 1))
+        assert top < _REDUCE_RANGE
+
+    def test_phase_past_the_reduction_range_raises(self):
+        # j = 3 at t = 80: n = 45,106,875 is below the cap, the top phase 6.0e8 rad is not
+        with pytest.raises(PhaseRangeError, match=r"6\.012e\+08 rad on n=45106875 for j=3, t=80"):
+            dispersive_decay_probe(3, t_list=(1, 80), envelopes=(3.0,))
 
     def test_argmax_on_window_edge_raises(self, monkeypatch):
         # a window far inside the Airy region puts the sup on its edge
@@ -156,6 +176,19 @@ class TestDecayProbe:
             tracemalloc.stop()
         assert n == 5_080_320
         assert peak < 64 * 2 ** 20
+
+    def test_memory_of_the_dense_mirror_rows(self):
+        # the same n = 5,080,320 call: dense rows b <= P/2 in blocks of 2^17
+        # bins peak near 8 MiB traced; rows filled only up to n//2 in blocks
+        # of 2^20 bins held 40 MiB
+        _kernel_sup(1, 1.0, 4.0, 0.0, 2.0, 300.0, None)     # load the FFT backend
+        tracemalloc.start()
+        try:
+            _kernel_sup(2, 4.0, 6.0, 0.0, 2.0, 300.0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 def _reference_kernel_sup(j, t, env, beta, kappa, pad, x_probe):
