@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+from scipy.fft import irfft, rfft
 
 from .errors import TailFitError
 from .propagators import DispersionParams, Trajectory, dispersion_phase
-from .spectral import (Grid, RealField, SpectralField, dealias_cutoff, deriv_symbol,
-                       forward, synthesize_at)
+from .spectral import (Grid, RealField, SpectralField, _context, dealias_cutoff,
+                       deriv_symbol, forward, synthesize_at)
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,17 @@ def build_blowup_datum(spec: BlowupDatumSpec, params: DispersionParams,
     if not pairs:
         raise ValueError("empty truncation")
     theta = dispersion_phase(params, grid)
-    total = np.zeros(grid.n, dtype=complex)
+    total = np.zeros(grid.n // 2 + 1, dtype=complex)
     manifest = []
     for (p2, q2) in pairs:
         for (p1, q1) in pairs:
             w = spec.weight(p1, q1, p2, q2)
             prof = singular_profile(
                 SingularProfileSpec(alpha, center=p1 / q1), grid)
-            term = np.exp(-1j * (p2 / q2) * theta) * np.fft.fft(prof.samples)
+            term = np.exp(-1j * (p2 / q2) * theta) * rfft(prof.samples)
             total += w * term
             manifest.append(DatumTerm(p1, q1, p2, q2, w))
-    return RealField(grid, np.fft.ifft(total).real), manifest
+    return RealField(grid, irfft(total, grid.n)), manifest
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,12 @@ def tail_exponent(F: SpectralField, xi_lo: float | None = None,
                   xi_hi: float | None = None, nbins: int = 10) -> float:
     """Decay exponent p of ``|coeff| ~ |xi|^-p`` over the top two octaves.
 
-    Log-binned geometric means are fitted to tame random-phase scatter.
-    Positive return means decay.  Raises :class:`TailFitError` when fewer
-    than four populated bins or less than two octaves are available.
+    Log-binned geometric means over the rfft bins are fitted to tame
+    random-phase scatter; a bin counts when it holds two modes, and the range
+    must hold ``2 * nbins``.  Positive return means decay.  Raises :class:`TailFitError` when fewer than four populated bins
+    or less than one octave are available.
     """
-    xi = np.abs(F.grid.frequencies)
+    xi = _context(F.grid).xi
     if xi_hi is None:
         xi_hi = float(xi.max())
     if xi_lo is None:
@@ -162,7 +164,7 @@ def tail_exponent(F: SpectralField, xi_lo: float | None = None,
     if not xi_hi > 2.0 * xi_lo:
         raise TailFitError("need at least one octave between xi_lo and xi_hi")
     sel = (xi > xi_lo) & (xi < xi_hi)
-    if np.count_nonzero(sel) < 4 * nbins:
+    if np.count_nonzero(sel) < 2 * nbins:
         raise TailFitError("too few modes in the fit range")
     lx = np.log(xi[sel])
     ly = np.log(np.abs(F.coeffs[sel]) + 1e-300)
@@ -171,7 +173,7 @@ def tail_exponent(F: SpectralField, xi_lo: float | None = None,
     bx, by = [], []
     for b in range(nbins):
         m = idx == b
-        if np.count_nonzero(m) >= 3:
+        if np.count_nonzero(m) >= 2:
             bx.append(float(lx[m].mean()))
             by.append(float(ly[m].mean()))
     if len(bx) < 4:
@@ -189,12 +191,10 @@ def _quotient(params: DispersionParams, u0h: np.ndarray, grid: Grid, t: float,
     maximized over ``h_set`` by band-limited off-node evaluation.  A jump of
     size ``J`` in ``d^(m+1) f`` at ``x*`` drives it to ``J`` as ``h -> 0``;
     for ``f`` smooth to order ``m + 2`` it vanishes linearly in ``h``.
-    ``u0h`` holds the coefficients of ``forward(u0)``, in the package
-    convention that the off-node synthesis reads.
+    ``u0h`` holds the coefficients of ``forward(u0)``.
     """
     theta = dispersion_phase(params, grid)
-    dF = SpectralField(grid, deriv_symbol(grid, order, full=True)
-                       * np.exp(1j * t * theta) * u0h)
+    dF = SpectralField(grid, deriv_symbol(grid, order) * np.exp(1j * t * theta) * u0h)
     offsets = (np.linspace(-halfwidth, halfwidth, n_offsets)
                if halfwidth > 0 else np.array([0.0]))
     best = 0.0
@@ -289,6 +289,12 @@ def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
     return math.exp(sum(logs) / len(logs))
 
 
+def _parseval(c: np.ndarray) -> float:
+    """Norm of the full spectrum whose half is ``c``: bins 1..n/2-1 twice."""
+    sq = np.abs(c) ** 2
+    return math.sqrt(2.0 * float(np.sum(sq)) - sq[0] - sq[-1])
+
+
 @dataclass
 class SmoothingGainReport:
     gain: float | None
@@ -318,20 +324,16 @@ def smoothing_gain(traj: Trajectory, u0: RealField,
     g = traj.grid
     T = float(traj.times[-1])
     theta = dispersion_phase(params, g)
-    u0h = np.fft.fft(u0.samples)
-    wh = np.exp(1j * T * theta) * u0h
-    uh = np.fft.fft(traj.final().samples)
-    znorm = float(np.linalg.norm(uh - wh))
-    unorm = float(np.linalg.norm(uh))
-    if znorm < 1e-10 * max(unorm, 1e-300):
+    wh = np.exp(1j * T * theta) * rfft(u0.samples)
+    uh = rfft(traj.final().samples)
+    if _parseval(uh - wh) < 1e-10 * max(_parseval(uh), 1e-300):
         return SmoothingGainReport(None, None, None, 0.0,
                                    "duhamel part at noise floor")
     drift = 0.0
     if (params.j, params.k) == (1, 2):
         drift = -T * float(np.mean(traj.slices[0].samples ** 2))
-    zh = uh - np.exp(1j * drift * g.frequencies) * wh
+    zh = uh - np.exp(1j * drift * _context(g).xi) * wh
     cut_xi = 2 * math.pi * dealias_cutoff(g.n, params.k) / g.L
-    sign_fix = g.phase_signs() * g.dx
-    tw = tail_exponent(SpectralField(g, sign_fix * wh), cut_xi / 4.0, cut_xi)
-    tz = tail_exponent(SpectralField(g, sign_fix * zh), cut_xi / 4.0, cut_xi)
+    tw = tail_exponent(SpectralField(g, wh), cut_xi / 4.0, cut_xi)
+    tz = tail_exponent(SpectralField(g, zh), cut_xi / 4.0, cut_xi)
     return SmoothingGainReport(tz - tw, tw, tz, drift)

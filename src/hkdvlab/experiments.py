@@ -31,7 +31,7 @@ from .identities import (dispersive_decay_probe, solve_coefficients,
 from .norms import (MixedNormSpec, mixed_norm, CutoffSpec, make_cutoff,
                     WindowSpec, window_energy, weighted_norm)
 from .propagators import DispersionParams, Trajectory, evolve, linear_flow
-from .spectral import frac_deriv, make_grid, stein_deriv
+from .spectral import dealias_cutoff, frac_deriv, make_grid, stein_deriv
 
 RNG_ALGORITHM = "PCG64"
 
@@ -485,7 +485,7 @@ def _run_propagation(cfg: ExperimentConfig, outdir: str):
     mirror = WindowSpec(x0=v[("suite", "mirror_x0")], eps=v[("suite", "window_eps")],
                         R=v[("suite", "window_R")], v=v[("suite", "window_v")], m=m)
 
-    xi_cut = 2 * math.pi * (n // (k + 2)) / L   # base-grid band, held fixed
+    xi_cut = 2 * math.pi * dealias_cutoff(n, k) / L   # base-grid band, held fixed
 
     def run(nn, ddt, sstride):
         g = make_grid(nn, L)
@@ -774,7 +774,7 @@ rows = [r for r in read("contrast.csv") if r["kind"] == "singular"]
 fig, ax = plt.subplots()
 labels = [f"t={r['t']} x={r['x_star']}" for r in rows]
 ax.bar(labels, [float(r["contrast"]) for r in rows])
-ax.axhline(10.0, color="r", ls="--")
+ax.axhline(CONFIG["suite.contrast_min"], color="r", ls="--")
 ax.set_ylabel("jump-quotient contrast"); plt.xticks(rotation=60, fontsize=6)
 fig.tight_layout()
 fig.savefig(os.path.join(HERE, "contrast.png"), dpi=150)
@@ -833,10 +833,15 @@ def list_suites(as_json: bool = False):
 
 
 def emit_plots(report_path: str) -> list[str]:
-    """Write one renderer-agnostic plot script per plottable CSV artifact."""
+    """Write one renderer-agnostic plot script per plottable CSV artifact.
+
+    Each script carries the report's flat config as ``CONFIG``, so a plot
+    draws the thresholds the run was checked against.
+    """
     with open(report_path) as fh:
         report = json.load(fh)
     outdir = os.path.dirname(os.path.abspath(report_path))
+    config = report.get("config", {})
     written = []
     for art in report.get("artifacts", []):
         base = os.path.basename(art)
@@ -846,6 +851,6 @@ def emit_plots(report_path: str) -> list[str]:
             raise FileNotFoundError(f"artifact {base} missing next to the report")
         script = os.path.join(outdir, f"plot_{base.replace('.csv', '')}.py")
         with open(script, "w") as fh:
-            fh.write(_PLOT_HEADER + _PLOT_BODIES[base])
+            fh.write(_PLOT_HEADER + f"\nCONFIG = {config!r}\n" + _PLOT_BODIES[base])
         written.append(script)
     return written

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import irfft
 
-from .spectral import Grid, RealField
+from .spectral import Grid, RealField, _context
 
 
 def gaussian(grid: Grid, center: float = 0.0, width: float = 1.0,
@@ -28,7 +29,7 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, band: int,
     mags[1:band + 1] = q.astype(float) ** (-decay)
     phases = rng.uniform(0.0, 2.0 * np.pi, nf)
     half = mags * np.exp(1j * phases)
-    samples = np.fft.irfft(half, grid.n)
+    samples = irfft(half, grid.n)
     peak = float(np.max(np.abs(samples))) or 1.0
     return RealField(grid, samples * (amplitude / peak))
 
@@ -59,14 +60,14 @@ def rough_spectrum_field(grid: Grid, rng: np.random.Generator, s: float,
     representative of Sobolev regularity ``s``.
     """
     nf = grid.n // 2 + 1
-    xif = 2.0 * np.pi * np.fft.rfftfreq(grid.n, d=grid.dx)
+    xif = _context(grid).xi
     mags = np.zeros(nf)
     mags[1:] = (1.0 + xif[1:]) ** (-(s + 0.5))
     if band is not None:
         lo, hi = band
         mags[(xif < lo) | (xif > hi)] = 0.0
     phases = rng.uniform(0.0, 2.0 * np.pi, nf)
-    samples = np.fft.irfft(mags * np.exp(1j * phases), grid.n)
+    samples = irfft(mags * np.exp(1j * phases), grid.n)
     if envelope is not None:
         samples = _enveloped_zero_mean(grid, samples, envelope)
     peak = float(np.max(np.abs(samples))) or 1.0
@@ -85,14 +86,12 @@ def band_noise_by_index(grid: Grid, rng: np.random.Generator, q_lo: int,
     """
     if not 1 <= q_lo <= q_hi < grid.n // 2:
         raise ValueError("need 1 <= q_lo <= q_hi < n/2")
-    coeffs = np.zeros(grid.n, dtype=complex)
+    coeffs = np.zeros(grid.n // 2 + 1, dtype=complex)
     xi0 = 2.0 * np.pi / grid.L
     for q in range(q_lo, q_hi + 1):
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        c = (xi0 * q) ** (-xi_decay) * np.exp(1j * phase)
-        coeffs[q] = c
-        coeffs[-q] = np.conj(c)
-    samples = np.fft.ifft(coeffs).real * grid.n
+        coeffs[q] = (xi0 * q) ** (-xi_decay) * np.exp(1j * phase)
+    samples = irfft(coeffs, grid.n) * grid.n
     if envelope is not None:
         samples = _enveloped_zero_mean(grid, samples, envelope)
     peak = float(np.max(np.abs(samples))) or 1.0
@@ -111,10 +110,6 @@ def reflect(f: RealField) -> RealField:
     n = f.grid.n
     idx = (-np.arange(n)) % n
     return RealField(f.grid, f.samples[idx])
-
-
-def scale(f: RealField, factor: float) -> RealField:
-    return RealField(f.grid, factor * f.samples)
 
 
 def weighted(f: RealField, weight: np.ndarray) -> RealField:

@@ -44,21 +44,16 @@ class ConjugationSpec:
             raise ValueError("sigma and time_sign must be +1 or -1")
 
 
-def _phase(params: DispersionParams, grid: Grid, full: bool = False) -> np.ndarray:
-    """``theta`` on the rfft bins (FFT order with ``full``): the linear part is
-    ``-(i xi)^(2j+1) = i theta``, so ``theta = (-1)^(j+1) xi^(2j+1)``."""
-    return -deriv_symbol(grid, 2 * params.j + 1, full).imag
-
-
 def dispersion_phase(params: DispersionParams, grid: Grid) -> np.ndarray:
-    """Phase polynomial ``(-1)^(j+1) xi^(2j+1)`` with the odd-symbol Nyquist
-    rule, in full FFT order."""
-    return _phase(params, grid, full=True)
+    """Phase ``theta`` on the rfft bins, with the odd-symbol Nyquist rule: the
+    linear part is ``-(i xi)^(2j+1) = i theta``, so
+    ``theta = (-1)^(j+1) xi^(2j+1)``."""
+    return -deriv_symbol(grid, 2 * params.j + 1).imag
 
 
 def linear_flow(params: DispersionParams, t: float, u0: RealField) -> RealField:
     """Apply the unitary group at time ``t``."""
-    return _apply_half(u0, np.exp(1j * t * _phase(params, u0.grid)))
+    return _apply_half(u0, np.exp(1j * t * dispersion_phase(params, u0.grid)))
 
 
 def conjugated_flow(params: DispersionParams, spec: ConjugationSpec, t: float,
@@ -112,10 +107,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.slices)
-
-    def stack(self) -> np.ndarray:
-        """(n_times, n) array of samples."""
-        return np.stack([s.samples for s in self.slices])
 
     def final(self) -> RealField:
         return self.slices[-1]
@@ -183,7 +174,7 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     g = u0.grid
-    theta = _phase(params, g)
+    theta = dispersion_phase(params, g)
     rhs, keep = _nonlinear_rhs(params, g, xi_cut)
     E = np.exp(1j * theta * (dt / 2.0))
     E2 = E * E
@@ -225,7 +216,7 @@ def duhamel_split(traj: Trajectory, u0: RealField,
     if u0.grid != traj.grid:
         raise ValueError("datum grid differs from trajectory grid")
     g = traj.grid
-    theta = _phase(params, g)
+    theta = dispersion_phase(params, g)
     u0h = rfft(u0.samples)
     slices = []
     for t, s in zip(traj.times, traj.slices):
@@ -252,7 +243,7 @@ def duhamel_quadrature(traj: Trajectory, params: DispersionParams | None = None)
     if not np.allclose(hsteps, h, rtol=1e-8):
         raise ValueError("stored times must be uniformly spaced")
     g = traj.grid
-    theta = _phase(params, g)
+    theta = dispersion_phase(params, g)
     rhs, _ = _nonlinear_rhs(params, g)
     T = float(traj.times[-1])
     acc = np.zeros(g.n // 2 + 1, dtype=complex)

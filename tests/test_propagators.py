@@ -5,13 +5,13 @@ import pytest
 from scipy.fft import irfft, rfft
 
 import hkdvlab.fields as fields
+import reference
 from hkdvlab.errors import SolverBlowup, UnstableConjugation
 from hkdvlab.propagators import (ConjugationSpec, DispersionParams, Trajectory,
                                  _nonlinear_rhs, conjugated_flow, dispersion_phase,
                                  duhamel_quadrature, duhamel_split, evolve,
                                  linear_flow)
-from hkdvlab.spectral import (RealField, dealias_cutoff, derivative, make_grid,
-                              odd_frequencies)
+from hkdvlab.spectral import RealField, dealias_cutoff, derivative, make_grid
 
 KDV = DispersionParams(1, 1)
 
@@ -31,9 +31,10 @@ class TestParams:
 class TestDispersionPhase:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_phase_polynomial(self, j):
-        # theta = (-1)^(j+1) xi^(2j+1), Nyquist zeroed like every odd symbol
+        # theta = (-1)^(j+1) xi^(2j+1) on the rfft bins, Nyquist zeroed like
+        # every odd symbol
         g = make_grid(128, 2 * math.pi)
-        xi = odd_frequencies(g)
+        xi = reference.odd_frequencies(g)[: g.n // 2 + 1]
         expect = (-1) ** (j + 1) * xi ** (2 * j + 1)
         got = dispersion_phase(DispersionParams(j), g)
         assert np.allclose(got, expect, rtol=1e-13, atol=0.0)
@@ -145,7 +146,7 @@ class TestEvolve:
         shape = fields.random_band_limited(g, r, band=g.n // 8, decay=1.0)
         errs = []
         for amp in (0.05, 0.1):
-            u0 = fields.scale(shape, amp)
+            u0 = reference.scale(shape, amp)
             traj = evolve(p, u0, 0.25, 1e-3, stride=10 ** 9)
             lin = linear_flow(p, 0.25, u0)
             errs.append(np.linalg.norm(traj.final().samples - lin.samples))
@@ -247,14 +248,12 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="grid"):
             Trajectory(g, np.array([0.0, 1.0]), [f, other])
 
-    def test_stack_and_final(self):
+    def test_len_and_final(self):
         g = make_grid(64, 20.0)
         f = fields.gaussian(g)
-        h = fields.scale(f, 2.0)
+        h = reference.scale(f, 2.0)
         traj = Trajectory(g, [0.0, 0.5], [f, h])
         assert len(traj) == 2
-        assert traj.stack().shape == (2, g.n)
-        assert np.array_equal(traj.stack()[1], h.samples)
         assert traj.final() is h
 
 
@@ -278,7 +277,7 @@ class TestBandPinning:
 def _reference_ifrk4(params, u0, T, dt, xi_cut=None):
     """IF-RK4 on full complex spectra, written out apart from ``evolve``."""
     g = u0.grid
-    xi, xi_odd = g.frequencies, odd_frequencies(g)
+    xi, xi_odd = g.frequencies, reference.odd_frequencies(g)
     theta = (-1.0) ** (params.j + 1) * xi_odd ** (2 * params.j + 1)
     dj = (1j * (xi_odd if params.j % 2 else xi)) ** params.j
     keep = np.abs(g.freq_index) <= dealias_cutoff(g.n, params.k)
