@@ -343,8 +343,13 @@ def stein_deriv(f: RealField, alpha: float, eps_seq: Sequence[float] | None = No
 
 
 def dealias_cutoff(n: int, k: int = 1) -> int:
-    """Largest retained |q| for a degree-(k+1) product on an n-point grid."""
-    return n // (k + 2)
+    """Largest retained |q| for a degree-(k+1) product on an n-point grid.
+
+    A product of ``k + 1`` factors with ``|q| <= c`` reaches ``(k + 1) c``,
+    which folds onto ``(k + 1) c - n``; it stays outside the kept band when
+    ``(k + 2) c < n``, so the top kept mode never aliases.
+    """
+    return (n - 1) // (k + 2)
 
 
 def band_limit_check(f: RealField, max_index: int, rel: float = 1e-10) -> None:

@@ -362,6 +362,21 @@ class TestDealias:
         out = rhs(np.fft.rfft(fields.random_band_limited(g, rng, band=30).samples))
         assert np.all(out[~keep] == 0) and np.any(out[keep] != 0)
 
+    def test_top_kept_mode_does_not_alias(self):
+        # u = cos(c x) at the cutoff c of the cubic nonlinearity: -(u^2 u_x) is
+        # (c/4)(sin cx + sin 3cx), and 3c must not fold back onto a kept bin
+        g = make_grid(64, 2 * math.pi)
+        c = dealias_cutoff(g.n, 2)
+        rhs, keep = _nonlinear_rhs(DispersionParams(1, 2), g)
+        got = rhs(np.fft.rfft(np.cos(c * g.nodes)))
+        # each kept bin holds the exact coefficient of its own mode; 3c lies
+        # beyond the Nyquist bin and is dropped, not folded
+        expect = np.zeros(g.n // 2 + 1, dtype=complex)
+        for m in (c, 3 * c):
+            if m <= g.n // 2:
+                expect[m] += c / 4.0 * np.fft.rfft(np.sin(m * g.nodes))[m]
+        assert np.max(np.abs(got[keep] - expect[keep])) < 1e-12 * np.max(np.abs(expect))
+
     def test_product_matches_direct_convolution(self, rng):
         # the retained bins of the solver's u * u_xx are the linear convolution
         # of the factors' coefficients
