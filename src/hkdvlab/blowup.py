@@ -289,10 +289,9 @@ def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
     return math.exp(sum(logs) / len(logs))
 
 
-def _parseval(c: np.ndarray) -> float:
-    """Norm of the full spectrum whose half is ``c``: bins 1..n/2-1 twice."""
-    sq = np.abs(c) ** 2
-    return math.sqrt(2.0 * float(np.sum(sq)) - sq[0] - sq[-1])
+def _parseval(grid: Grid, c: np.ndarray) -> float:
+    """Norm of the full spectrum whose half is ``c``."""
+    return math.sqrt(float(np.dot(_context(grid).weights, np.abs(c) ** 2)))
 
 
 @dataclass
@@ -326,7 +325,7 @@ def smoothing_gain(traj: Trajectory, u0: RealField,
     theta = dispersion_phase(params, g)
     wh = np.exp(1j * T * theta) * rfft(u0.samples)
     uh = rfft(traj.final().samples)
-    if _parseval(uh - wh) < 1e-10 * max(_parseval(uh), 1e-300):
+    if _parseval(g, uh - wh) < 1e-10 * max(_parseval(g, uh), 1e-300):
         return SmoothingGainReport(None, None, None, 0.0,
                                    "duhamel part at noise floor")
     drift = 0.0

@@ -80,11 +80,13 @@ def make_grid(n: int, L: float) -> Grid:
 
 @dataclass(frozen=True)
 class _Context:
-    """Read-only per-grid arrays on the ``n//2 + 1`` rfft bins: ``xi`` and
-    the ``(-1)^q`` node-origin signs."""
+    """Read-only per-grid arrays on the ``n//2 + 1`` rfft bins: ``xi``, the
+    ``(-1)^q`` node-origin signs, and the weights ``w`` (1 at bins 0 and
+    ``n/2``, 2 elsewhere) that count each bin's conjugate partner."""
 
     xi: np.ndarray
     signs: np.ndarray
+    weights: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
@@ -93,9 +95,11 @@ def _context(grid: Grid) -> _Context:
     xi = np.abs(grid.frequencies[: grid.n // 2 + 1])
     signs = np.ones(xi.size)
     signs[1::2] = -1.0
-    for a in (xi, signs):
+    weights = np.full(xi.size, 2.0)
+    weights[[0, -1]] = 1.0
+    for a in (xi, signs, weights):
         a.flags.writeable = False
-    return _Context(xi, signs)
+    return _Context(xi, signs, weights)
 
 
 def _power(xi: np.ndarray, order: int) -> np.ndarray:
@@ -202,8 +206,7 @@ def synthesize_at(F: SpectralField, points: np.ndarray) -> np.ndarray:
     g = F.grid
     ctx = _context(g)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    c = 2.0 * ctx.signs * F.coeffs
-    c[[0, -1]] *= 0.5
+    c = ctx.weights * ctx.signs * F.coeffs
     phases = np.exp(1j * np.multiply.outer(pts, ctx.xi))
     return (phases @ c).real / g.n
 

@@ -180,9 +180,11 @@ class TestFracDeriv:
 
 class TestSynthesize:
     def test_reproduces_samples_at_nodes(self, grid, rng):
-        f = fields.random_band_limited(grid, rng, band=80, decay=0.5)
-        got = synthesize_at(forward(f), grid.nodes)
-        assert np.max(np.abs(got - f.samples)) < 1e-13 * f.linf()
+        # white noise carries the Nyquist bin, which enters with weight 1
+        for f in (fields.random_band_limited(grid, rng, band=80, decay=0.5),
+                  RealField(grid, rng.standard_normal(grid.n))):
+            got = synthesize_at(forward(f), grid.nodes)
+            assert np.max(np.abs(got - f.samples)) < 1e-13 * f.linf()
 
     def test_trig_polynomial_between_nodes(self, rng):
         g = make_grid(64, 2 * math.pi)
@@ -285,7 +287,7 @@ class TestHalfSpectrumOracle:
 
     def test_context_is_read_only(self):
         ctx = _context(make_grid(64, 10.0))
-        for a in (ctx.xi, ctx.signs):
+        for a in (ctx.xi, ctx.signs, ctx.weights):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
