@@ -10,7 +10,8 @@ Spectral coefficients are the ``n//2 + 1`` bins ``q = 0, ..., n/2`` of
 spectrum the solver holds.  Every operator multiplies it by a symbol's
 values on the non-negative frequencies and returns ``irfft(..., n)``; real
 fields have Hermitian spectra, so the half spectrum determines the field.
-The frequencies and node-origin signs of a grid are built once and cached.
+The frequencies, node-origin signs and bin weights of a grid are built
+once and cached.
 
 Off the nodes a field is the band-limited sum
 
@@ -206,6 +207,9 @@ def synthesize_at(F: SpectralField, points: np.ndarray) -> np.ndarray:
     g = F.grid
     ctx = _context(g)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
+    # the node-origin signs are applied exactly to the coefficients; folded
+    # into the phase as e^{i xi (x + L/2)} they would raise its argument from
+    # xi |x| to up to xi L, and its rounding with it
     c = ctx.weights * ctx.signs * F.coeffs
     phases = np.exp(1j * np.multiply.outer(pts, ctx.xi))
     return (phases @ c).real / g.n
