@@ -39,6 +39,10 @@ class TestGrid:
         assert grid.nodes[0] == pytest.approx(-grid.L / 2)
         assert grid.nodes[-1] == pytest.approx(grid.L / 2 - grid.dx)
 
+    def test_phase_signs_follow_frequency_parity(self, grid):
+        q = np.arange(grid.n // 2 + 1)
+        assert np.array_equal(_context(grid).signs, (-1.0) ** q)
+
 
 class TestFieldValidation:
     def test_sample_count_checked(self, grid):
@@ -79,6 +83,23 @@ class TestTransforms:
             f = fields.random_band_limited(grid, rng, band=grid.n // 3, decay=0.5)
             r = irfft(forward(f).coeffs, grid.n)
             assert np.linalg.norm(r - f.samples) < 1e-13 * np.linalg.norm(f.samples)
+
+    def test_plancherel(self, grid, rng):
+        # sum f^2 = (1/n) sum_q w_q |c_q|^2 over the half spectrum
+        f = fields.random_band_limited(grid, rng, band=grid.n // 3, decay=0.0)
+        c = forward(f).coeffs
+        l2 = math.sqrt(grid.dx / grid.n * float(np.sum(_context(grid).weights * np.abs(c) ** 2)))
+        assert abs(f.l2() - l2) < 1e-13 * f.l2()
+
+    def test_coefficients_match_integral_transform(self):
+        # Gaussian: hat(f)(xi) = sqrt(pi) exp(-xi^2/4), real and positive;
+        # dx (-1)^q c_q is the trapezoid rule for the integral on [-L/2, L/2)
+        g = make_grid(512, 60.0)
+        f = fields.gaussian(g, width=1.0)
+        ctx = _context(g)
+        approx = g.dx * ctx.signs * forward(f).coeffs
+        expect = math.sqrt(math.pi) * np.exp(-(ctx.xi ** 2) / 4.0)
+        assert np.max(np.abs(approx - expect)) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
