@@ -1,12 +1,13 @@
 """Singular profiles, focusing data, rational-time contrasts, and tail gains.
 
-The construction superposes back-propagated copies of a profile with one
-derivative-jump point.  Under the linear flow each copy refocuses exactly at
-its own rational time (group law on the grid), recreating the jump at a
-predictable location, while at generic irrational times every copy is a
-dispersed smooth wave.  A second-difference quotient of the j-th derivative
-witnesses the jump; spectral tail exponents quantify smoothness gains of the
-nonlinear (Duhamel) part.
+The construction superposes back-propagated copies of the profile
+``exp(-2 |x - c|^(j+1))``, which for even ``j`` has one derivative-jump
+point.  Under the linear flow each copy refocuses exactly at its own rational
+time (group law on the grid), recreating the jump at a predictable location,
+while at generic irrational times every copy is a dispersed smooth wave.  A
+second-difference quotient of the j-th derivative, over steps of 16, 8, 4
+and 2 grid cells, witnesses the jump; spectral tail exponents quantify
+smoothness gains of the nonlinear (Duhamel) part.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ from .errors import TailFitError
 from .propagators import DispersionParams, Trajectory, dispersion_phase
 from .spectral import (Grid, RealField, SpectralField, _context, dealias_cutoff,
                        deriv_symbol, forward, synthesize_at)
+
+#: steps ``h`` of the jump quotient, in grid cells
+_H_CELLS = (16, 8, 4, 2)
+#: range ``p, q <= _PROBE_KMAX`` of the irrational probe's gap certificate
+_PROBE_KMAX = 50
+#: log bins of a tail fit
+_TAIL_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,6 @@ class BlowupDatumSpec:
     pmax: int = 2
     scheme: str = "normalized"
     delta: float = 0.15
-    profile_alpha: float | None = None    # default j+1
 
     def __post_init__(self):
         if self.qmax < 1 or self.pmax < 1:
@@ -103,7 +110,7 @@ class DatumTerm:
 def build_blowup_datum(spec: BlowupDatumSpec, params: DispersionParams,
                        grid: Grid) -> tuple[RealField, list[DatumTerm]]:
     """Superpose back-propagated translated profiles; return field + manifest."""
-    alpha = spec.profile_alpha if spec.profile_alpha is not None else params.j + 1.0
+    alpha = params.j + 1.0
     pairs = coprime_pairs(spec.pmax, spec.qmax)
     if not pairs:
         raise ValueError("empty truncation")
@@ -130,8 +137,8 @@ class GapCertificate:
     rational_in_range: bool
 
 
-def irrationality_gap(t: float, kmax: int, exponent: int = 3) -> GapCertificate:
-    """Brute-force lower bound ``min |t - p/q| (p+q)^exponent`` over p,q <= kmax."""
+def irrationality_gap(t: float, kmax: int) -> GapCertificate:
+    """Brute-force lower bound ``min |t - p/q| (p+q)^3`` over p,q <= kmax."""
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     best, arg = math.inf, (0, 0)
@@ -139,7 +146,7 @@ def irrationality_gap(t: float, kmax: int, exponent: int = 3) -> GapCertificate:
         for p in range(1, kmax + 1):
             if gcd(p, q) != 1:
                 continue
-            val = abs(t - p / q) * (p + q) ** exponent
+            val = abs(t - p / q) * (p + q) ** 3
             if val < best:
                 best, arg = val, (p, q)
             if val == 0.0:
@@ -147,31 +154,27 @@ def irrationality_gap(t: float, kmax: int, exponent: int = 3) -> GapCertificate:
     return GapCertificate(t, kmax, best, arg, False)
 
 
-def tail_exponent(F: SpectralField, xi_lo: float | None = None,
-                  xi_hi: float | None = None, nbins: int = 10) -> float:
-    """Decay exponent p of ``|coeff| ~ |xi|^-p`` over the top two octaves.
+def tail_exponent(F: SpectralField, xi_lo: float, xi_hi: float) -> float:
+    """Decay exponent p of ``|coeff| ~ |xi|^-p`` on ``xi_lo < |xi| < xi_hi``.
 
     Log-binned geometric means over the rfft bins are fitted to tame
     random-phase scatter; a bin counts when it holds two modes, and the range
-    must hold ``2 * nbins``.  Positive return means decay.  Raises :class:`TailFitError` when fewer than four populated bins
-    or less than one octave are available.
+    must hold two modes per bin.  Positive return means decay.  Raises
+    :class:`TailFitError` when fewer than four populated bins or less than
+    one octave are available.
     """
     xi = _context(F.grid).xi
-    if xi_hi is None:
-        xi_hi = float(xi.max())
-    if xi_lo is None:
-        xi_lo = xi_hi / 4.0
     if not xi_hi > 2.0 * xi_lo:
         raise TailFitError("need at least one octave between xi_lo and xi_hi")
     sel = (xi > xi_lo) & (xi < xi_hi)
-    if np.count_nonzero(sel) < 2 * nbins:
+    if np.count_nonzero(sel) < 2 * _TAIL_BINS:
         raise TailFitError("too few modes in the fit range")
     lx = np.log(xi[sel])
     ly = np.log(np.abs(F.coeffs[sel]) + 1e-300)
-    edges = np.linspace(lx.min(), lx.max() * (1 + 1e-12), nbins + 1)
+    edges = np.linspace(lx.min(), lx.max() * (1 + 1e-12), _TAIL_BINS + 1)
     idx = np.digitize(lx, edges) - 1
     bx, by = [], []
-    for b in range(nbins):
+    for b in range(_TAIL_BINS):
         m = idx == b
         if np.count_nonzero(m) >= 2:
             bx.append(float(lx[m].mean()))
@@ -183,31 +186,23 @@ def tail_exponent(F: SpectralField, xi_lo: float | None = None,
 
 
 def _quotient(params: DispersionParams, u0h: np.ndarray, grid: Grid, t: float,
-              order: int, x_star: float, h_set, halfwidth: float,
-              n_offsets: int) -> float:
-    """Second-difference quotient of d^order W(t)u0, optionally window-sup.
+              x_star: float, h_set) -> float:
+    """Second-difference quotient of ``d^j W(t)u0`` at ``x_star``.
 
-    The quotient ``|d^m f(x*+h) - 2 d^m f(x*) + d^m f(x*-h)| / (2h)`` is
+    The quotient ``|d^j f(x*+h) - 2 d^j f(x*) + d^j f(x*-h)| / (2h)`` is
     maximized over ``h_set`` by band-limited off-node evaluation.  A jump of
-    size ``J`` in ``d^(m+1) f`` at ``x*`` drives it to ``J`` as ``h -> 0``;
-    for ``f`` smooth to order ``m + 2`` it vanishes linearly in ``h``.
+    size ``J`` in ``d^(j+1) f`` at ``x*`` drives it to ``J`` as ``h -> 0``;
+    for ``f`` smooth to order ``j + 2`` it vanishes linearly in ``h``.
     ``u0h`` holds the coefficients of ``forward(u0)``.
     """
     theta = dispersion_phase(params, grid)
-    dF = SpectralField(grid, deriv_symbol(grid, order) * np.exp(1j * t * theta) * u0h)
-    offsets = (np.linspace(-halfwidth, halfwidth, n_offsets)
-               if halfwidth > 0 else np.array([0.0]))
-    best = 0.0
-    for off in offsets:
-        pts = [x_star + off]
-        for h in h_set:
-            pts += [x_star + off - h, x_star + off + h]
-        vals = synthesize_at(dF, np.array(pts))
-        center = vals[0]
-        for i, h in enumerate(h_set):
-            q = abs(vals[2 * i + 2] - 2.0 * center + vals[2 * i + 1]) / (2.0 * h)
-            best = max(best, q)
-    return best
+    dF = SpectralField(grid, deriv_symbol(grid, params.j) * np.exp(1j * t * theta) * u0h)
+    pts = [x_star]
+    for h in h_set:
+        pts += [x_star - h, x_star + h]
+    vals = synthesize_at(dF, np.array(pts))
+    return max(abs(vals[2 * i + 2] - 2.0 * vals[0] + vals[2 * i + 1]) / (2.0 * h)
+               for i, h in enumerate(h_set))
 
 
 @dataclass
@@ -224,47 +219,37 @@ class ContrastRecord:
 
 def blowup_contrast(datum: tuple[RealField, list[DatumTerm]],
                     params: DispersionParams,
-                    t_rational: float, t_irrational: float = math.sqrt(2.0),
-                    x_star: float | None = None, h_set=None,
-                    probe_halfwidth: float = 0.0, n_offsets: int = 9,
-                    kmax: int = 50) -> list[ContrastRecord]:
+                    t_rational: float,
+                    t_irrational: float = math.sqrt(2.0)) -> list[ContrastRecord]:
     """Jump-quotient contrast between a manifest time and an irrational probe.
 
     ``datum`` is the ``(u0, manifest)`` pair of :func:`build_blowup_datum`.
     It is evolved linearly to both times; at each singular location of
-    ``t_rational`` (or at ``x_star`` only, when given) the ratio of the
-    second-difference quotients is reported.  ``probe_halfwidth > 0`` takes a
-    local sup over a window of offsets, stabilizing background comparisons.
+    ``t_rational`` the ratio of the second-difference quotients is reported.
     The irrational probe must carry a positive gap certificate.
     """
-    cert = irrationality_gap(t_irrational, kmax)
+    cert = irrationality_gap(t_irrational, _PROBE_KMAX)
     if cert.rational_in_range:
-        raise ValueError(f"probe time {t_irrational} is rational within kmax={kmax}")
+        raise ValueError(f"probe time {t_irrational} is rational within kmax={_PROBE_KMAX}")
     u0, manifest = datum
     grid = u0.grid
     locations = sorted({t.singular_location for t in manifest
                         if abs(t.singular_time - t_rational) < 1e-12})
     if not locations:
         raise ValueError(f"t={t_rational} is not a singular time of the manifest")
-    if x_star is not None:
-        locations = [x_star]
-    if h_set is None:
-        h_set = tuple(grid.dx * c for c in (16, 8, 4, 2))
+    h_set = tuple(grid.dx * c for c in _H_CELLS)
     u0h = forward(u0).coeffs
     out = []
     for loc in locations:
-        qr = _quotient(params, u0h, grid, t_rational, params.j, loc, h_set,
-                       probe_halfwidth, n_offsets)
-        qi = _quotient(params, u0h, grid, t_irrational, params.j, loc, h_set,
-                       probe_halfwidth, n_offsets)
+        qr = _quotient(params, u0h, grid, t_rational, loc, h_set)
+        qi = _quotient(params, u0h, grid, t_irrational, loc, h_set)
         out.append(ContrastRecord(t_rational, loc, qr, qi))
     return out
 
 
 def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
                         params: DispersionParams, t_excluded: float,
-                        t_irrational: float = math.sqrt(2.0),
-                        h_set=None) -> float:
+                        t_irrational: float = math.sqrt(2.0)) -> float:
     """Geometric-mean quotient ratio at the manifest locations.
 
     ``datum`` is the ``(u0, manifest)`` pair of :func:`build_blowup_datum`.
@@ -278,13 +263,12 @@ def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
     if any(abs(trm.singular_time - t_excluded) < 1e-12 for trm in manifest):
         raise ValueError(f"t={t_excluded} is a manifest singular time")
     locations = sorted({trm.singular_location for trm in manifest})
-    if h_set is None:
-        h_set = tuple(grid.dx * c for c in (16, 8, 4, 2))
+    h_set = tuple(grid.dx * c for c in _H_CELLS)
     u0h = forward(u0).coeffs
     logs = []
     for loc in locations:
-        qe = _quotient(params, u0h, grid, t_excluded, params.j, loc, h_set, 0.0, 1)
-        qi = _quotient(params, u0h, grid, t_irrational, params.j, loc, h_set, 0.0, 1)
+        qe = _quotient(params, u0h, grid, t_excluded, loc, h_set)
+        qi = _quotient(params, u0h, grid, t_irrational, loc, h_set)
         logs.append(math.log(qe / qi))
     return math.exp(sum(logs) / len(logs))
 
@@ -303,8 +287,7 @@ class SmoothingGainReport:
     reason: str = ""
 
 
-def smoothing_gain(traj: Trajectory, u0: RealField,
-                   params: DispersionParams | None = None) -> SmoothingGainReport:
+def smoothing_gain(traj: Trajectory, u0: RealField) -> SmoothingGainReport:
     """Tail-exponent gain of the Duhamel part over the linear evolution.
 
     Fits decay exponents of ``z(T)`` and ``W(T) u0`` over the top two octaves
@@ -317,9 +300,7 @@ def smoothing_gain(traj: Trajectory, u0: RealField,
     ``gain=None`` when the Duhamel part sits at the solver's noise floor
     (e.g. linear-limit amplitudes).
     """
-    params = params or traj.params
-    if params is None:
-        raise ValueError("dispersion parameters unavailable")
+    params = traj.params
     g = traj.grid
     T = float(traj.times[-1])
     theta = dispersion_phase(params, g)

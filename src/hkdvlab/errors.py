@@ -36,10 +36,6 @@ class TailFitError(HkdvError):
     """Spectral tail fit attempted on too narrow a frequency range."""
 
 
-class EnvelopeTooNarrow(HkdvError):
-    """Oscillatory-kernel envelope too narrow for the probed x-range."""
-
-
 class KernelWindowError(HkdvError):
     """The oscillatory-kernel sup lies on the edge of its evaluation window."""
 

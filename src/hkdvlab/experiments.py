@@ -26,7 +26,7 @@ from . import fields
 from .blowup import (BlowupDatumSpec, blowup_contrast, build_blowup_datum,
                      excluded_time_ratio, irrationality_gap, smoothing_gain)
 from .errors import ConfigError
-from .identities import (dispersive_decay_probe, solve_coefficients,
+from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator)
 from .norms import (MixedNormSpec, mixed_norm, CutoffSpec, make_cutoff,
                     WindowSpec, window_energy, weighted_norm)
@@ -283,6 +283,8 @@ def _run_decay(cfg: ExperimentConfig, outdir: str):
 
 
 def _check_identities(v: dict) -> None:
+    _need(1 <= v[("suite", "reduction_j_max")] <= MAX_COEFF_ORDER,
+          f"suite.reduction_j_max must lie in [1, {MAX_COEFF_ORDER}]")
     n = v[("suite", "algebra_n")]
     _need(n >= 16 and n % 2 == 0, "suite.algebra_n must be even and >= 16")
     _need(v[("suite", "algebra_L")] > 0, "suite.algebra_L must be positive")
@@ -418,6 +420,7 @@ def _check_persistence(v: dict) -> None:
     _need(v[("suite", "r")] > 0 and v[("suite", "r")] < 1, "suite.r must lie in (0,1)")
     _need(v[("suite", "s")] >= 2 * v[("params", "j")] * v[("suite", "r")],
           "suite.s must satisfy s >= 2*j*r")
+    _need(v[("suite", "width")] > 0, "suite.width must be positive")
 
 
 def _run_persistence(cfg: ExperimentConfig, outdir: str):
@@ -470,6 +473,7 @@ def _check_propagation(v: dict) -> None:
     _need(v[("suite", "window_R")] > v[("suite", "window_eps")],
           "suite.window_R must exceed suite.window_eps")
     _need(v[("suite", "stride")] >= 1, "suite.stride must be >= 1")
+    _need(v[("suite", "window_v")] >= 0, "suite.window_v must be >= 0")
 
 
 def _run_propagation(cfg: ExperimentConfig, outdir: str):
@@ -595,6 +599,8 @@ def _run_blowup(cfg: ExperimentConfig, outdir: str):
 
 def _check_smoothing(v: dict) -> None:
     _need(v[("suite", "s")] >= 2, "suite.s must be >= j+1 = 2")
+    for key in ("L_k1", "L_k2"):
+        _need(v[("suite", key)] > 0, f"suite.{key} must be positive")
 
 
 def _run_smoothing(cfg: ExperimentConfig, outdir: str):
@@ -612,7 +618,7 @@ def _run_smoothing(cfg: ExperimentConfig, outdir: str):
         params = DispersionParams(1, k)
         traj = evolve(params, u0, v[("suite", "T")], v[("suite", f"dt_k{k}")],
                       stride=10 ** 9)
-        rep = smoothing_gain(traj, u0, params)
+        rep = smoothing_gain(traj, u0)
         rows.append((1, k, L, cfg.seed, rep.tail_linear, rep.tail_duhamel,
                      rep.drift, rep.gain))
         checks.append(Check(f"gain_j1_k{k}", rep.gain if rep.gain is not None else -99.0,

@@ -1,4 +1,5 @@
-"""Reusable datum constructors for tests and experiments."""
+"""Datum constructors of the suites: Gaussians, zero-mean random fields of
+prescribed spectral decay, the glued datum, reflection and weights."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ def gaussian(grid: Grid, center: float = 0.0, width: float = 1.0,
 
 
 def random_band_limited(grid: Grid, rng: np.random.Generator, band: int,
-                        amplitude: float = 1.0, decay: float = 0.0) -> RealField:
-    """Random real field supported on ``1 <= |q| <= band``.
+                        decay: float = 0.0) -> RealField:
+    """Random real field supported on ``1 <= |q| <= band``, with ``max|f| = 1``.
 
     Coefficient magnitudes fall off like ``q**-decay``; phases are uniform.
     Zero mean by construction.
@@ -31,7 +32,7 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, band: int,
     half = mags * np.exp(1j * phases)
     samples = irfft(half, grid.n)
     peak = float(np.max(np.abs(samples))) or 1.0
-    return RealField(grid, samples * (amplitude / peak))
+    return RealField(grid, samples * (1.0 / peak))
 
 
 def _enveloped_zero_mean(grid: Grid, samples: np.ndarray,
@@ -51,25 +52,18 @@ def _enveloped_zero_mean(grid: Grid, samples: np.ndarray,
 
 
 def rough_spectrum_field(grid: Grid, rng: np.random.Generator, s: float,
-                         amplitude: float = 1.0, band: tuple[float, float] | None = None,
-                         envelope: tuple[float, float] | None = None) -> RealField:
+                         amplitude: float = 1.0) -> RealField:
     """Random field with spectral tail ``|coeff| ~ (1+|xi|)^-(s+1/2)``.
 
-    Zero mean; optional frequency band restriction and Gaussian spatial
-    envelope ``(center, width)``.  The tail exponent makes the field a grid
-    representative of Sobolev regularity ``s``.
+    Zero mean.  The tail exponent makes the field a grid representative of
+    Sobolev regularity ``s``.
     """
     nf = grid.n // 2 + 1
     xif = _context(grid).xi
     mags = np.zeros(nf)
     mags[1:] = (1.0 + xif[1:]) ** (-(s + 0.5))
-    if band is not None:
-        lo, hi = band
-        mags[(xif < lo) | (xif > hi)] = 0.0
     phases = rng.uniform(0.0, 2.0 * np.pi, nf)
     samples = irfft(mags * np.exp(1j * phases), grid.n)
-    if envelope is not None:
-        samples = _enveloped_zero_mean(grid, samples, envelope)
     peak = float(np.max(np.abs(samples))) or 1.0
     return RealField(grid, samples * (amplitude / peak))
 

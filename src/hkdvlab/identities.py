@@ -2,20 +2,20 @@
 
 The reduction-coefficient system is solved in exact rational arithmetic; the
 weight/commutator identity is evaluated spectrally; the time decay of the
-oscillatory kernel is fitted from its sup on the Airy window.
+kernel of ``|xi|^((2j-1)/2)`` under the linear group is fitted from its sup
+on the Airy window, one envelope width at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.fft import ifft, next_fast_len
 
-from .errors import (EnvelopeTooNarrow, KernelGridTooLarge, KernelWindowError,
-                     PhaseRangeError)
+from .errors import KernelGridTooLarge, KernelWindowError, PhaseRangeError
 from .fields import weighted
 from .propagators import DispersionParams, linear_flow
 from .spectral import (RealField, _REDUCE_RANGE, _power, _reduce_2pi,
@@ -124,12 +124,11 @@ class DecayFit:
     """Slope fit of the oscillatory-kernel sup against time, per envelope."""
 
     j: int
-    beta: float
     envelopes: tuple[float, ...]
     t_list: tuple[float, ...]
-    sups: dict = field(default_factory=dict)       # envelope -> list of sup|I_t|
-    slopes: dict = field(default_factory=dict)     # envelope -> fitted slope
-    grid_sizes: dict = field(default_factory=dict)
+    sups: dict          # envelope -> list of sup|I_t|
+    slopes: dict        # envelope -> fitted slope
+    grid_sizes: dict    # envelope -> list of kernel grid sizes
 
     @property
     def slope_shift(self) -> float:
@@ -139,6 +138,8 @@ class DecayFit:
 
 
 _MAX_KERNEL_N = 2 ** 26
+#: length added to the kernel grid's span beyond the stationary-phase reach
+_PAD = 300.0
 #: half-width of the automatic sup window in units of t^(1/(2j+1)); the
 #: suite's argmax lies at |x| <= 19
 _WINDOW_REACH = 24.0
@@ -150,31 +151,26 @@ _MIN_FOLD = 1 << 14
 _BLOCK_BINS = 1 << 17
 
 
-def _kernel_grid(j: int, t: float, env: float, kappa: float, pad: float,
-                 x_probe: float | None) -> tuple[float, float, int]:
+def _kernel_grid(j: int, t: float, env: float, kappa: float) -> tuple[float, float, int]:
     """Span, node spacing and size ``n`` of the oscillatory-kernel grid.
 
     The span suppresses the stationary-phase fold from periodization by
     ``exp(-kappa^2)`` at the box edge; the spacing resolves the envelope up to
     ``xi = 3.2 env``, where it is below ``exp(-10.2) ~ 3.6e-5``.
     """
-    span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + pad
-    if x_probe is not None:
-        span = max(span, 4.0 * x_probe)
+    span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + _PAD
     dx = math.pi / (3.2 * env)
     return span, dx, next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
 
 
-def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
-                pad: float, x_probe: float | None) -> tuple[float, int]:
+def _kernel_sup(j: int, t: float, env: float, kappa: float) -> tuple[float, int]:
     """sup of the envelope-regularized oscillatory kernel on a window of nodes.
 
     The grid comes from ``_kernel_grid``.  The sup is taken over the ``2m+1``
-    nodes ``|x_k| <= 24 t^(1/(2j+1))`` (or ``|x_k| <= x_probe``), which hold
-    the Airy region; an argmax on the edge of the automatic window raises
-    ``KernelWindowError``.  No array of grid length is built: with ``Q`` the
-    smallest divisor of ``n`` of at least ``max(2^14, 2m+1)`` and ``P = n/Q``,
-    every bin ``q = aP + b`` (``a < Q``, ``b < P``) of the full spectrum is
+    nodes ``|x_k| <= 24 t^(1/(2j+1))``, which hold the Airy region; an argmax
+    on the edge of the window raises ``KernelWindowError``.  No array of grid
+    length is built: with ``Q`` the smallest divisor of ``n`` of at least
+    ``max(2^14, 2m+1)`` and ``P = n/Q``, every bin ``q = aP + b`` (``a < Q``, ``b < P``) of the full spectrum is
     given its signed frequency (``q - n`` where ``q > n//2``), and
     ``K(x_k) = sum_b e^(2 pi i b k/n) G_b(k mod Q)``, where ``G_b`` is the
     unnormalized ``Q``-point inverse DFT over ``a`` of the symbol on row
@@ -186,17 +182,13 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
     mirrors.  The Nyquist bin of an even ``n`` lies on one of those two rows,
     so it enters by the real part of its symbol.  Rows are evaluated a block
     of about ``2^17`` bins at a time, and each block is transformed by one
-    batched ``ifft``.  For ``beta != 0`` the even factor ``|xi|^{i beta}``
-    splits the symbol into two Hermitian symbols, ``cos(beta log|xi|)`` and
-    ``sin(beta log|xi|)`` times the rest; ``|K|`` is the root of the sum of
-    their kernels' squares.  The phase ``t theta`` is reduced by
-    ``_reduce_2pi`` in double; grids of ``2^22`` points and more then take the
-    amplitude, the trig and the transform in single precision (the sup is
-    needed to ~1e-3).  Raises ``KernelGridTooLarge`` past ``_MAX_KERNEL_N``
+    batched ``ifft``.  The phase ``t theta`` is reduced by ``_reduce_2pi`` in
+    double; grids of ``2^22`` points and more then take the amplitude, the
+    trig and the transform in single precision (the sup is needed to ~1e-3).  Raises ``KernelGridTooLarge`` past ``_MAX_KERNEL_N``
     points and ``PhaseRangeError`` when the largest phase is past the exact
     reduction.
     """
-    _, dx, n = _kernel_grid(j, t, env, kappa, pad, x_probe)
+    _, dx, n = _kernel_grid(j, t, env, kappa)
     if n > _MAX_KERNEL_N:
         raise KernelGridTooLarge(f"kernel grid n={n} for j={j}, t={t:g}, env={env:g} "
                                  f"exceeds the supported maximum {_MAX_KERNEL_N}")
@@ -209,8 +201,7 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
                               f"range {_REDUCE_RANGE:.4g}")
     big = n >= (1 << 22)
     real = np.float32 if big else np.float64
-    reach = _WINDOW_REACH * t ** (1.0 / (2 * j + 1)) if x_probe is None else x_probe
-    m = min(max(1, int(reach / dx)), half)
+    m = min(max(1, int(_WINDOW_REACH * t ** (1.0 / (2 * j + 1)) / dx)), half)
     k = np.arange(-m, m + 1)
     fold = min(n, max(_MIN_FOLD, k.size))
     Q = min(d for i in range(1, math.isqrt(n) + 1) if n % i == 0
@@ -222,7 +213,7 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
     rows = np.arange(P // 2 + 1)
     weight = np.where((rows == 0) | (2 * rows == P), 1.0, 2.0)
     block = max(1, _BLOCK_BINS // Q)
-    kern = np.zeros((1 if beta == 0.0 else 2, k.size))
+    kern = np.zeros(k.size)
     for b0 in range(0, rows.size, block):
         b = rows[b0:b0 + block]
         xi = b[:, None] + aP
@@ -232,68 +223,46 @@ def _kernel_sup(j: int, t: float, env: float, beta: float, kappa: float,
         phase *= sign * t
         ph = _reduce_2pi(phase).astype(real, copy=False)
         cos, sin = np.cos(ph), np.sin(ph)
-        axi = np.abs(xi)
-        if beta != 0.0:
-            lb = np.zeros_like(axi)
-            np.log(axi, out=lb, where=axi > 0)
-            lb *= beta
-        axi = axi.astype(real, copy=False)
+        axi = np.abs(xi).astype(real, copy=False)
         amp = np.sqrt(axi)
         for _ in range(j - 1):
             amp *= axi
         amp *= np.exp(-(axi / env) ** 2)
-        amps = (amp,) if beta == 0.0 else (amp * np.cos(lb), amp * np.sin(lb))
-        sym = np.empty((len(amps),) + xi.shape, dtype=np.complex64 if big else np.complex128)
-        for r, a in enumerate(amps):
-            a = a.astype(real, copy=False)
-            np.multiply(cos, a, out=sym.real[r])
-            np.multiply(sin, a, out=sym.imag[r])
-        g = ifft(sym, axis=-1, norm="forward", overwrite_x=True)[..., cols]
+        sym = np.empty(xi.shape, dtype=np.complex64 if big else np.complex128)
+        np.multiply(cos, amp, out=sym.real)
+        np.multiply(sin, amp, out=sym.imag)
+        g = ifft(sym, axis=-1, norm="forward", overwrite_x=True)[:, cols]
         twiddle = weight[b, None] * np.exp((2j * math.pi / n) * ((b[:, None] * k) % n))
-        kern += np.einsum("rbw,bw->rw", g, twiddle).real
-    power = np.sum(kern * kern, axis=0)
-    i = int(np.argmax(power))
-    if x_probe is None and m < half and i in (0, k.size - 1):
+        kern += np.einsum("bw,bw->w", g, twiddle).real
+    i = int(np.argmax(np.abs(kern)))
+    if m < half and i in (0, k.size - 1):
         raise KernelWindowError(
             f"kernel sup for j={j}, t={t:g}, env={env:g} lies at argmax index {i}, on "
             f"the edge of the window |x| <= {m * dx:.4g} of m={m} nodes each side")
-    return math.sqrt(float(power[i])) * two_pi_over_L, n
+    return abs(float(kern[i])) * two_pi_over_L, n
 
 
 def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),
-                           envelopes: tuple[float, ...] | None = None,
-                           beta: float = 0.0, x_probe: float | None = None,
-                           pad: float = 300.0) -> DecayFit:
+                           envelopes: tuple[float, ...] | None = None) -> DecayFit:
     """Fit the time-decay exponent of the weighted oscillatory kernel.
 
-    For each envelope width the kernel ``int |xi|^{(2j-1)/2 + i beta}
+    For each envelope width the kernel ``int |xi|^{(2j-1)/2}
     exp(i t theta(xi) + i x xi) exp(-(xi/env)^2) dxi`` is synthesized on an
     auto-sized grid, its sup over x recorded per t, and the log-log slope
     fitted.  Default envelopes: ``(4, 8)`` for j=1 and ``(3, 6)`` for j=2;
     robustness is judged by the slope shift under envelope doubling.
-
-    When ``x_probe`` restricts the sup to ``|x| <= x_probe``, widths below
-    four times the largest stationary-phase frequency ``(x_probe/t)^(1/2j)``
-    are rejected.
     """
     if min(t_list) < 1.0:
         raise ValueError("t_list entries must be >= 1")
     if envelopes is None:
         envelopes = (4.0, 8.0) if j == 1 else (3.0, 6.0)
-    if x_probe is not None:
-        need = 4.0 * max((x_probe / t) ** (1.0 / (2 * j)) for t in t_list)
-        bad = [e for e in envelopes if e < need]
-        if bad:
-            raise EnvelopeTooNarrow(
-                f"envelopes {bad} below 4x the stationary-phase scale {need / 4.0:.3g} "
-                f"for |x| <= {x_probe}")
-    fit = DecayFit(j, beta, tuple(envelopes), tuple(float(t) for t in t_list))
+    fit = DecayFit(j, tuple(envelopes), tuple(float(t) for t in t_list), {}, {}, {})
     for env in envelopes:
         sups, ns = [], []
         for t in t_list:
-            span, dx, _ = _kernel_grid(j, t, env, 2.0, pad, None)
+            span, dx, _ = _kernel_grid(j, t, env, 2.0)
             kappa = 1.62 if span / dx > (1 << 23) else 2.0
-            sup, n = _kernel_sup(j, float(t), env, beta, kappa, pad, x_probe)
+            sup, n = _kernel_sup(j, float(t), env, kappa)
             sups.append(sup)
             ns.append(n)
         fit.sups[env] = sups

@@ -235,20 +235,17 @@ def _band_integral(g: np.ndarray, grid, a: float, b: float) -> float:
     return _halfline_integral(g, grid, a) - _halfline_integral(g, grid, b)
 
 
-def window_energy(traj: Trajectory, w: WindowSpec, j: int | None = None):
+def window_energy(traj: Trajectory, w: WindowSpec):
     """Half-line energies at every stored time and the band space-time integral.
 
     Returns ``(table, spacetime)``.  ``table`` has shape ``(len(traj), m + 1)``
     and ``table[i, l]`` is the window integral of ``(d^l u)^2`` at the i-th
     stored time, so ``table.max(axis=0)`` are the sup-in-time energies and
     ``table[0]`` the initial ones.  ``spacetime`` integrates ``(d^(m+j) u)^2``
-    over the moving band and [0, T].  ``j`` defaults to the trajectory's
-    dispersion order.
+    over the moving band and [0, T], with ``j`` the trajectory's dispersion
+    order.
     """
-    if j is None:
-        if traj.params is None:
-            raise ValueError("dispersion order j unavailable")
-        j = traj.params.j
+    j = traj.params.j
     grid = traj.grid
     x_lo, x_hi = grid.nodes[0], grid.nodes[-1]
     for t in traj.times:

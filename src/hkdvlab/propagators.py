@@ -57,15 +57,14 @@ def linear_flow(params: DispersionParams, t: float, u0: RealField) -> RealField:
 
 
 def conjugated_flow(params: DispersionParams, spec: ConjugationSpec, t: float,
-                    w0: RealField, growth_cap: float = 2.0) -> RealField:
+                    w0: RealField) -> RealField:
     """Exponentially conjugated semigroup ``exp(-t (i xi - sigma)^(2j+1))``.
 
     The symbol magnitude is checked on every grid frequency before use: the
     call is rejected with :class:`UnstableConjugation` when it exceeds
-    ``exp(growth_cap * |t|)`` anywhere, which catches the wrong pairing of
-    weight orientation and time direction for the given parity of ``j``.  The
-    default cap of 2 suits ``j`` odd; the conjugation for ``j = 2`` is a
-    legitimate semigroup of type 4 and needs ``growth_cap >= 4``.
+    ``exp(2 |t|)`` anywhere, which catches the wrong pairing of weight
+    orientation and time direction for ``j = 1``.  Every ``j >= 2`` grows
+    past that bound (``j = 2``, ``sigma = -1``, ``t > 0`` is of type 4).
     """
     if t == 0.0:
         return RealField(w0.grid, w0.samples.copy())
@@ -75,10 +74,10 @@ def conjugated_flow(params: DispersionParams, spec: ConjugationSpec, t: float,
     xi = _context(g).xi
     z = (1j * xi - spec.sigma) ** (2 * params.j + 1)
     growth = -t * z.real
-    if float(growth.max()) > growth_cap * abs(t):
+    if float(growth.max()) > 2.0 * abs(t):
         raise UnstableConjugation(
             f"symbol magnitude reaches exp({float(growth.max()):.3g}) > "
-            f"exp({growth_cap * abs(t):.3g}); sigma={spec.sigma:+d} with this "
+            f"exp({2.0 * abs(t):.3g}); sigma={spec.sigma:+d} with this "
             f"time direction is unstable for j={params.j}")
     # irfft reads only the real part of the Nyquist bin
     return _apply_half(w0, np.exp(-t * z))
@@ -91,7 +90,7 @@ class Trajectory:
     grid: Grid
     times: np.ndarray
     slices: list[RealField]
-    params: DispersionParams | None = None
+    params: DispersionParams
     dt: float | None = None
     stride: int | None = None
 
@@ -207,12 +206,9 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     return Trajectory(g, np.array(times), slices, params, dt, stride)
 
 
-def duhamel_split(traj: Trajectory, u0: RealField,
-                  params: DispersionParams | None = None) -> Trajectory:
+def duhamel_split(traj: Trajectory, u0: RealField) -> Trajectory:
     """Nonlinear part ``z(t) = u(t) - W(t) u0`` at every stored time."""
-    params = params or traj.params
-    if params is None:
-        raise ValueError("dispersion parameters unavailable")
+    params = traj.params
     if u0.grid != traj.grid:
         raise ValueError("datum grid differs from trajectory grid")
     g = traj.grid
@@ -225,16 +221,14 @@ def duhamel_split(traj: Trajectory, u0: RealField,
     return Trajectory(g, traj.times.copy(), slices, params, traj.dt, traj.stride)
 
 
-def duhamel_quadrature(traj: Trajectory, params: DispersionParams | None = None) -> RealField:
+def duhamel_quadrature(traj: Trajectory) -> RealField:
     """Composite-Simpson evaluation of the Duhamel integral at the final time.
 
     Independent cross-check of :func:`duhamel_split`: integrates
     ``W(T - t') N(u(t'))`` over the stored slices.  Needs an even number of
     uniformly spaced intervals.
     """
-    params = params or traj.params
-    if params is None:
-        raise ValueError("dispersion parameters unavailable")
+    params = traj.params
     m = len(traj) - 1
     if m < 2 or m % 2 != 0:
         raise ValueError("Simpson quadrature needs an even interval count")

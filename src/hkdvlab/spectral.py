@@ -40,6 +40,8 @@ from .errors import BandLimitError, BoundaryDecayError
 
 #: default relative boundary amplitude above which decay gates abort
 DECAY_GATE = 1e-6
+#: kernel periods summed exactly before the closed-form fold tail
+_KERNEL_FOLDS = 3
 
 
 @dataclass(frozen=True)
@@ -273,12 +275,12 @@ def stein_constant(alpha: float) -> float:
             / (2.0 ** alpha * math.gamma((1.0 + alpha) / 2.0)))
 
 
-def _stein_truncated(f: RealField, alpha: float, m_min: int, kernel_folds: int) -> np.ndarray:
+def _stein_truncated(f: RealField, alpha: float, m_min: int) -> np.ndarray:
     """Trapezoid evaluation of the truncated principal-value integral.
 
     Integrates the even difference ``f(x+y) + f(x-y) - 2 f(x)`` against the
     periodized kernel ``sum_m |y + m L|^{-1-alpha}`` over ``|y| in
-    [m_min*dx, L/2]``.  The fold tail beyond ``kernel_folds`` periods is added
+    [m_min*dx, L/2]``.  The fold tail beyond ``_KERNEL_FOLDS`` periods is added
     in closed form through its constant and quadratic Taylor terms (Hurwitz
     zeta sums); without those terms the quadrature stalls at O(L^{alpha-1}).
     """
@@ -290,7 +292,7 @@ def _stein_truncated(f: RealField, alpha: float, m_min: int, kernel_folds: int) 
     # with the kernel placed at the offsets +m and -m (both are n/2 at m = n/2)
     y = np.arange(m_min, half + 1) * dx
     ker = y ** (-1.0 - alpha)
-    for fold in range(1, kernel_folds + 1):
+    for fold in range(1, _KERNEL_FOLDS + 1):
         ker += (fold * L + y) ** (-1.0 - alpha) + (fold * L - y) ** (-1.0 - alpha)
     ker[[0, -1]] *= 0.5
     kern = np.zeros(n)
@@ -299,8 +301,8 @@ def _stein_truncated(f: RealField, alpha: float, m_min: int, kernel_folds: int) 
     acc = irfft(rfft(s) * rfft(kern), n) - (2.0 * np.sum(ker)) * s
     acc *= dx
     x = g.nodes
-    c0 = 2.0 * zeta(1.0 + alpha, kernel_folds + 1) / L ** (1.0 + alpha)
-    c2 = (1.0 + alpha) * (2.0 + alpha) * zeta(3.0 + alpha, kernel_folds + 1) / L ** (3.0 + alpha)
+    c0 = 2.0 * zeta(1.0 + alpha, _KERNEL_FOLDS + 1) / L ** (1.0 + alpha)
+    c2 = (1.0 + alpha) * (2.0 + alpha) * zeta(3.0 + alpha, _KERNEL_FOLDS + 1) / L ** (3.0 + alpha)
     m0 = dx * np.sum(s)
     m1 = dx * np.sum(x * s)
     m2 = dx * np.sum(x * x * s)
@@ -309,8 +311,7 @@ def _stein_truncated(f: RealField, alpha: float, m_min: int, kernel_folds: int) 
     return acc / stein_constant(alpha)
 
 
-def stein_deriv(f: RealField, alpha: float, eps_seq: Sequence[float] | None = None,
-                kernel_folds: int = 3) -> RealField:
+def stein_deriv(f: RealField, alpha: float, eps_seq: Sequence[float] | None = None) -> RealField:
     """Principal-value fractional derivative of order ``alpha`` in (0, 2).
 
     Each entry of ``eps_seq`` (decreasing inner cutoffs, snapped to whole grid
@@ -338,7 +339,7 @@ def stein_deriv(f: RealField, alpha: float, eps_seq: Sequence[float] | None = No
         if ms and m >= ms[-1]:
             raise ValueError("eps_seq must strictly decrease after cell snapping")
         ms.append(m)
-    vals = [_stein_truncated(f, alpha, m, kernel_folds) for m in ms]
+    vals = [_stein_truncated(f, alpha, m) for m in ms]
     if len(vals) == 1:
         return RealField(g, vals[0])
     p = 2.0 - alpha
@@ -359,12 +360,13 @@ def dealias_cutoff(n: int, k: int = 1) -> int:
     return (n - 1) // (k + 2)
 
 
-def band_limit_check(f: RealField, max_index: int, rel: float = 1e-10) -> None:
-    """Reject fields with spectral content beyond ``|q| <= max_index``."""
+def band_limit_check(f: RealField, max_index: int) -> None:
+    """Reject fields with spectral content beyond ``|q| <= max_index`` above
+    ``1e-10`` of the peak coefficient."""
     mags = np.abs(forward(f).coeffs)
     peak = float(mags.max()) or 1.0
     outside = mags[np.arange(mags.size) > max_index]
-    if outside.size and float(outside.max()) > rel * peak:
+    if outside.size and float(outside.max()) > 1e-10 * peak:
         raise BandLimitError(
             f"field has spectral content beyond |q| = {max_index} "
             f"({float(outside.max()):.2e} vs peak {peak:.2e})")

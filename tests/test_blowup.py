@@ -21,11 +21,17 @@ J2 = DispersionParams(2, 1)
 
 def _jump_quotient(f, order, x_star, h_set=None):
     """The suite's second-difference quotient of ``d^order f`` at ``x_star``,
-    taken at ``t = 0``, where ``W(0)`` is the identity."""
+    taken at ``t = 0``, where ``W(0)`` is the identity for every ``j``."""
     g = f.grid
     if h_set is None:
         h_set = tuple(g.dx * c for c in (16, 8, 4, 2))
-    return _quotient(J2, forward(f).coeffs, g, 0.0, order, x_star, h_set, 0.0, 1)
+    return _quotient(DispersionParams(order), forward(f).coeffs, g, 0.0, x_star, h_set)
+
+
+def _top_octaves_tail(F):
+    """``tail_exponent`` over the top two octaves of the grid."""
+    xi_hi = float(np.max(np.abs(F.grid.frequencies)))
+    return tail_exponent(F, xi_hi / 4.0, xi_hi)
 
 
 class TestSingularProfile:
@@ -39,7 +45,7 @@ class TestSingularProfile:
         spec = SingularProfileSpec(alpha=3.0)
         g = make_grid(8192, 160.0)
         prof = singular_profile(spec, g)
-        te = tail_exponent(forward(prof))
+        te = _top_octaves_tail(forward(prof))
         assert 3.5 < te < 4.5   # |profile_hat| ~ |xi|^-(alpha+1)
 
     def test_l2_against_quadrature(self):
@@ -139,12 +145,6 @@ class TestIrrationalityGap:
         assert cert.gap > 0
         assert not cert.rational_in_range
 
-    def test_golden_ratio_maximizes_quadratic_certificate(self):
-        golden = (1 + math.sqrt(5.0)) / 2
-        probes = (math.sqrt(2.0), golden, math.sqrt(3.0))
-        gaps = {t: irrationality_gap(t, 50, exponent=2).gap for t in probes}
-        assert max(gaps, key=gaps.get) == pytest.approx(golden)
-
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             irrationality_gap(0.5, 1)
@@ -182,7 +182,7 @@ class TestTailExponent:
     def test_prescribed_tail_recovered(self, rng):
         g = make_grid(4096, 160.0)
         f = fields.rough_spectrum_field(g, rng, s=2.0)
-        te = tail_exponent(forward(f))
+        te = _top_octaves_tail(forward(f))
         assert 2.0 < te < 3.0   # fitted on (1+xi)^-2.5 over the top octaves
 
     def test_too_few_octaves(self, rng):
@@ -243,7 +243,7 @@ class TestSmoothingGain:
         u0 = fields.gaussian(g, width=2.0, amplitude=1e-9)
         p = DispersionParams(1, 1)
         traj = evolve(p, u0, 0.1, 1e-3, stride=10 ** 9)
-        rep = smoothing_gain(traj, u0, p)
+        rep = smoothing_gain(traj, u0)
         assert rep.gain is None
         assert "noise floor" in rep.reason
 
@@ -257,7 +257,7 @@ class TestSmoothingGain:
         for amp in (0.5, 0.25):
             u0 = reference.scale(shape, amp / shape.linf())
             traj = evolve(p, u0, 0.25, 2e-4, stride=10 ** 9)
-            rep = smoothing_gain(traj, u0, p)
+            rep = smoothing_gain(traj, u0)
             gains.append(rep.gain)
         assert gains[0] == pytest.approx(gains[1], abs=0.1)
 
@@ -270,7 +270,7 @@ class TestSmoothingGain:
         p = DispersionParams(1, 2)
         T = v[("suite", "T")]
         traj = evolve(p, u0, T, v[("suite", "dt_k2")], stride=10 ** 9)
-        rep = smoothing_gain(traj, u0, p)
+        rep = smoothing_gain(traj, u0)
         assert rep.gain >= 0.5
         assert rep.drift == -T * float(np.mean(traj.slices[0].samples ** 2))
 
@@ -282,7 +282,7 @@ class TestSmoothingGain:
         u0 = _smoothing_k2_datum(v, seed)
         p = DispersionParams(1, 2)
         T, dt = v[("suite", "T")], v[("suite", "dt_k2")]
-        gains = [smoothing_gain(evolve(p, u0, T, h, stride=10 ** 9), u0, p).gain
+        gains = [smoothing_gain(evolve(p, u0, T, h, stride=10 ** 9), u0).gain
                  for h in (dt, dt / 2)]
         assert abs(gains[0] - gains[1]) <= 1e-5
 

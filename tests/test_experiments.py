@@ -74,6 +74,11 @@ dt = 0.004
         ("decay", "t_list", "2"),
         ("smoothing", "dt_k1", "3e-5"),
         ("smoothing", "dt_k2", "3e-4"),
+        ("smoothing", "L_k1", "-5"),
+        ("smoothing", "L_k2", "-5"),
+        ("propagation", "window_v", "-1"),
+        ("persistence", "width", "0"),
+        ("identities", "reduction_j_max", "40"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, suite, option, raw):
         text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"

@@ -7,17 +7,13 @@ from hkdvlab.norms import CutoffSpec, make_cutoff
 from hkdvlab.spectral import make_grid
 
 
-@pytest.mark.parametrize("build", [
-    lambda g, rng: fields.band_noise_by_index(g, rng, q_lo=3, q_hi=200, xi_decay=2.0,
-                                              envelope=(-5.0, 4.0)),
-    lambda g, rng: fields.rough_spectrum_field(g, rng, s=2.0, envelope=(-5.0, 4.0)),
-])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_enveloped_datum_has_zero_mean_and_no_seam(build, seed):
+def test_enveloped_datum_has_zero_mean_and_no_seam(seed):
     # the mean goes with the envelope, so nothing is left at the box edges,
     # where a constant offset would jump across the periodic seam
     g = make_grid(2048, 320.0)
-    f = build(g, np.random.default_rng(seed))
+    f = fields.band_noise_by_index(g, np.random.default_rng(seed), q_lo=3, q_hi=200,
+                                   xi_decay=2.0, envelope=(-5.0, 4.0))
     peak = f.linf()
     assert abs(np.mean(f.samples)) < 1e-15 * peak
     assert f.boundary_amplitude() < 1e-12 * peak
@@ -25,8 +21,8 @@ def test_enveloped_datum_has_zero_mean_and_no_seam(build, seed):
 
 def test_random_band_limited_support_and_peak(rng):
     g = make_grid(256, 40.0)
-    f = fields.random_band_limited(g, rng, band=30, amplitude=2.5)
-    assert f.linf() == pytest.approx(2.5, rel=1e-15)
+    f = fields.random_band_limited(g, rng, band=30)
+    assert f.linf() == pytest.approx(1.0, rel=1e-15)
     mags = np.abs(reference.forward(f))
     q = np.abs(g.freq_index)
     assert np.max(mags[(q < 1) | (q > 30)]) < 1e-13 * mags.max()

@@ -10,8 +10,8 @@ from scipy.fft import next_fast_len
 import hkdvlab.fields as fields
 import reference
 import hkdvlab.identities as identities
-from hkdvlab.errors import (BandLimitError, EnvelopeTooNarrow, KernelGridTooLarge,
-                            KernelWindowError, PhaseRangeError)
+from hkdvlab.errors import (BandLimitError, KernelGridTooLarge, KernelWindowError,
+                            PhaseRangeError)
 from hkdvlab.identities import (_MAX_KERNEL_N, _kernel_grid, _kernel_sup,
                                 dispersive_decay_probe, solve_coefficients,
                                 verify_reduction_identity, x_weight_commutator)
@@ -117,14 +117,6 @@ class TestCommutator:
 
 
 class TestDecayProbe:
-    def test_beta_sweep_runs(self):
-        fit = dispersive_decay_probe(1, t_list=(1, 2, 4), envelopes=(3.0,), beta=1.0)
-        assert 3.0 in fit.slopes
-
-    def test_envelope_too_narrow(self):
-        with pytest.raises(EnvelopeTooNarrow):
-            dispersive_decay_probe(1, t_list=(1, 2), envelopes=(1.0,), x_probe=400.0)
-
     def test_t_below_one_rejected(self):
         with pytest.raises(ValueError):
             dispersive_decay_probe(1, t_list=(0.5, 1, 2))
@@ -143,7 +135,7 @@ class TestDecayProbe:
         for kappa in (1.62, 2.0):
             for env in (3.0, 4.0, 6.0, 8.0):
                 for t in np.geomspace(1.0, 1e5, 400):
-                    _, dx, n = _kernel_grid(j, t, env, kappa, 300.0, None)
+                    _, dx, n = _kernel_grid(j, t, env, kappa)
                     if n <= _MAX_KERNEL_N:
                         top = max(top, t * (2.0 * math.pi / (n * dx) * (n // 2)) ** (2 * j + 1))
         assert top < _REDUCE_RANGE
@@ -158,20 +150,15 @@ class TestDecayProbe:
         monkeypatch.setattr(identities, "_WINDOW_REACH", 0.5)
         with pytest.raises(KernelWindowError, match=r"j=1, t=2, env=4 lies at argmax "
                                                     r"index (0|4), .* m=2 nodes"):
-            _kernel_sup(1, 2.0, 4.0, 0.0, 2.0, 300.0, None)
-
-    def test_probe_window_has_no_edge_check(self, monkeypatch):
-        monkeypatch.setattr(identities, "_WINDOW_REACH", 0.5)
-        sup, _ = _kernel_sup(1, 2.0, 4.0, 0.0, 2.0, 300.0, 0.5)
-        assert sup > 0.0
+            _kernel_sup(1, 2.0, 4.0, 2.0)
 
     def test_memory_is_bounded_by_the_block(self):
         # n = 5,080,320: a full-grid synthesis holds the half-spectrum symbol
         # and the kernel, 103 MiB traced; the folded one 40 MiB
-        _kernel_sup(1, 1.0, 4.0, 0.0, 2.0, 300.0, None)     # load the FFT backend
+        _kernel_sup(1, 1.0, 4.0, 2.0)     # load the FFT backend
         tracemalloc.start()
         try:
-            _, n = _kernel_sup(2, 4.0, 6.0, 0.0, 2.0, 300.0, None)
+            _, n = _kernel_sup(2, 4.0, 6.0, 2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,22 +169,20 @@ class TestDecayProbe:
         # the same n = 5,080,320 call: dense rows b <= P/2 in blocks of 2^17
         # bins peak near 8 MiB traced; rows filled only up to n//2 in blocks
         # of 2^20 bins held 40 MiB
-        _kernel_sup(1, 1.0, 4.0, 0.0, 2.0, 300.0, None)     # load the FFT backend
+        _kernel_sup(1, 1.0, 4.0, 2.0)     # load the FFT backend
         tracemalloc.start()
         try:
-            _kernel_sup(2, 4.0, 6.0, 0.0, 2.0, 300.0, None)
+            _kernel_sup(2, 4.0, 6.0, 2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
 
-def _reference_kernel_sup(j, t, env, beta, kappa, pad, x_probe):
+def _reference_kernel_sup(j, t, env, kappa):
     """The kernel sup from the full complex symbol and a complex inverse FFT."""
     xi_cut = 3.2 * env
-    span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + pad
-    if x_probe is not None:
-        span = max(span, 4.0 * x_probe)
+    span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + 300.0
     dx = math.pi / xi_cut
     n = next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
     big = n >= (1 << 22)
@@ -206,17 +191,12 @@ def _reference_kernel_sup(j, t, env, beta, kappa, pad, x_probe):
     axi = np.abs(xi)
     amp = np.sqrt(axi) * axi ** (j - 1) * np.exp(-(axi / env) ** 2)
     sign = 1.0 if j % 2 == 1 else -1.0
-    phase = sign * t * xi ** (2 * j + 1)
-    phase[axi > 0] += beta * np.log(axi[axi > 0])
-    phase = np.mod(phase, 2.0 * math.pi)
+    phase = np.mod(sign * t * xi ** (2 * j + 1), 2.0 * math.pi)
     if big:
         sym = (amp.astype(np.float32) * np.exp(1j * phase.astype(np.float32))).astype(np.complex64)
     else:
         sym = amp * np.exp(1j * phase)
     kern = np.abs(np.fft.ifft(sym))
-    if x_probe is not None:
-        m = max(1, int(x_probe / dx))
-        kern = np.concatenate([kern[:m + 1], kern[-m:]])
     return float(np.max(kern)) * 2.0 * xi_cut, n
 
 
@@ -224,17 +204,15 @@ class TestKernelAgainstComplexReference:
     """``_kernel_sup`` (half spectrum folded onto the sup window) against the
     full complex symbol synthesized on the whole grid with ``np.fft.ifft``."""
 
-    @pytest.mark.parametrize("j, env, t, beta, x_probe, rtol, n_expected", [
-        (1, 4.0, 1.0, 0.0, None, 1e-11, None),
-        (2, 3.0, 4.0, 0.0, None, 1e-11, None),
-        (1, 3.0, 2.0, 1.0, None, 1e-5, None),
-        (1, 8.0, 2.0, 0.0, 400.0, 1e-11, None),
-        (1, 3.0, 8.0, 0.0, None, 1e-11, 6237),          # odd n: no Nyquist bin
-        (2, 6.0, 4.0, 0.0, None, 1e-6, 5_080_320),
+    @pytest.mark.parametrize("j, env, t, rtol, n_expected", [
+        (1, 4.0, 1.0, 1e-11, None),
+        (2, 3.0, 4.0, 1e-11, None),
+        (1, 3.0, 8.0, 1e-11, 6237),          # odd n: no Nyquist bin
+        (2, 6.0, 4.0, 1e-6, 5_080_320),
     ])
-    def test_matches_reference(self, j, env, t, beta, x_probe, rtol, n_expected):
-        sup, n = _kernel_sup(j, t, env, beta, 2.0, 300.0, x_probe)
-        ref, n_ref = _reference_kernel_sup(j, t, env, beta, 2.0, 300.0, x_probe)
+    def test_matches_reference(self, j, env, t, rtol, n_expected):
+        sup, n = _kernel_sup(j, t, env, 2.0)
+        ref, n_ref = _reference_kernel_sup(j, t, env, 2.0)
         assert n == n_ref
         assert n == n_expected if n_expected else n < (1 << 22)
         assert sup == pytest.approx(ref, rel=rtol)
@@ -245,7 +223,7 @@ class TestKernelAgainstComplexReference:
     def test_suite_grid_window_holds_the_sup(self, j, env, t):
         # every decay-suite grid below 2^22 points: the sup over the window
         # equals the sup over the whole grid
-        sup, n = _kernel_sup(j, t, env, 0.0, 2.0, 300.0, None)
-        ref, n_ref = _reference_kernel_sup(j, t, env, 0.0, 2.0, 300.0, None)
+        sup, n = _kernel_sup(j, t, env, 2.0)
+        ref, n_ref = _reference_kernel_sup(j, t, env, 2.0)
         assert n == n_ref < (1 << 22)
         assert sup == pytest.approx(ref, rel=1e-12)

@@ -19,7 +19,7 @@ KDV = DispersionParams(1, 1)
 def _hs_norm(f, s):
     """The H^s norm as the persistence suite's ``sup_T_Hs`` column takes it:
     ``||J^s f||_{L^2}`` over a one-slice trajectory."""
-    traj = Trajectory(f.grid, np.array([0.0]), [f])
+    traj = Trajectory(f.grid, np.array([0.0]), [f], KDV)
     return mixed_norm(traj, MixedNormSpec(p=2, q=math.inf, order="t_outer_x_inner", js=s))
 
 
@@ -99,7 +99,7 @@ class TestMixedNorm:
         assert got == pytest.approx(0.5 ** 0.5 * lp4, rel=1e-12)
 
     def test_fubini_at_p_q_two(self, grid, rng):
-        u0 = fields.random_band_limited(grid, rng, band=30, amplitude=0.3)
+        u0 = reference.scale(fields.random_band_limited(grid, rng, band=30), 0.3)
         traj = evolve(KDV, u0, 0.2, 2e-3, stride=10)
         a = mixed_norm(traj, MixedNormSpec(p=2, q=2, order="x_outer_t_inner"))
         b = mixed_norm(traj, MixedNormSpec(p=2, q=2, order="t_outer_x_inner"))
@@ -108,8 +108,8 @@ class TestMixedNorm:
     def test_holder_consistency(self, grid, rng):
         # L^1_x L^2_T (f g) <= L^2_x L^inf_T(f) * L^2_xT(g)
         for _ in range(3):
-            u = fields.random_band_limited(grid, rng, band=30, amplitude=0.5)
-            v = fields.random_band_limited(grid, rng, band=30, amplitude=0.5)
+            u = reference.scale(fields.random_band_limited(grid, rng, band=30), 0.5)
+            v = reference.scale(fields.random_band_limited(grid, rng, band=30), 0.5)
             tu = evolve(KDV, u, 0.2, 2e-3, stride=10)
             tv = evolve(KDV, v, 0.2, 2e-3, stride=10)
             prod = Trajectory(grid, tu.times,
@@ -199,7 +199,7 @@ class TestWindowEnergy:
     def test_zero_field(self):
         g = make_grid(128, 40.0)
         traj = _constant_trajectory(g, RealField(g, np.zeros(g.n)), T=0.2, m=3)
-        table, st_int = window_energy(traj, WindowSpec(0.0, 1.0, 5.0, v=0.0, m=1), j=1)
+        table, st_int = window_energy(traj, WindowSpec(0.0, 1.0, 5.0, v=0.0, m=1))
         sup = table.max(axis=0)
         assert sup[0] == 0.0 and sup[1] == 0.0 and st_int == 0.0
 
@@ -209,7 +209,7 @@ class TestWindowEnergy:
         u0 = fields.gaussian(g, width=2.0, amplitude=0.8)
         traj = evolve(KDV, u0, 0.2, 2e-3, stride=20)
         w = WindowSpec(x0=g.nodes[0] + 1e-9, eps=1e-9, R=g.L - 1.0, v=0.0, m=0)
-        table, _ = window_energy(traj, w, j=1)
+        table, _ = window_energy(traj, w)
         sup = table.max(axis=0)
         linf_l2 = mixed_norm(traj, MixedNormSpec(p=2, q=math.inf,
                                                  order="t_outer_x_inner"))
@@ -217,20 +217,20 @@ class TestWindowEnergy:
 
     def test_monotone_under_window_inclusion(self, rng):
         g = make_grid(256, 60.0)
-        u0 = fields.random_band_limited(g, rng, band=30, amplitude=0.4)
+        u0 = reference.scale(fields.random_band_limited(g, rng, band=30), 0.4)
         traj = evolve(KDV, u0, 0.2, 2e-3, stride=20)
         vals = []
         for eps in (0.5, 1.5, 3.0):
-            table, _ = window_energy(traj, WindowSpec(0.0, eps, 10.0, v=1.0, m=1), j=1)
+            table, _ = window_energy(traj, WindowSpec(0.0, eps, 10.0, v=1.0, m=1))
             vals.append(table.max(axis=0)[1])
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_table_entries_are_the_window_integrals(self, rng):
         g = make_grid(256, 60.0)
-        u0 = fields.random_band_limited(g, rng, band=30, amplitude=0.4)
+        u0 = reference.scale(fields.random_band_limited(g, rng, band=30), 0.4)
         traj = evolve(KDV, u0, 0.2, 2e-3, stride=20)
         w = WindowSpec(0.0, 1.0, 10.0, v=1.0, m=2)
-        table, _ = window_energy(traj, w, j=1)
+        table, _ = window_energy(traj, w)
         assert table.shape == (len(traj), w.m + 1)
 
         def integral(t, sl, ell):
@@ -248,17 +248,17 @@ class TestWindowEnergy:
 
     def test_window_exits_grid(self, rng):
         g = make_grid(128, 20.0)
-        u0 = fields.random_band_limited(g, rng, band=20, amplitude=0.1)
+        u0 = reference.scale(fields.random_band_limited(g, rng, band=20), 0.1)
         traj = evolve(KDV, u0, 0.2, 2e-3, stride=100)
         with pytest.raises(WindowExitsGrid):
-            window_energy(traj, WindowSpec(-9.5, 0.1, 5.0, v=10.0, m=1), j=1)
+            window_energy(traj, WindowSpec(-9.5, 0.1, 5.0, v=10.0, m=1))
 
     def test_order_cap(self, rng):
         g = make_grid(64, 20.0)
-        u0 = fields.random_band_limited(g, rng, band=5, amplitude=0.1)
+        u0 = reference.scale(fields.random_band_limited(g, rng, band=5), 0.1)
         traj = _constant_trajectory(g, u0, m=3)
         with pytest.raises(ValueError, match="n/8"):
-            window_energy(traj, WindowSpec(0.0, 0.5, 5.0, m=9), j=1)
+            window_energy(traj, WindowSpec(0.0, 0.5, 5.0, m=9))
 
 
 @settings(max_examples=20, deadline=None)

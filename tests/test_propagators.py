@@ -103,12 +103,15 @@ class TestConjugatedFlow:
         with pytest.raises(ValueError, match="time_sign"):
             conjugated_flow(KDV, ConjugationSpec(1, 1), -0.5, w0)
 
-    def test_j2_needs_wider_cap(self, w0):
-        with pytest.raises(UnstableConjugation):
-            conjugated_flow(DispersionParams(2), ConjugationSpec(-1, 1), 0.3, w0)
-        out = conjugated_flow(DispersionParams(2), ConjugationSpec(-1, 1), 0.3,
-                              w0, growth_cap=5.0)
-        assert np.all(np.isfinite(out.samples))
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_orders_above_one_rejected(self, w0, j):
+        # the growth exceeds 2|t| in every pairing; j = 2 with sigma = -1 and
+        # t > 0 is a semigroup of type 4
+        for sigma in (1, -1):
+            for time_sign in (1, -1):
+                with pytest.raises(UnstableConjugation):
+                    conjugated_flow(DispersionParams(j), ConjugationSpec(sigma, time_sign),
+                                    0.3 * time_sign, w0)
 
 
 class TestEvolve:
@@ -212,15 +215,6 @@ class TestDuhamel:
         with pytest.raises(ValueError, match="grid"):
             duhamel_split(traj, other)
 
-    def test_params_required(self):
-        g = make_grid(64, 20.0)
-        f = fields.gaussian(g)
-        bare = Trajectory(g, np.array([0.0, 0.1, 0.2]), [f, f, f])
-        with pytest.raises(ValueError, match="dispersion"):
-            duhamel_split(bare, f)
-        with pytest.raises(ValueError, match="dispersion"):
-            duhamel_quadrature(bare)
-
     def test_quadrature_needs_even_uniform_intervals(self):
         g = make_grid(64, 20.0)
         f = fields.gaussian(g)
@@ -237,22 +231,22 @@ class TestTrajectory:
         g = make_grid(64, 20.0)
         f = fields.gaussian(g)
         with pytest.raises(ValueError, match="increasing"):
-            Trajectory(g, np.array([0.0, 0.0]), [f, f])
+            Trajectory(g, np.array([0.0, 0.0]), [f, f], KDV)
 
     def test_slices_must_match_times_and_grid(self):
         g = make_grid(64, 20.0)
         f = fields.gaussian(g)
         with pytest.raises(ValueError, match="length"):
-            Trajectory(g, np.array([0.0, 1.0]), [f])
+            Trajectory(g, np.array([0.0, 1.0]), [f], KDV)
         other = fields.gaussian(make_grid(128, 20.0))
         with pytest.raises(ValueError, match="grid"):
-            Trajectory(g, np.array([0.0, 1.0]), [f, other])
+            Trajectory(g, np.array([0.0, 1.0]), [f, other], KDV)
 
     def test_len_and_final(self):
         g = make_grid(64, 20.0)
         f = fields.gaussian(g)
         h = reference.scale(f, 2.0)
-        traj = Trajectory(g, [0.0, 0.5], [f, h])
+        traj = Trajectory(g, [0.0, 0.5], [f, h], KDV)
         assert len(traj) == 2
         assert traj.final() is h
 
