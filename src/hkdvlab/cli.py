@@ -13,6 +13,7 @@ Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .errors import ConfigError
@@ -40,7 +41,7 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         if args.json:
-            print(list_suites(as_json=True))
+            print(json.dumps(list_suites(), indent=1))
         else:
             for entry in list_suites():
                 print(f"{entry['name']:12s} {entry['claim']}")

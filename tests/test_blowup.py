@@ -286,6 +286,19 @@ class TestSmoothingGain:
                  for h in (dt, dt / 2)]
         assert abs(gains[0] - gains[1]) <= 1e-5
 
+    def test_k1_gain_converged_in_dt(self):
+        # the suite's k = 1 step at seed 0: dt_k1 and dt_k1/2 agree to about
+        # 1.3e-6, while 1e-4 is still 1.4e-3 off
+        v = default_config("smoothing").values
+        g = make_grid(v[("grid", "n")], v[("suite", "L_k1")])
+        u0 = fields.rough_spectrum_field(g, np.random.default_rng(0), s=v[("suite", "s")],
+                                         amplitude=v[("suite", "amplitude")])
+        p = DispersionParams(1, 1)
+        T, dt = v[("suite", "T")], v[("suite", "dt_k1")]
+        gains = [smoothing_gain(evolve(p, u0, T, h, stride=10 ** 9), u0).gain
+                 for h in (dt, dt / 2)]
+        assert abs(gains[0] - gains[1]) <= 1e-5
+
 
 def _smoothing_k2_datum(v, seed):
     """The smoothing suite's k = 2 datum at ``seed``."""

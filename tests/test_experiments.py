@@ -2,6 +2,9 @@ import ast
 import json
 import os
 import re
+import runpy
+import sys
+import types
 
 import pytest
 
@@ -33,10 +36,10 @@ dt = 0.004
         cfg = parse_config(text)
         assert cfg.name == "persistence"
         assert cfg.seed == 7
-        assert cfg.get("suite", "T") == 0.2
-        assert cfg.get("suite", "dt") == 0.004
+        assert cfg.values[("suite", "T")] == 0.2
+        assert cfg.values[("suite", "dt")] == 0.004
         # untouched keys keep defaults
-        assert cfg.get("suite", "r") == 0.4
+        assert cfg.values[("suite", "r")] == 0.4
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigError, match="unknown suite"):
@@ -55,7 +58,7 @@ dt = 0.004
         for name in SUITES:
             for (section, key), default in default_config(name).values.items():
                 head = f"[experiment]\nname = {name}\n[{section}]\n"
-                got = parse_config(f"{head}{key} = {default}\n").get(section, key)
+                got = parse_config(f"{head}{key} = {default}\n").values[(section, key)]
                 assert got == default and type(got) is type(default), (name, key)
                 bad = {int: "1.5", float: "fast"}.get(type(default))
                 if bad is not None:
@@ -90,6 +93,36 @@ dt = 0.004
                      "--output-dir", str(tmp_path)]) == 2
         assert not (tmp_path / suite).exists()
 
+    @pytest.mark.parametrize("suite,option,raw", [
+        ("decay", "slope_lo", "-0.55"),
+        ("decay", "slope_hi", "-0.45"),
+        ("decay", "max_shift", "0.02"),
+        ("identities", "reduction_tol", "1e-8"),
+        ("identities", "algebra_tol", "1e-12"),
+        ("identities", "commutator_tol", "1e-6"),
+        ("identities", "stein_tol", "1e-3"),
+        ("persistence", "stability_tol", "0.10"),
+        ("propagation", "right_ratio_max", "2.0"),
+        ("propagation", "left_growth_min", "10.0"),
+        ("propagation", "stability_tol", "0.10"),
+        ("blowup", "contrast_min", "10.0"),
+        ("blowup", "excluded_lo", "0.5"),
+        ("blowup", "excluded_hi", "2.0"),
+        ("blowup", "gap_kmax", "50"),
+        ("smoothing", "gain_min", "0.5"),
+    ])
+    def test_verdict_bound_is_not_an_option(self, tmp_path, suite, option, raw):
+        # the bounds are frozen constants: a config cannot set one, even to
+        # the value it had when it was an option
+        text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
+        with pytest.raises(ConfigError, match=re.escape(f"unknown option suite.{option}")):
+            parse_config(text)
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        assert main(["run", suite, "--config", str(path),
+                     "--output-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / suite).exists()
+
     def test_precondition_validation(self):
         with pytest.raises(ConfigError, match="s >= 2"):
             parse_config("[experiment]\nname = persistence\n[suite]\nr = 0.9\ns = 1.0\n")
@@ -102,7 +135,7 @@ dt = 0.004
         assert flat["experiment.name"] == "smoothing"
         assert flat["run.seed"] == 3
         assert flat["rng"] == "PCG64"
-        assert "suite.gain_min" in flat
+        assert "suite.dt_k1" in flat
 
 
 class TestRunAndReport:
@@ -152,9 +185,44 @@ class TestCatalogue:
         assert len(entries) == 6
         assert all(e["claim"] for e in entries)
 
-    def test_json_catalogue(self):
-        payload = json.loads(list_suites(as_json=True))
+    def test_json_catalogue(self, capsys):
+        assert main(["list", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload[0]["name"] == "decay"
+
+
+@pytest.fixture(scope="module")
+def suite_outputs(tmp_path_factory):
+    """The output root of one default run of every suite at seed 0."""
+    out = tmp_path_factory.mktemp("suites")
+    for name in SUITES:
+        run(default_config(name, output_dir=str(out)))
+    return out
+
+
+class _Anything:
+    """Accepts every method call, as a matplotlib ``Axes`` would."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+@pytest.fixture
+def saved_figures(monkeypatch):
+    """Put a stub ``matplotlib`` in ``sys.modules``; returns the paths that
+    the scripts pass to ``savefig``."""
+    saved = []
+    fig = _Anything()
+    fig.savefig = lambda path, **kwargs: saved.append(path)
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda *args, **kwargs: (fig, _Anything())
+    pyplot.xticks = lambda *args, **kwargs: None
+    mpl = types.ModuleType("matplotlib")
+    mpl.use = lambda backend: None
+    mpl.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return saved
 
 
 class TestPlots:
@@ -175,20 +243,29 @@ class TestPlots:
         with pytest.raises(FileNotFoundError):
             emit_plots(str(tmp_path / "persistence" / "report.json"))
 
-    def test_contrast_plot_draws_the_report_threshold(self, tmp_path):
-        (tmp_path / "contrast.csv").write_text("t,x_star,q_rational,q_probe,contrast,kind\n")
-        rp = tmp_path / "report.json"
-        rp.write_text(json.dumps({"artifacts": ["contrast.csv"],
-                                  "config": {"suite.contrast_min": 12.5}}))
+    def test_contrast_plot_draws_the_report_threshold(self, suite_outputs):
+        rp = suite_outputs / "blowup" / "report.json"
+        [check] = [c for c in json.loads(rp.read_text())["checks"]
+                   if c["name"] == "manifest_contrast_min"]
         [script] = emit_plots(str(rp))
         tree = ast.parse(open(script).read())
-        [config] = [ast.literal_eval(node.value) for node in tree.body
-                    if isinstance(node, ast.Assign)
-                    and getattr(node.targets[0], "id", None) == "CONFIG"]
         [line] = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and getattr(node.func, "attr", None) == "axhline"]
-        assert eval(compile(ast.Expression(line.args[0]), script, "eval"),
-                    {"CONFIG": config}) == 12.5
+        op, bound = check["threshold"].split()
+        assert op == ">" and ast.literal_eval(line.args[0]) == float(bound)
+
+    def test_every_plot_script_runs(self, suite_outputs, saved_figures):
+        # matplotlib is stubbed, so each script's own code runs on its
+        # suite's CSV and must get as far as saving its figure
+        for name in SUITES:
+            scripts = emit_plots(str(suite_outputs / name / "report.json"))
+            assert scripts, name
+            for script in scripts:
+                before = len(saved_figures)
+                runpy.run_path(script)
+                [png] = saved_figures[before:]
+                assert png.endswith(".png")
+                assert os.path.dirname(png) == os.path.dirname(script)
 
     def test_report_without_plottables(self, tmp_path):
         rp = tmp_path / "report.json"
