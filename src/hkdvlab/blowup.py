@@ -275,7 +275,7 @@ def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
 
 def _parseval(grid: Grid, c: np.ndarray) -> float:
     """Norm of the full spectrum whose half is ``c``."""
-    return math.sqrt(float(np.dot(_context(grid).weights, np.abs(c) ** 2)))
+    return math.sqrt(float(np.einsum("q,q->", _context(grid).weights, np.abs(c) ** 2)))
 
 
 @dataclass

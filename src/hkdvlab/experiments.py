@@ -32,7 +32,7 @@ from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coeffici
 from .norms import (MixedNormSpec, mixed_norm, CutoffSpec, make_cutoff,
                     WindowSpec, window_energy, weighted_norm)
 from .propagators import DispersionParams, Trajectory, evolve, linear_flow
-from .spectral import dealias_cutoff, frac_deriv, make_grid, stein_deriv
+from .spectral import Grid, RealField, dealias_cutoff, frac_deriv, make_grid, stein_deriv
 
 RNG_ALGORITHM = "PCG64"
 
@@ -297,6 +297,16 @@ _REDUCTION_TOL = 1e-8
 _ALGEBRA_TOL = 1e-12
 _COMMUTATOR_TOL = 1e-6
 _STEIN_TOL = 1e-3
+#: base box length of each (j, t) commutator case; each case also runs on half
+#: the box (the error must grow) and on twice the box (it must shrink)
+_COMMUTATOR_L = {(1, 0.05): 32.0, (1, 0.1): 48.0, (1, 0.5): 256.0,
+                 (2, 0.05): 4000.0, (2, 0.1): 8000.0, (2, 0.5): 40000.0}
+
+
+def _commutator_grid(L: float) -> Grid:
+    """Even grid of spacing about 0.1 on a box of length ``L``."""
+    n = next_fast_len(int(L / 0.1))
+    return make_grid(n + n % 2, L)
 
 
 def _run_identities(cfg: ExperimentConfig, outdir: str):
@@ -351,19 +361,14 @@ def _run_identities(cfg: ExperimentConfig, outdir: str):
     checks.append(_compare("group_law_max", worst_g, "<", _ALGEBRA_TOL))
 
     # first-moment commutator with padding study
-    base_L = {(1, 0.05): 32.0, (1, 0.1): 48.0, (1, 0.5): 256.0,
-              (2, 0.05): 4000.0, (2, 0.1): 8000.0, (2, 0.5): 40000.0}
     rows = []
     worst_c, mono_ok = 0.0, True
-    for (j, t), L in sorted(base_L.items()):
+    for (j, t), L in sorted(_COMMUTATOR_L.items()):
         params = DispersionParams(j)
         errs = {}
         for label, LL, gate in (("half", L / 2, 1e6), ("base", L, 1e-6),
                                 ("double", 2 * L, 1e6)):
-            n = next_fast_len(int(LL / 0.1))
-            n += n % 2
-            gg = make_grid(n, LL)
-            u0 = fields.gaussian(gg, width=1.0)
+            u0 = fields.gaussian(_commutator_grid(LL), width=1.0)
             errs[label] = x_weight_commutator(params, t, u0, gate=gate)
             rows.append((j, t, label, LL, errs[label]))
         worst_c = max(worst_c, errs["base"])
@@ -380,15 +385,15 @@ def _run_identities(cfg: ExperimentConfig, outdir: str):
     rows, worst_s, mono_all = [], 0.0, True
     for alpha in (0.3, 0.5, 1.5):
         ref = frac_deriv(f, alpha)
-        refn = np.linalg.norm(ref.samples)
+        refn = ref.l2()
         plain_errs = []
         for m in (32, 16, 8, 4):
             sd = stein_deriv(f, alpha, eps_seq=(m * gs.dx,))
-            err = float(np.linalg.norm(sd.samples - ref.samples) / refn)
+            err = RealField(gs, sd.samples - ref.samples).l2() / refn
             plain_errs.append(err)
             rows.append((alpha, f"plain_eps_{m}dx", err))
         rich = stein_deriv(f, alpha, eps_seq=(8 * gs.dx, 4 * gs.dx))
-        rerr = float(np.linalg.norm(rich.samples - ref.samples) / refn)
+        rerr = RealField(gs, rich.samples - ref.samples).l2() / refn
         rows.append((alpha, "richardson_8_4", rerr))
         worst_s = max(worst_s, rerr)
         mono_all = mono_all and all(a > b for a, b in zip(plain_errs, plain_errs[1:]))

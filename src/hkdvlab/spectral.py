@@ -169,7 +169,8 @@ class RealField:
 
     def l2(self) -> float:
         """Discrete L2 norm ``sqrt(dx * sum f^2)``."""
-        return math.sqrt(self.grid.dx * float(np.dot(self.samples, self.samples)))
+        s = self.samples
+        return math.sqrt(self.grid.dx * float(np.einsum("i,i->", s, s)))
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.samples)))
@@ -214,7 +215,7 @@ def synthesize_at(F: SpectralField, points: np.ndarray) -> np.ndarray:
     # xi |x| to up to xi L, and its rounding with it
     c = ctx.weights * ctx.signs * F.coeffs
     phases = np.exp(1j * np.multiply.outer(pts, ctx.xi))
-    return (phases @ c).real / g.n
+    return np.einsum("pq,q->p", phases, c).real / g.n
 
 
 def _apply_half(f: RealField, sym: np.ndarray) -> RealField:

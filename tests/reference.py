@@ -14,9 +14,13 @@ factor accounts for the node origin at ``x = -L/2``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from hkdvlab.spectral import RealField
+from hkdvlab.fields import weighted
+from hkdvlab.propagators import linear_flow
+from hkdvlab.spectral import RealField, derivative
 
 
 def phase_signs(grid) -> np.ndarray:
@@ -61,3 +65,17 @@ def inverse(grid, coeffs: np.ndarray) -> RealField:
 
 def scale(f: RealField, factor: float) -> RealField:
     return RealField(f.grid, factor * f.samples)
+
+
+def x_weight_commutator(params, t: float, u0: RealField) -> float:
+    """Relative L2 residual of ``W(t)(x u0) = x W(t) u0 - (2j+1) t W(t) u0^(2j)``
+    composed from three applications of the group and one derivative, each
+    its own transform pair; no boundary-decay gate."""
+    x = u0.grid.nodes
+    xwu0 = weighted(linear_flow(params, t, u0), x)
+    lhs = linear_flow(params, t, weighted(u0, x))
+    corr = linear_flow(params, t, derivative(u0, 2 * params.j))
+    resid = lhs.samples - xwu0.samples + (2 * params.j + 1) * t * corr.samples
+    num = math.sqrt(u0.grid.dx * float(np.sum(resid ** 2)))
+    den = xwu0.l2()
+    return num / den if den > 0 else num

@@ -1,7 +1,10 @@
-"""The package ships only what the program itself uses."""
+"""The package ships only what the program itself uses, and runs no
+reduction on BLAS."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hkdvlab"
@@ -129,3 +132,49 @@ def test_every_default_is_set_by_a_caller():
     assert not unset, (
         f"defaults that no call in src/hkdvlab, tests/test_acceptance.py or "
         f"bench/ sets: {', '.join(sorted(unset))}")
+
+
+#: attributes that reach BLAS or LAPACK: the dot products, matrix products and
+#: the linear-algebra modules of numpy and scipy
+_BLAS_ATTRS = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def _blas_uses(source: str) -> list[str]:
+    """Each use in ``source`` of an attribute in ``_BLAS_ATTRS``, of the ``@``
+    operator, of an import from a ``linalg`` module, or of ``einsum`` with
+    ``optimize`` (which may dispatch to ``tensordot``)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _BLAS_ATTRS:
+            out.append(ast.unparse(node))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            out.append(ast.unparse(node))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "linalg" in name.split(".")
+                for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]):
+            out.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum"
+              and any(k.arg == "optimize" for k in node.keywords)):
+            out.append(ast.unparse(node))
+    return out
+
+
+def test_no_reduction_runs_on_blas():
+    # A threaded BLAS splits a dot product across its worker threads, so the
+    # summation order, and the last bits of every CSV, would follow the core
+    # count.  np.polyfit stays: its least-squares fits take at most 7 points.
+    uses = {p.name: _blas_uses(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert not {k: v for k, v in uses.items() if v}
+
+
+@pytest.mark.parametrize("source", [
+    "np.dot(a, b)", "a.dot(b)", "np.vdot(a, b)", "np.inner(a, b)", "np.matmul(a, b)",
+    "a @ b", "a @= b", "np.linalg.norm(a)", "from numpy.linalg import norm",
+    "from scipy import linalg", "import scipy.linalg", "np.einsum('i,i->', a, b, optimize=True)",
+])
+def test_blas_guard_flags(source):
+    assert _blas_uses(source)
+
+
+def test_blas_guard_passes_thread_local_reductions():
+    assert not _blas_uses("np.einsum('i,i->', a, a); np.sum(a * a); np.polyfit(x, y, 1)")

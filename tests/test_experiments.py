@@ -3,6 +3,7 @@ import json
 import os
 import re
 import runpy
+import subprocess
 import sys
 import types
 
@@ -158,6 +159,23 @@ class TestRunAndReport:
             csv = tmp_path / sub / "persistence" / "persistence.csv"
             blobs.append(csv.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # every reduction runs on the calling thread, so the BLAS thread
+        # count cannot change a summation order
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = {k: v for k, v in os.environ.items() if k != "HKDVLAB_OUTPUT"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            for suite in ("identities", "blowup"):
+                subprocess.run([sys.executable, "-m", "hkdvlab.cli", "run", suite,
+                                "--seed", "0", "--output-dir", str(tmp_path / threads)],
+                               env={**env, "OPENBLAS_NUM_THREADS": threads},
+                               check=True, capture_output=True, timeout=300)
+        one, two = ({p.relative_to(tmp_path / t): p.read_bytes()
+                     for p in (tmp_path / t).rglob("*.csv")} for t in ("1", "2"))
+        assert len(one) == 7 and one.keys() == two.keys()
+        assert [str(p) for p in one if one[p] != two[p]] == []
 
     def test_propagation_passes_at_seeds_0_to_7(self, tmp_path):
         # the datum's verdicts must not rest on one seed

@@ -10,6 +10,7 @@ from scipy.fft import next_fast_len
 import hkdvlab.fields as fields
 import reference
 import hkdvlab.identities as identities
+from hkdvlab.experiments import _COMMUTATOR_L, _commutator_grid
 from hkdvlab.errors import (BandLimitError, KernelGridTooLarge, KernelWindowError,
                             PhaseRangeError)
 from hkdvlab.identities import (_MAX_KERNEL_N, _kernel_grid, _kernel_sup,
@@ -92,7 +93,40 @@ class TestReductionIdentity:
             verify_reduction_identity(1, f)
 
 
+#: the identities suite's paddings: scale of the base box and decay gate
+_PADDINGS = (("half", 0.5, 1e6), ("base", 1.0, 1e-6), ("double", 2.0, 1e6))
+
+
+@pytest.fixture(scope="module")
+def suite_commutators():
+    """``(j, t) -> {padding: (value, three-flow reference)}`` on the 18 grids
+    of the identities suite."""
+    out = {}
+    for (j, t), L in _COMMUTATOR_L.items():
+        params = DispersionParams(j)
+        out[j, t] = {}
+        for label, scale, gate in _PADDINGS:
+            u0 = fields.gaussian(_commutator_grid(scale * L), width=1.0)
+            out[j, t][label] = (x_weight_commutator(params, t, u0, gate=gate),
+                                reference.x_weight_commutator(params, t, u0))
+    return out
+
+
 class TestCommutator:
+    def test_matches_three_flow_composition(self, suite_commutators):
+        # one group symbol and four transforms against three linear flows
+        # and a derivative, each with its own transform pair
+        gaps = {(case, label): abs(value - ref)
+                for case, errs in suite_commutators.items()
+                for label, (value, ref) in errs.items()}
+        assert len(gaps) == 18
+        assert max(gaps.values()) <= 1e-12, gaps
+
+    @pytest.mark.parametrize("case", sorted(_COMMUTATOR_L))
+    def test_padding_order(self, suite_commutators, case):
+        errs = {label: value for label, (value, _) in suite_commutators[case].items()}
+        assert errs["half"] > errs["base"] > errs["double"], errs
+
     def test_time_zero_collapses(self):
         g = make_grid(512, 40.0)
         u0 = fields.gaussian(g, width=1.0)
