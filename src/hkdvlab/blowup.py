@@ -21,40 +21,30 @@ from scipy.fft import irfft, rfft
 
 from .errors import TailFitError
 from .propagators import DispersionParams, Trajectory, dispersion_phase
-from .spectral import (Grid, RealField, SpectralField, _context, dealias_cutoff,
-                       deriv_symbol, forward, synthesize_at)
+from .spectral import Grid, RealField, _context, dealias_cutoff, deriv_symbol, synthesize_at
 
 #: steps ``h`` of the jump quotient, in grid cells
 _H_CELLS = (16, 8, 4, 2)
-#: range ``p, q <= _PROBE_KMAX`` of the irrational probe's gap certificate
+#: range ``p, q <= _PROBE_KMAX`` of the irrational probe's irrationality gap
 _PROBE_KMAX = 50
 #: log bins of a tail fit
 _TAIL_BINS = 10
 
 
-@dataclass(frozen=True)
-class SingularProfileSpec:
+def singular_profile(grid: Grid, alpha: float, center: float) -> RealField:
     """Profile ``exp(-2 |x - center|^alpha)``.
 
     Smooth except at the center whenever ``alpha`` is not an even integer,
     where the ``ceil(alpha)``-th derivative jumps; for even integer ``alpha``
     the profile is analytic.
     """
-
-    alpha: float
-    center: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-
-def singular_profile(spec: SingularProfileSpec, grid: Grid) -> RealField:
-    if abs(spec.center) > 0.4 * grid.L:
-        raise ValueError(f"center {spec.center} outside the decay-safe region "
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if abs(center) > 0.4 * grid.L:
+        raise ValueError(f"center {center} outside the decay-safe region "
                          f"of a box of length {grid.L}")
     x = grid.nodes
-    return RealField(grid, np.exp(-2.0 * np.abs(x - spec.center) ** spec.alpha))
+    return RealField(grid, np.exp(-2.0 * np.abs(x - center) ** alpha))
 
 
 def coprime_pairs(pmax: int, qmax: int) -> list[tuple[int, int]]:
@@ -120,42 +110,33 @@ def build_blowup_datum(spec: BlowupDatumSpec, params: DispersionParams,
     for (p2, q2) in pairs:
         for (p1, q1) in pairs:
             w = spec.weight(p1, q1, p2, q2)
-            prof = singular_profile(
-                SingularProfileSpec(alpha, center=p1 / q1), grid)
+            prof = singular_profile(grid, alpha, p1 / q1)
             term = np.exp(-1j * (p2 / q2) * theta) * rfft(prof.samples)
             total += w * term
             manifest.append(DatumTerm(p1, q1, p2, q2, w))
     return RealField(grid, irfft(total, grid.n)), manifest
 
 
-@dataclass(frozen=True)
-class GapCertificate:
-    t: float
-    kmax: int
-    gap: float
-    closest: tuple[int, int]
-    rational_in_range: bool
+def irrationality_gap(t: float, kmax: int) -> float:
+    """Brute-force lower bound ``min |t - p/q| (p+q)^3`` over p,q <= kmax.
 
-
-def irrationality_gap(t: float, kmax: int) -> GapCertificate:
-    """Brute-force lower bound ``min |t - p/q| (p+q)^3`` over p,q <= kmax."""
+    The gap is ``0.0`` exactly when ``t`` is such a ``p/q``.
+    """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
-    best, arg = math.inf, (0, 0)
+    best = math.inf
     for q in range(1, kmax + 1):
         for p in range(1, kmax + 1):
             if gcd(p, q) != 1:
                 continue
-            val = abs(t - p / q) * (p + q) ** 3
-            if val < best:
-                best, arg = val, (p, q)
-            if val == 0.0:
-                return GapCertificate(t, kmax, 0.0, (p, q), True)
-    return GapCertificate(t, kmax, best, arg, False)
+            best = min(best, abs(t - p / q) * (p + q) ** 3)
+            if best == 0.0:
+                return 0.0
+    return best
 
 
-def tail_exponent(F: SpectralField, xi_lo: float, xi_hi: float) -> float:
-    """Decay exponent p of ``|coeff| ~ |xi|^-p`` on ``xi_lo < |xi| < xi_hi``.
+def tail_exponent(grid: Grid, coeffs: np.ndarray, xi_lo: float, xi_hi: float) -> float:
+    """Decay exponent p of ``|coeffs| ~ |xi|^-p`` on ``xi_lo < |xi| < xi_hi``.
 
     Log-binned geometric means over the rfft bins are fitted to tame
     random-phase scatter; a bin counts when it holds two modes, and the range
@@ -163,14 +144,14 @@ def tail_exponent(F: SpectralField, xi_lo: float, xi_hi: float) -> float:
     :class:`TailFitError` when fewer than four populated bins or less than
     one octave are available.
     """
-    xi = _context(F.grid).xi
+    xi = _context(grid).xi
     if not xi_hi > 2.0 * xi_lo:
         raise TailFitError("need at least one octave between xi_lo and xi_hi")
     sel = (xi > xi_lo) & (xi < xi_hi)
     if np.count_nonzero(sel) < 2 * _TAIL_BINS:
         raise TailFitError("too few modes in the fit range")
     lx = np.log(xi[sel])
-    ly = np.log(np.abs(F.coeffs[sel]) + 1e-300)
+    ly = np.log(np.abs(coeffs[sel]) + 1e-300)
     edges = np.linspace(lx.min(), lx.max() * (1 + 1e-12), _TAIL_BINS + 1)
     idx = np.digitize(lx, edges) - 1
     bx, by = [], []
@@ -193,14 +174,14 @@ def _quotient(params: DispersionParams, u0h: np.ndarray, grid: Grid, t: float,
     maximized over ``h_set`` by band-limited off-node evaluation.  A jump of
     size ``J`` in ``d^(j+1) f`` at ``x*`` drives it to ``J`` as ``h -> 0``;
     for ``f`` smooth to order ``j + 2`` it vanishes linearly in ``h``.
-    ``u0h`` holds the coefficients of ``forward(u0)``.
+    ``u0h`` holds the coefficients ``rfft(u0.samples)``.
     """
     theta = dispersion_phase(params, grid)
-    dF = SpectralField(grid, deriv_symbol(grid, params.j) * np.exp(1j * t * theta) * u0h)
+    dh = deriv_symbol(grid, params.j) * np.exp(1j * t * theta) * u0h
     pts = [x_star]
     for h in h_set:
         pts += [x_star - h, x_star + h]
-    vals = synthesize_at(dF, np.array(pts))
+    vals = synthesize_at(grid, dh, np.array(pts))
     return max(abs(vals[2 * i + 2] - 2.0 * vals[0] + vals[2 * i + 1]) / (2.0 * h)
                for i, h in enumerate(h_set))
 
@@ -226,10 +207,9 @@ def blowup_contrast(datum: tuple[RealField, list[DatumTerm]],
     ``datum`` is the ``(u0, manifest)`` pair of :func:`build_blowup_datum`.
     It is evolved linearly to both times; at each singular location of
     ``t_rational`` the ratio of the second-difference quotients is reported.
-    The irrational probe must carry a positive gap certificate.
+    The irrational probe must have a positive irrationality gap.
     """
-    cert = irrationality_gap(t_irrational, _PROBE_KMAX)
-    if cert.rational_in_range:
+    if irrationality_gap(t_irrational, _PROBE_KMAX) == 0.0:
         raise ValueError(f"probe time {t_irrational} is rational within kmax={_PROBE_KMAX}")
     u0, manifest = datum
     grid = u0.grid
@@ -238,7 +218,7 @@ def blowup_contrast(datum: tuple[RealField, list[DatumTerm]],
     if not locations:
         raise ValueError(f"t={t_rational} is not a singular time of the manifest")
     h_set = tuple(grid.dx * c for c in _H_CELLS)
-    u0h = forward(u0).coeffs
+    u0h = rfft(u0.samples)
     out = []
     for loc in locations:
         qr = _quotient(params, u0h, grid, t_rational, loc, h_set)
@@ -264,7 +244,7 @@ def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
         raise ValueError(f"t={t_excluded} is a manifest singular time")
     locations = sorted({trm.singular_location for trm in manifest})
     h_set = tuple(grid.dx * c for c in _H_CELLS)
-    u0h = forward(u0).coeffs
+    u0h = rfft(u0.samples)
     logs = []
     for loc in locations:
         qe = _quotient(params, u0h, grid, t_excluded, loc, h_set)
@@ -284,7 +264,6 @@ class SmoothingGainReport:
     tail_linear: float | None
     tail_duhamel: float | None
     drift: float
-    reason: str = ""
 
 
 def smoothing_gain(traj: Trajectory, u0: RealField) -> SmoothingGainReport:
@@ -307,13 +286,12 @@ def smoothing_gain(traj: Trajectory, u0: RealField) -> SmoothingGainReport:
     wh = np.exp(1j * T * theta) * rfft(u0.samples)
     uh = rfft(traj.final().samples)
     if _parseval(g, uh - wh) < 1e-10 * max(_parseval(g, uh), 1e-300):
-        return SmoothingGainReport(None, None, None, 0.0,
-                                   "duhamel part at noise floor")
+        return SmoothingGainReport(None, None, None, 0.0)
     drift = 0.0
     if (params.j, params.k) == (1, 2):
         drift = -T * float(np.mean(traj.slices[0].samples ** 2))
     zh = uh - np.exp(1j * drift * _context(g).xi) * wh
     cut_xi = 2 * math.pi * dealias_cutoff(g.n, params.k) / g.L
-    tw = tail_exponent(SpectralField(g, wh), cut_xi / 4.0, cut_xi)
-    tz = tail_exponent(SpectralField(g, zh), cut_xi / 4.0, cut_xi)
+    tw = tail_exponent(g, wh, cut_xi / 4.0, cut_xi)
+    tz = tail_exponent(g, zh, cut_xi / 4.0, cut_xi)
     return SmoothingGainReport(tz - tw, tw, tz, drift)

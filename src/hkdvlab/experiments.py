@@ -29,8 +29,7 @@ from .blowup import (_PROBE_KMAX, BlowupDatumSpec, blowup_contrast, build_blowup
 from .errors import ConfigError
 from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator)
-from .norms import (MixedNormSpec, mixed_norm, CutoffSpec, make_cutoff,
-                    WindowSpec, window_energy, weighted_norm)
+from .norms import CutoffFunction, WindowSpec, mixed_norm, window_energy, weighted_norm
 from .propagators import DispersionParams, Trajectory, evolve, linear_flow
 from .spectral import Grid, RealField, dealias_cutoff, frac_deriv, make_grid, stein_deriv
 
@@ -290,6 +289,9 @@ def _check_identities(v: dict) -> None:
     n = v[("suite", "algebra_n")]
     _need(n >= 16 and n % 2 == 0, "suite.algebra_n must be even and >= 16")
     _need(v[("suite", "algebra_L")] > 0, "suite.algebra_L must be positive")
+    # with no field the residual, unitarity and group-law maxima would read 0
+    for key in ("reduction_fields", "algebra_fields"):
+        _need(v[("suite", key)] >= 1, f"suite.{key} must be >= 1")
 
 
 #: bounds of the reduction, linear-flow algebra, commutator and Richardson errors
@@ -409,20 +411,17 @@ def _xt_norms(traj: Trajectory, s: float, r: float, j: int) -> dict:
     """The seven work-space component norms of a stored trajectory, in CSV order."""
     eps = 0.05
     tx, xt = "t_outer_x_inner", "x_outer_t_inner"
-
-    def norm(**spec):
-        return mixed_norm(traj, MixedNormSpec(**spec))
-
     return {
-        "sup_T_Hs": norm(p=2, q=math.inf, order=tx, js=s),
+        "sup_T_Hs": mixed_norm(traj, 2, math.inf, order=tx, js=s),
         # |x|^r u in L^inf_T L^2_x, slice-wise
         "weight_sup_T": max(weighted_norm(sl, r, gate=None) for sl in traj.slices),
-        "maximal_Js": norm(p=2, q=math.inf, order=xt, js=s - (2 * j + 1) / 4.0 - eps),
-        "smoothing_Js_dj": norm(p=math.inf, q=2, order=xt, js=s, dx_order=j),
-        "strichartz_half": norm(p=math.inf, q=2, order=tx, js=j + 0.5,
-                                da=(2 * j - 1) / 4.0),
-        "strichartz_84": norm(p=4, q=8, order=tx, js=s, da=(2 * j - 1) / 8.0),
-        "strichartz_66": norm(p=6, q=6, order=tx, js=s, da=(2 * j - 1) / 6.0),
+        "maximal_Js": mixed_norm(traj, 2, math.inf, order=xt,
+                                 js=s - (2 * j + 1) / 4.0 - eps),
+        "smoothing_Js_dj": mixed_norm(traj, math.inf, 2, order=xt, js=s, dx_order=j),
+        "strichartz_half": mixed_norm(traj, math.inf, 2, order=tx, js=j + 0.5,
+                                      da=(2 * j - 1) / 4.0),
+        "strichartz_84": mixed_norm(traj, 4, 8, order=tx, js=s, da=(2 * j - 1) / 8.0),
+        "strichartz_66": mixed_norm(traj, 6, 6, order=tx, js=s, da=(2 * j - 1) / 6.0),
     }
 
 
@@ -475,18 +474,26 @@ def _run_persistence(cfg: ExperimentConfig, outdir: str):
     return checks, artifacts
 
 
-def _propagation_datum(g, rng, band_lo, band_hi, amplitude):
-    dxi = 2 * math.pi / g.L
-    q_lo = max(1, int(band_lo / dxi) + 1)
-    q_hi = int(band_hi / dxi)
-    rough = fields.band_noise_by_index(g, rng, q_lo=q_lo, q_hi=q_hi, xi_decay=2.0,
+def _rough_band(v: dict) -> tuple[int, int]:
+    """Indices ``(q_lo, q_hi)`` of the rough datum's modes, those with
+    ``rough_band_lo < xi_q <= rough_band_hi`` on the box ``grid.L`` at any ``n``."""
+    dxi = 2 * math.pi / v[("grid", "L")]
+    return (max(1, int(v[("suite", "rough_band_lo")] / dxi) + 1),
+            int(v[("suite", "rough_band_hi")] / dxi))
+
+
+def _propagation_datum(g, rng, band, amplitude):
+    rough = fields.band_noise_by_index(g, rng, *band, xi_decay=2.0,
                                        amplitude=amplitude, envelope=(-5.0, 4.0))
     smooth = fields.gaussian(g, center=6.0, width=3.0, amplitude=amplitude)
-    chi = make_cutoff(CutoffSpec(0.5, 2.5))
-    return fields.glued_datum(g, rough, smooth, chi)
+    return fields.glued_datum(g, rough, smooth, CutoffFunction(0.5, 2.5))
 
 
 def _check_propagation(v: dict) -> None:
+    # the n-refinement doubles n, so the base grid is the one that must hold the band
+    q_lo, q_hi = _rough_band(v)
+    _need(1 <= q_lo <= q_hi < v[("grid", "n")] // 2, "suite.rough_band_lo and "
+          f"suite.rough_band_hi give q_lo = {q_lo}, q_hi = {q_hi}; need 1 <= q_lo <= q_hi < n/2")
     _need(v[("suite", "window_eps")] > 0, "suite.window_eps must be positive")
     _need(v[("suite", "window_R")] > v[("suite", "window_eps")],
           "suite.window_R must exceed suite.window_eps")
@@ -516,9 +523,7 @@ def _run_propagation(cfg: ExperimentConfig, outdir: str):
     def run(nn, ddt):
         g = make_grid(nn, L)
         rng = np.random.default_rng(cfg.seed)
-        u0 = _propagation_datum(g, rng, v[("suite", "rough_band_lo")],
-                                v[("suite", "rough_band_hi")],
-                                v[("suite", "amplitude")])
+        u0 = _propagation_datum(g, rng, _rough_band(v), v[("suite", "amplitude")])
         sstride = max(1, int(round(stride * dt / ddt)))
         traj = evolve(params, u0, T, ddt, stride=sstride, xi_cut=xi_cut)
         return (traj, *window_energy(traj, wspec))
@@ -582,8 +587,8 @@ def _run_blowup(cfg: ExperimentConfig, outdir: str):
     spec = BlowupDatumSpec(qmax=v[("suite", "qmax")], pmax=v[("suite", "pmax")],
                            scheme=v[("suite", "scheme")], delta=v[("suite", "delta")])
     probe_t = math.sqrt(2.0)
-    cert = irrationality_gap(probe_t, _PROBE_KMAX)
-    checks.append(_compare("probe_gap_positive", cert.gap, ">", 0))
+    checks.append(_compare("probe_gap_positive", irrationality_gap(probe_t, _PROBE_KMAX),
+                           ">", 0))
 
     datum = build_blowup_datum(spec, params, g)
     manifest = datum[1]

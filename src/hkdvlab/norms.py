@@ -26,41 +26,6 @@ def weighted_norm(f: RealField, r: float, gate: float | None = 1e-6) -> float:
     return math.sqrt(f.grid.dx * float(np.sum((w * f.samples) ** 2)))
 
 
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """Mixed space-time Lebesgue norm with optional smoothing weights.
-
-    ``order`` chooses the nesting: ``x_outer_t_inner`` is ``L^p_x L^q_T``,
-    ``t_outer_x_inner`` is ``L^q_T L^p_x``.  ``js``/``da`` apply ``J^s``/
-    ``D^a`` multipliers and ``dx_order`` an integer derivative, all before
-    the norm.  Infinite exponents are discrete sups.
-    """
-
-    p: float
-    q: float
-    order: str = "x_outer_t_inner"
-    js: float | None = None
-    da: float | None = None
-    dx_order: int = 0
-
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("exponents must be >= 1 (inf allowed)")
-        if self.order not in ("x_outer_t_inner", "t_outer_x_inner"):
-            raise ValueError(f"unknown order {self.order!r}")
-
-
-def _apply_smoothing(f: RealField, spec: MixedNormSpec) -> RealField:
-    g = f
-    if spec.js is not None:
-        g = frac_deriv(g, spec.js, "inhomogeneous")
-    if spec.da is not None:
-        g = frac_deriv(g, spec.da)
-    if spec.dx_order:
-        g = derivative(g, spec.dx_order)
-    return g
-
-
 def _lebesgue(values: np.ndarray, weights: np.ndarray, p: float, axis: int) -> np.ndarray:
     if math.isinf(p):
         return np.max(np.abs(values), axis=axis)
@@ -70,15 +35,35 @@ def _lebesgue(values: np.ndarray, weights: np.ndarray, p: float, axis: int) -> n
     return (np.sum(a * weights.reshape(shape), axis=axis)) ** (1.0 / p)
 
 
-def mixed_norm(traj: Trajectory, spec: MixedNormSpec) -> float:
-    """Evaluate a mixed norm over stored slices.
+def mixed_norm(traj: Trajectory, p: float, q: float, order: str = "x_outer_t_inner",
+               js: float | None = None, da: float | None = None,
+               dx_order: int = 0) -> float:
+    """Mixed space-time Lebesgue norm over stored slices, with optional
+    smoothing weights.
 
-    Time integrals use trapezoid weights on the stored times; space integrals
-    use the exact periodic node quadrature.
+    ``order`` chooses the nesting: ``x_outer_t_inner`` is ``L^p_x L^q_T``,
+    ``t_outer_x_inner`` is ``L^q_T L^p_x``.  ``js``/``da`` apply ``J^s``/
+    ``D^a`` multipliers and ``dx_order`` an integer derivative, all before
+    the norm.  Infinite exponents are discrete sups.  Time integrals use
+    trapezoid weights on the stored times; space integrals use the exact
+    periodic node quadrature.
     """
+    if p < 1 or q < 1:
+        raise ValueError("exponents must be >= 1 (inf allowed)")
+    if order not in ("x_outer_t_inner", "t_outer_x_inner"):
+        raise ValueError(f"unknown order {order!r}")
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    mats = np.stack([_apply_smoothing(s, spec).samples for s in traj.slices])
+    mats = []
+    for f in traj.slices:
+        if js is not None:
+            f = frac_deriv(f, js, "inhomogeneous")
+        if da is not None:
+            f = frac_deriv(f, da)
+        if dx_order:
+            f = derivative(f, dx_order)
+        mats.append(f.samples)
+    mats = np.stack(mats)
     nt = len(traj)
     tw = np.zeros(nt)
     if nt == 1:
@@ -88,31 +73,18 @@ def mixed_norm(traj: Trajectory, spec: MixedNormSpec) -> float:
         tw[:-1] += 0.5 * dts
         tw[1:] += 0.5 * dts
     xw = np.full(traj.grid.n, traj.grid.dx)
-    if spec.order == "x_outer_t_inner":
-        inner = _lebesgue(mats, tw, spec.q, axis=0)   # over time, per x
-        outer = _lebesgue(inner[None, :], xw, spec.p, axis=1)
+    if order == "x_outer_t_inner":
+        inner = _lebesgue(mats, tw, q, axis=0)   # over time, per x
+        outer = _lebesgue(inner[None, :], xw, p, axis=1)
     else:
-        inner = _lebesgue(mats, xw, spec.p, axis=1)   # over space, per t
-        outer = _lebesgue(inner[None, :], tw, spec.q, axis=1)
+        inner = _lebesgue(mats, xw, p, axis=1)   # over space, per t
+        outer = _lebesgue(inner[None, :], tw, q, axis=1)
     return float(outer[0])
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Smooth ramp from 0 to 1 supported on [eps, b], with b >= 5 eps."""
-
-    eps: float
-    b: float
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.b < 5.0 * self.eps:
-            raise ValueError(f"b must be >= 5*eps ({5.0 * self.eps}), got {self.b}")
-
-
 class CutoffFunction:
-    """Normalized integral of the standard bump, rescaled to [eps, b].
+    """Smooth ramp from 0 to 1 supported on [eps, b], with b >= 5 eps: the
+    normalized integral of the standard bump, rescaled to [eps, b].
 
     ``chi(x) = (1/Z) * integral of exp(-1/(s(1-s)))`` over the rescaled
     coordinate; derivatives up to order three are evaluated in closed form
@@ -122,50 +94,42 @@ class CutoffFunction:
 
     _QUAD_POINTS = 20001
 
-    def __init__(self, spec: CutoffSpec):
-        self.spec = spec
-        self._h = spec.b - spec.eps
+    def __init__(self, eps: float, b: float):
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        if b < 5.0 * eps:
+            raise ValueError(f"b must be >= 5*eps ({5.0 * eps}), got {b}")
+        self._eps = eps
+        self._h = b - eps
         s = np.linspace(0.0, 1.0, self._QUAD_POINTS)
-        rho = self._bump(s)
+        rho = self._bump(s, 0)
         cdf = np.concatenate(([0.0], np.cumsum((rho[1:] + rho[:-1]) * 0.5 * np.diff(s))))
         self._Z = float(cdf[-1])
         self._sgrid = s
         self._cdf = cdf / self._Z
 
     @staticmethod
-    def _bump(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = (s > 0.0) & (s < 1.0)
-        g = 1.0 / (s[inside] * (1.0 - s[inside]))
-        out[inside] = np.exp(-g)
-        return out
-
-    @staticmethod
-    def _bump_d1(s):
+    def _bump(s, order: int):
+        """Derivative of order 0, 1 or 2 of the bump ``exp(-1/(s(1-s)))`` on
+        (0, 1), zero outside."""
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         inside = (s > 0.0) & (s < 1.0)
         si = s[inside]
         p = si * (1.0 - si)
-        gp = (2.0 * si - 1.0) / p ** 2
-        out[inside] = -gp * np.exp(-1.0 / p)
-        return out
-
-    @staticmethod
-    def _bump_d2(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = (s > 0.0) & (s < 1.0)
-        si = s[inside]
-        p = si * (1.0 - si)
-        gp = (2.0 * si - 1.0) / p ** 2
-        gpp = 2.0 / p ** 2 + 2.0 * (2.0 * si - 1.0) ** 2 / p ** 3
-        out[inside] = (gp * gp - gpp) * np.exp(-1.0 / p)
+        rho = np.exp(-1.0 / p)
+        if order:
+            gp = (2.0 * si - 1.0) / p ** 2
+            if order == 1:
+                rho = -gp * rho
+            else:
+                gpp = 2.0 / p ** 2 + 2.0 * (2.0 * si - 1.0) ** 2 / p ** 3
+                rho = (gp * gp - gpp) * rho
+        out[inside] = rho
         return out
 
     def _to_unit(self, x):
-        return (np.asarray(x, dtype=float) - self.spec.eps) / self._h
+        return (np.asarray(x, dtype=float) - self._eps) / self._h
 
     def __call__(self, x):
         s = np.clip(self._to_unit(x), 0.0, 1.0)
@@ -173,20 +137,10 @@ class CutoffFunction:
         return vals if vals.ndim else float(vals)
 
     def derivative(self, x, order: int = 1):
-        s = self._to_unit(x)
-        if order == 1:
-            vals = self._bump(s) / (self._Z * self._h)
-        elif order == 2:
-            vals = self._bump_d1(s) / (self._Z * self._h ** 2)
-        elif order == 3:
-            vals = self._bump_d2(s) / (self._Z * self._h ** 3)
-        else:
+        if order not in (1, 2, 3):
             raise ValueError("derivative orders 1..3 supported")
+        vals = self._bump(self._to_unit(x), order - 1) / (self._Z * self._h ** order)
         return vals if np.ndim(vals) else float(vals)
-
-
-def make_cutoff(spec: CutoffSpec) -> CutoffFunction:
-    return CutoffFunction(spec)
 
 
 @dataclass(frozen=True)

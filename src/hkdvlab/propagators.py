@@ -92,7 +92,6 @@ class Trajectory:
     slices: list[RealField]
     params: DispersionParams
     dt: float | None = None
-    stride: int | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -196,14 +195,14 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
         nd = rhs(d)
         uh = E2uh + (dt / 6.0) * (E2 * na + 2.0 * E * (nb + nc) + nd)
         if not np.all(np.isfinite(uh.view(float))):
-            partial = Trajectory(g, np.array(times), slices, params, dt, stride)
+            partial = Trajectory(g, np.array(times), slices, params, dt)
             raise SolverBlowup(
                 f"state became non-finite at step {step} (t={step * dt:.6g}); "
                 f"max|u| before failure {slices[-1].linf():.3e}", partial)
         if step % stride == 0 or step == nsteps:
             times.append(step * dt)
             slices.append(snapshot(uh))
-    return Trajectory(g, np.array(times), slices, params, dt, stride)
+    return Trajectory(g, np.array(times), slices, params, dt)
 
 
 def duhamel_split(traj: Trajectory, u0: RealField) -> Trajectory:
@@ -218,7 +217,7 @@ def duhamel_split(traj: Trajectory, u0: RealField) -> Trajectory:
     for t, s in zip(traj.times, traj.slices):
         lin = irfft(np.exp(1j * t * theta) * u0h, g.n)
         slices.append(RealField(g, s.samples - lin))
-    return Trajectory(g, traj.times.copy(), slices, params, traj.dt, traj.stride)
+    return Trajectory(g, traj.times.copy(), slices, params, traj.dt)
 
 
 def duhamel_quadrature(traj: Trajectory) -> RealField:

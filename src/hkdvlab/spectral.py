@@ -181,41 +181,22 @@ class RealField:
         return float(max(np.max(np.abs(s[:2])), np.max(np.abs(s[-2:]))))
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """The ``n//2 + 1`` rfft coefficients of a real field (module docstring)."""
-
-    grid: Grid
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.grid.n // 2 + 1,):
-            raise ValueError(f"expected {self.grid.n // 2 + 1} coefficients, got {c.shape}")
-        object.__setattr__(self, "coeffs", c)
-
-
-def forward(f: RealField) -> SpectralField:
-    """Half-spectrum coefficients ``rfft(samples)``."""
-    return SpectralField(f.grid, rfft(f.samples))
-
-
-def synthesize_at(F: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Band-limited evaluation of a spectral field at arbitrary points.
+def synthesize_at(grid: Grid, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Band-limited evaluation at arbitrary points of the field whose
+    half-spectrum coefficients on ``grid`` are ``coeffs``.
 
     Direct Fourier sum over the half spectrum (module docstring), one
     ``(points, n//2 + 1)`` phase table per call; intended for small point
     sets.
     """
-    g = F.grid
-    ctx = _context(g)
+    ctx = _context(grid)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     # the node-origin signs are applied exactly to the coefficients; folded
     # into the phase as e^{i xi (x + L/2)} they would raise its argument from
     # xi |x| to up to xi L, and its rounding with it
-    c = ctx.weights * ctx.signs * F.coeffs
+    c = ctx.weights * ctx.signs * coeffs
     phases = np.exp(1j * np.multiply.outer(pts, ctx.xi))
-    return np.einsum("pq,q->p", phases, c).real / g.n
+    return np.einsum("pq,q->p", phases, c).real / grid.n
 
 
 def _apply_half(f: RealField, sym: np.ndarray) -> RealField:
@@ -364,7 +345,7 @@ def dealias_cutoff(n: int, k: int = 1) -> int:
 def band_limit_check(f: RealField, max_index: int) -> None:
     """Reject fields with spectral content beyond ``|q| <= max_index`` above
     ``1e-10`` of the peak coefficient."""
-    mags = np.abs(forward(f).coeffs)
+    mags = np.abs(rfft(f.samples))
     peak = float(mags.max()) or 1.0
     outside = mags[np.arange(mags.size) > max_index]
     if outside.size and float(outside.max()) > 1e-10 * peak:

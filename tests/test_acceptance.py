@@ -16,7 +16,7 @@ import hkdvlab.fields as fields
 from hkdvlab.experiments import default_config, run
 from hkdvlab.identities import (dispersive_decay_probe, solve_coefficients,
                                 verify_reduction_identity)
-from hkdvlab.norms import CutoffSpec, make_cutoff
+from hkdvlab.norms import CutoffFunction
 from hkdvlab.propagators import (ConjugationSpec, DispersionParams,
                                  conjugated_flow, duhamel_quadrature,
                                  duhamel_split, evolve, linear_flow)
@@ -32,15 +32,6 @@ def _verdict(num, ok, detail):
 @pytest.fixture(scope="module")
 def outdir(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance")
-
-
-@pytest.fixture(scope="module")
-def suite_reports(outdir):
-    """Suites with nontrivial runtimes, executed once and reused."""
-    reports = {}
-    for name in ("persistence", "propagation", "blowup", "smoothing"):
-        reports[name] = run(default_config(name, output_dir=str(outdir / "a")))
-    return reports
 
 
 def test_criterion_01_coefficient_system():
@@ -99,17 +90,13 @@ def test_criterion_03_dispersive_decay():
     _verdict(3, ok, "; ".join(lines) + f"; {elapsed:.0f}s < 60s")
 
 
-def test_criterion_04_x_commutator(outdir):
-    cfg = default_config("identities", output_dir=str(outdir / "id"))
-    report = run(cfg)
-    by_name = {c.name: c for c in report.checks}
+def test_criterion_04_x_commutator(suite_runs):
+    by_name = {c.name: c for c in suite_runs.reports["identities"].checks}
     cm = by_name["commutator_max"]
     mono = by_name["commutator_padding_monotone"]
     ok = cm.passed and mono.passed
     _verdict(4, ok, f"max relative error {cm.measured:.2e} < 1e-6, "
                     f"padding monotone={bool(mono.measured)}")
-    # stash for criteria 1/6 companions
-    test_criterion_04_x_commutator.report = report
 
 
 def test_criterion_05_conjugated_semigroup_decay():
@@ -173,8 +160,8 @@ def test_criterion_07_solver_order():
                     f"duhamel cross-check {cross:.2e} < 1e-5")
 
 
-def test_criterion_08_persistence(suite_reports):
-    rep = suite_reports["persistence"]
+def test_criterion_08_persistence(suite_runs):
+    rep = suite_runs.reports["persistence"]
     by = {c.name: c for c in rep.checks}
     ok = rep.passed
     _verdict(8, ok, f"seven norms finite={bool(by['all_components_finite'].measured)}, "
@@ -182,8 +169,8 @@ def test_criterion_08_persistence(suite_reports):
                     f"n drift {by['stability_n'].measured:.2e} < 10%")
 
 
-def test_criterion_09_propagation(suite_reports):
-    rep = suite_reports["propagation"]
+def test_criterion_09_propagation(suite_runs):
+    rep = suite_runs.reports["propagation"]
     by = {c.name: c for c in rep.checks}
     ok = rep.passed
     _verdict(9, ok, f"rightward sup ratio {by['right_window_sup_ratio'].measured:.3f} < 2, "
@@ -191,8 +178,8 @@ def test_criterion_09_propagation(suite_reports):
                     f"spacetime drift {by['spacetime_band_stable'].measured:.2e} < 10%")
 
 
-def test_criterion_10_blowup_contrast(suite_reports):
-    rep = suite_reports["blowup"]
+def test_criterion_10_blowup_contrast(suite_runs):
+    rep = suite_runs.reports["blowup"]
     by = {c.name: c for c in rep.checks}
     exc = [c for c in rep.checks if c.name.startswith("excluded_ratio")]
     ok = rep.passed
@@ -200,8 +187,8 @@ def test_criterion_10_blowup_contrast(suite_reports):
                      f"excluded ratios {[round(c.measured, 2) for c in exc]} in [0.5, 2]")
 
 
-def test_criterion_11_duhamel_smoothing(suite_reports):
-    rep = suite_reports["smoothing"]
+def test_criterion_11_duhamel_smoothing(suite_runs):
+    rep = suite_runs.reports["smoothing"]
     by = {c.name: c for c in rep.checks}
     ok = rep.passed
     _verdict(11, ok, f"tail gains k=1: {by['gain_j1_k1'].measured:.2f}, "
@@ -212,9 +199,9 @@ def test_criterion_12_cutoff_suite():
     ok = True
     details = []
     for eps, b in ((0.1, 0.5), (0.2, 1.0), (0.05, 0.25)):
-        chi = make_cutoff(CutoffSpec(eps, b))
-        ref = make_cutoff(CutoffSpec(eps / 3.0, b + eps))
-        inner = make_cutoff(CutoffSpec(eps / 5.0, eps))
+        chi = CutoffFunction(eps, b)
+        ref = CutoffFunction(eps / 3.0, b + eps)
+        inner = CutoffFunction(eps / 5.0, eps)
         xs = np.linspace(eps / 6.0, b + 2.0 * eps, 10 ** 4)
         # support
         p1 = (chi(eps / 2) == 0.0 and chi(b + 1.0) == 1.0
@@ -240,19 +227,13 @@ def test_criterion_12_cutoff_suite():
     _verdict(12, ok, "ramp properties on 1e4-point samples: " + ", ".join(details))
 
 
-def test_criterion_13_determinism(outdir, suite_reports):
-    # the suites of ``suite_reports`` already ran once; one fresh run each
+def test_criterion_13_determinism(outdir, suite_runs):
+    # every suite already ran once in ``suite_runs``; one fresh run each
     # gives the second independent run to compare with
     mismatched = []
-    for name in ("decay", "identities", "persistence", "propagation", "blowup",
-                 "smoothing"):
-        paths = []
-        if name in suite_reports:
-            paths.append([a for a in suite_reports[name].artifacts if a.endswith(".csv")])
-        for sub in ("d1", "d2")[len(paths):]:
-            cfg = default_config(name, seed=0, output_dir=str(outdir / sub))
-            rep = run(cfg)
-            paths.append([a for a in rep.artifacts if a.endswith(".csv")])
+    for name, first in suite_runs.reports.items():
+        second = run(default_config(name, seed=0, output_dir=str(outdir / "d2")))
+        paths = [[a for a in rep.artifacts if a.endswith(".csv")] for rep in (first, second)]
         for a, b in zip(*paths):
             if open(a, "rb").read() != open(b, "rb").read():
                 mismatched.append(a)

@@ -52,6 +52,44 @@ def test_every_definition_has_a_caller():
         f"or bench/: {', '.join(uncalled)}")
 
 
+def _dataclass_fields(path: Path) -> dict[str, list[str]]:
+    """The annotated fields of every dataclass, by class name."""
+    return {node.name: [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in node.decorator_list)}
+
+
+def _attributes_read(path: Path, records: set[str]) -> set[str]:
+    """Names read as an attribute, ``obj.name`` in a load context, except
+    where the value only goes into a new record: an argument of a call to a
+    class in ``records``."""
+    tree = ast.parse(path.read_text())
+    copied = {id(a) for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) in records
+              for a in [*node.args, *(k.value for k in node.keywords)]}
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in copied}
+
+
+def test_every_dataclass_field_is_read():
+    # Same callers and the same name rule as the guards above: a field counts
+    # as read when any caller reads an attribute of its name, on any object.
+    # Passing ``traj.dt`` straight into a new ``Trajectory`` does not count:
+    # a field only copied from record to record is read by nobody.
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = [p for p in modules if p.name != "__init__.py"]
+    callers += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+    fields = {f"{p.stem}.{cls}": names for p in modules
+              for cls, names in _dataclass_fields(p).items()}
+    records = {name.split(".")[1] for name in fields}
+    read = set().union(*(_attributes_read(p, records) for p in callers))
+    unread = sorted(f"{cls}.{f}" for cls, names in fields.items() for f in names
+                    if f not in read)
+    assert not unread, (
+        f"dataclass fields that no attribute read in src/hkdvlab, "
+        f"tests/test_acceptance.py or bench/ reaches: {', '.join(unread)}")
+
 
 def _has_default(value) -> bool:
     """Whether a dataclass field's value gives it a default: any value but a

@@ -83,6 +83,9 @@ dt = 0.004
         ("propagation", "window_v", "-1"),
         ("persistence", "width", "0"),
         ("identities", "reduction_j_max", "40"),
+        ("identities", "reduction_fields", "0"),
+        ("identities", "algebra_fields", "0"),
+        ("propagation", "rough_band_hi", "0.1"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, suite, option, raw):
         text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
@@ -209,15 +212,6 @@ class TestCatalogue:
         assert payload[0]["name"] == "decay"
 
 
-@pytest.fixture(scope="module")
-def suite_outputs(tmp_path_factory):
-    """The output root of one default run of every suite at seed 0."""
-    out = tmp_path_factory.mktemp("suites")
-    for name in SUITES:
-        run(default_config(name, output_dir=str(out)))
-    return out
-
-
 class _Anything:
     """Accepts every method call, as a matplotlib ``Axes`` would."""
 
@@ -261,8 +255,8 @@ class TestPlots:
         with pytest.raises(FileNotFoundError):
             emit_plots(str(tmp_path / "persistence" / "report.json"))
 
-    def test_contrast_plot_draws_the_report_threshold(self, suite_outputs):
-        rp = suite_outputs / "blowup" / "report.json"
+    def test_contrast_plot_draws_the_report_threshold(self, suite_runs):
+        rp = suite_runs.root / "blowup" / "report.json"
         [check] = [c for c in json.loads(rp.read_text())["checks"]
                    if c["name"] == "manifest_contrast_min"]
         [script] = emit_plots(str(rp))
@@ -272,11 +266,11 @@ class TestPlots:
         op, bound = check["threshold"].split()
         assert op == ">" and ast.literal_eval(line.args[0]) == float(bound)
 
-    def test_every_plot_script_runs(self, suite_outputs, saved_figures):
+    def test_every_plot_script_runs(self, suite_runs, saved_figures):
         # matplotlib is stubbed, so each script's own code runs on its
         # suite's CSV and must get as far as saving its figure
         for name in SUITES:
-            scripts = emit_plots(str(suite_outputs / name / "report.json"))
+            scripts = emit_plots(str(suite_runs.root / name / "report.json"))
             assert scripts, name
             for script in scripts:
                 before = len(saved_figures)

@@ -3,7 +3,7 @@ import pytest
 
 import hkdvlab.fields as fields
 import reference
-from hkdvlab.norms import CutoffSpec, make_cutoff
+from hkdvlab.norms import CutoffFunction
 from hkdvlab.spectral import make_grid
 
 
@@ -56,7 +56,7 @@ def test_glued_datum_switches_over_the_ramp(rng):
     g = make_grid(256, 40.0)
     rough = fields.random_band_limited(g, rng, band=80)
     smooth = fields.gaussian(g, width=3.0)
-    u = fields.glued_datum(g, rough, smooth, make_cutoff(CutoffSpec(eps=1.0, b=6.0)))
+    u = fields.glued_datum(g, rough, smooth, CutoffFunction(eps=1.0, b=6.0))
     left, right = g.nodes <= 1.0, g.nodes >= 6.0
     assert np.array_equal(u.samples[left], rough.samples[left])
     assert np.array_equal(u.samples[right], smooth.samples[right])

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import BoundaryDecayError, WindowExitsGrid
-from hkdvlab.norms import (CutoffSpec, MixedNormSpec, WindowSpec, _halfline_integral,
-                           make_cutoff, mixed_norm, weighted_norm, window_energy)
+from hkdvlab.norms import (CutoffFunction, WindowSpec, _halfline_integral, mixed_norm,
+                           weighted_norm, window_energy)
 from hkdvlab.propagators import DispersionParams, Trajectory, evolve
 from hkdvlab.spectral import RealField, derivative, make_grid
 
@@ -20,7 +20,7 @@ def _hs_norm(f, s):
     """The H^s norm as the persistence suite's ``sup_T_Hs`` column takes it:
     ``||J^s f||_{L^2}`` over a one-slice trajectory."""
     traj = Trajectory(f.grid, np.array([0.0]), [f], KDV)
-    return mixed_norm(traj, MixedNormSpec(p=2, q=math.inf, order="t_outer_x_inner", js=s))
+    return mixed_norm(traj, p=2, q=math.inf, order="t_outer_x_inner", js=s)
 
 
 class TestSobolevNorm:
@@ -94,15 +94,15 @@ class TestMixedNorm:
     def test_constant_in_time_separates(self, grid, rng):
         f = fields.random_band_limited(grid, rng, band=40)
         traj = _constant_trajectory(grid, f, T=0.5)
-        got = mixed_norm(traj, MixedNormSpec(p=4, q=2, order="x_outer_t_inner"))
+        got = mixed_norm(traj, p=4, q=2, order="x_outer_t_inner")
         lp4 = (grid.dx * np.sum(np.abs(f.samples) ** 4)) ** 0.25
         assert got == pytest.approx(0.5 ** 0.5 * lp4, rel=1e-12)
 
     def test_fubini_at_p_q_two(self, grid, rng):
         u0 = reference.scale(fields.random_band_limited(grid, rng, band=30), 0.3)
         traj = evolve(KDV, u0, 0.2, 2e-3, stride=10)
-        a = mixed_norm(traj, MixedNormSpec(p=2, q=2, order="x_outer_t_inner"))
-        b = mixed_norm(traj, MixedNormSpec(p=2, q=2, order="t_outer_x_inner"))
+        a = mixed_norm(traj, p=2, q=2, order="x_outer_t_inner")
+        b = mixed_norm(traj, p=2, q=2, order="t_outer_x_inner")
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_holder_consistency(self, grid, rng):
@@ -115,9 +115,9 @@ class TestMixedNorm:
             prod = Trajectory(grid, tu.times,
                               [RealField(grid, a.samples * b.samples)
                                for a, b in zip(tu.slices, tv.slices)], KDV)
-            lhs = mixed_norm(prod, MixedNormSpec(p=1, q=2, order="x_outer_t_inner"))
-            rhs = (mixed_norm(tu, MixedNormSpec(p=2, q=math.inf, order="x_outer_t_inner"))
-                   * mixed_norm(tv, MixedNormSpec(p=2, q=2, order="x_outer_t_inner")))
+            lhs = mixed_norm(prod, p=1, q=2, order="x_outer_t_inner")
+            rhs = (mixed_norm(tu, p=2, q=math.inf, order="x_outer_t_inner")
+                   * mixed_norm(tv, p=2, q=2, order="x_outer_t_inner"))
             assert lhs <= rhs * (1 + 1e-12)
 
     @pytest.mark.parametrize("js, da", [(2.0, None), (None, 0.25), (2.0, 0.125), (-0.6, None)])
@@ -133,13 +133,13 @@ class TestMixedNorm:
             sym *= np.where(xi == 0.0, 0.0, np.abs(xi) ** da)
         g = np.fft.ifft(sym * np.fft.fft(f.samples)).real
         traj = Trajectory(grid, np.array([0.0]), [f], KDV)
-        got = mixed_norm(traj, MixedNormSpec(p=2, q=2, js=js, da=da))
+        got = mixed_norm(traj, p=2, q=2, js=js, da=da)
         assert got == pytest.approx(math.sqrt(grid.dx * np.sum(g * g)), rel=1e-12)
 
     def test_empty_trajectory_rejected(self, grid):
         traj = Trajectory(grid, np.array([]), [], KDV)
         with pytest.raises(ValueError, match="empty"):
-            mixed_norm(traj, MixedNormSpec(p=2, q=2))
+            mixed_norm(traj, p=2, q=2)
 
 
 CUTOFF_MATRIX = [(0.1, 0.5), (0.2, 1.0), (0.05, 0.25)]
@@ -148,7 +148,7 @@ CUTOFF_MATRIX = [(0.1, 0.5), (0.2, 1.0), (0.05, 0.25)]
 class TestCutoff:
     @pytest.mark.parametrize("eps,b", CUTOFF_MATRIX)
     def test_support_property(self, eps, b):
-        chi = make_cutoff(CutoffSpec(eps, b))
+        chi = CutoffFunction(eps, b)
         assert chi(eps / 2) == 0.0
         assert chi(b + 1.0) == 1.0
         xs = np.linspace(eps - 1.0, b + 1.0, 10001)
@@ -158,7 +158,7 @@ class TestCutoff:
 
     @pytest.mark.parametrize("eps,b", CUTOFF_MATRIX)
     def test_lower_bound_at_three_eps(self, eps, b):
-        chi = make_cutoff(CutoffSpec(eps, b))
+        chi = CutoffFunction(eps, b)
         floor = eps / (2.0 * (b - 3.0 * eps))
         assert chi(3 * eps) >= floor
         xs = np.linspace(3 * eps, b + 1.0, 10001)
@@ -166,8 +166,8 @@ class TestCutoff:
 
     @pytest.mark.parametrize("eps,b", CUTOFF_MATRIX)
     def test_derivatives_dominated_by_wider_ramp(self, eps, b):
-        chi = make_cutoff(CutoffSpec(eps, b))
-        ref = make_cutoff(CutoffSpec(eps / 3.0, b + eps))
+        chi = CutoffFunction(eps, b)
+        ref = CutoffFunction(eps / 3.0, b + eps)
         xs = np.linspace(eps / 6.0, b + 2.0 * eps, 10001)
         ramp = ref.derivative(xs, 1)
         assert np.max(ramp) <= 1.0 / (b - 3.0 * eps) + 1e-12
@@ -179,9 +179,9 @@ class TestCutoff:
 
     @pytest.mark.parametrize("eps,b", CUTOFF_MATRIX)
     def test_ramp_products_dominate(self, eps, b):
-        chi = make_cutoff(CutoffSpec(eps, b))
-        ref = make_cutoff(CutoffSpec(eps / 3.0, b + eps))
-        inner = make_cutoff(CutoffSpec(eps / 5.0, eps))
+        chi = CutoffFunction(eps, b)
+        ref = CutoffFunction(eps / 3.0, b + eps)
+        inner = CutoffFunction(eps / 5.0, eps)
         xs = np.linspace(eps / 6.0, b + 2.0 * eps, 10001)
         d1 = chi.derivative(xs, 1)
         mask = d1 > 1e-12 * d1.max()
@@ -192,7 +192,7 @@ class TestCutoff:
 
     def test_hypothesis_b_below_5eps_rejected(self):
         with pytest.raises(ValueError, match="5\\*eps"):
-            CutoffSpec(0.1, 0.49)
+            CutoffFunction(0.1, 0.49)
 
 
 class TestWindowEnergy:
@@ -211,8 +211,7 @@ class TestWindowEnergy:
         w = WindowSpec(x0=g.nodes[0] + 1e-9, eps=1e-9, R=g.L - 1.0, v=0.0, m=0)
         table, _ = window_energy(traj, w)
         sup = table.max(axis=0)
-        linf_l2 = mixed_norm(traj, MixedNormSpec(p=2, q=math.inf,
-                                                 order="t_outer_x_inner"))
+        linf_l2 = mixed_norm(traj, p=2, q=math.inf, order="t_outer_x_inner")
         assert sup[0] == pytest.approx(linf_l2 ** 2, rel=1e-9)
 
     def test_monotone_under_window_inclusion(self, rng):
@@ -266,5 +265,5 @@ class TestWindowEnergy:
 def test_cutoff_bounds_hold_in_matrix_range(eps, mult):
     # the (4.2) floor holds across b/eps in [5, 6] for this bump construction
     b = mult * eps
-    chi = make_cutoff(CutoffSpec(eps, b))
+    chi = CutoffFunction(eps, b)
     assert chi(3 * eps) >= eps / (2.0 * (b - 3.0 * eps)) - 1e-15

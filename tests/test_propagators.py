@@ -178,7 +178,7 @@ class TestEvolve:
         g = make_grid(64, 20.0)
         traj = evolve(KDV, fields.gaussian(g, amplitude=0.1), 1.0, 0.1, stride=3)
         assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=0.0, atol=1e-12)
-        assert (traj.params, traj.dt, traj.stride) == (KDV, 0.1, 3)
+        assert (traj.params, traj.dt) == (KDV, 0.1)
 
 
 class TestDuhamel:

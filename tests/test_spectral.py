@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.fft import irfft
+from scipy.fft import irfft, rfft
 from scipy.special import zeta
 
 import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
 from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve, linear_flow
-from hkdvlab.spectral import (RealField, SpectralField, _REDUCE_RANGE, _context,
+from hkdvlab.spectral import (RealField, _REDUCE_RANGE, _context,
                               _reduce_2pi, _stein_truncated, band_limit_check,
-                              dealias_cutoff, deriv_symbol, derivative, forward, frac_deriv,
+                              dealias_cutoff, deriv_symbol, derivative, frac_deriv,
                               make_grid, require_decay, stein_constant, stein_deriv,
                               synthesize_at)
 
@@ -48,8 +48,6 @@ class TestFieldValidation:
     def test_sample_count_checked(self, grid):
         with pytest.raises(ValueError, match="samples"):
             RealField(grid, np.zeros(grid.n - 1))
-        with pytest.raises(ValueError, match="coefficients"):
-            SpectralField(grid, np.zeros(grid.n))
 
     def test_non_finite_samples_rejected(self, grid):
         samples = np.zeros(grid.n)
@@ -69,25 +67,25 @@ class TestTransforms:
     def test_single_cosine_mode(self):
         g = make_grid(64, 10.0)
         f = RealField(g, np.cos(2 * np.pi * g.nodes / g.L))
-        F = forward(f)
-        assert F.coeffs.shape == (g.n // 2 + 1,)
-        mags = np.abs(F.coeffs)
+        c = rfft(f.samples)
+        assert c.shape == (g.n // 2 + 1,)
+        mags = np.abs(c)
         assert np.flatnonzero(mags > 1e-12 * mags.max()).tolist() == [1]
 
     def test_zero_field(self, grid):
-        F = forward(RealField(grid, np.zeros(grid.n)))
-        assert np.all(F.coeffs == 0)
+        c = rfft(RealField(grid, np.zeros(grid.n)).samples)
+        assert np.all(c == 0)
 
     def test_round_trip_ensemble(self, grid, rng):
         for _ in range(5):
             f = fields.random_band_limited(grid, rng, band=grid.n // 3, decay=0.5)
-            r = irfft(forward(f).coeffs, grid.n)
+            r = irfft(rfft(f.samples), grid.n)
             assert np.linalg.norm(r - f.samples) < 1e-13 * np.linalg.norm(f.samples)
 
     def test_plancherel(self, grid, rng):
         # sum f^2 = (1/n) sum_q w_q |c_q|^2 over the half spectrum
         f = fields.random_band_limited(grid, rng, band=grid.n // 3, decay=0.0)
-        c = forward(f).coeffs
+        c = rfft(f.samples)
         l2 = math.sqrt(grid.dx / grid.n * float(np.sum(_context(grid).weights * np.abs(c) ** 2)))
         assert abs(f.l2() - l2) < 1e-13 * f.l2()
 
@@ -97,7 +95,7 @@ class TestTransforms:
         g = make_grid(512, 60.0)
         f = fields.gaussian(g, width=1.0)
         ctx = _context(g)
-        approx = g.dx * ctx.signs * forward(f).coeffs
+        approx = g.dx * ctx.signs * rfft(f.samples)
         expect = math.sqrt(math.pi) * np.exp(-(ctx.xi ** 2) / 4.0)
         assert np.max(np.abs(approx - expect)) < 1e-12
 
@@ -206,16 +204,16 @@ class TestSynthesize:
         # white noise carries the Nyquist bin, which enters with weight 1
         for f in (fields.random_band_limited(grid, rng, band=80, decay=0.5),
                   RealField(grid, rng.standard_normal(grid.n))):
-            got = synthesize_at(forward(f), grid.nodes)
+            got = synthesize_at(grid, rfft(f.samples), grid.nodes)
             assert np.max(np.abs(got - f.samples)) < 1e-13 * f.linf()
 
     def test_trig_polynomial_between_nodes(self, rng):
         g = make_grid(64, 2 * math.pi)
         f = RealField(g, np.sin(3 * g.nodes) + 0.5 * np.cos(7 * g.nodes))
         x = rng.uniform(-math.pi, math.pi, 25)
-        got = synthesize_at(forward(f), x)
+        got = synthesize_at(g, rfft(f.samples), x)
         assert np.allclose(got, np.sin(3 * x) + 0.5 * np.cos(7 * x), rtol=0.0, atol=1e-13)
-        assert synthesize_at(forward(f), 0.25).shape == (1,)
+        assert synthesize_at(g, rfft(f.samples), 0.25).shape == (1,)
 
 
 class TestSteinDeriv:
