@@ -1,4 +1,4 @@
-"""Singular profiles, focusing data, rational-time contrasts, and tail gains.
+"""Singular profiles, focusing data, jump quotients, and tail gains.
 
 The construction superposes back-propagated copies of the profile
 ``exp(-2 |x - c|^(j+1))``, which for even ``j`` has one derivative-jump
@@ -25,8 +25,6 @@ from .spectral import Grid, RealField, _context, dealias_cutoff, deriv_symbol, s
 
 #: steps ``h`` of the jump quotient, in grid cells
 _H_CELLS = (16, 8, 4, 2)
-#: range ``p, q <= _PROBE_KMAX`` of the irrational probe's irrationality gap
-_PROBE_KMAX = 50
 #: log bins of a tail fit
 _TAIL_BINS = 10
 
@@ -166,18 +164,9 @@ def tail_exponent(grid: Grid, coeffs: np.ndarray, xi_lo: float, xi_hi: float) ->
     return -slope
 
 
-def _quotient(params: DispersionParams, u0h: np.ndarray, grid: Grid, t: float,
-              x_star: float, h_set) -> float:
-    """Second-difference quotient of ``d^j W(t)u0`` at ``x_star``.
-
-    The quotient ``|d^j f(x*+h) - 2 d^j f(x*) + d^j f(x*-h)| / (2h)`` is
-    maximized over ``h_set`` by band-limited off-node evaluation.  A jump of
-    size ``J`` in ``d^(j+1) f`` at ``x*`` drives it to ``J`` as ``h -> 0``;
-    for ``f`` smooth to order ``j + 2`` it vanishes linearly in ``h``.
-    ``u0h`` holds the coefficients ``rfft(u0.samples)``.
-    """
-    theta = dispersion_phase(params, grid)
-    dh = deriv_symbol(grid, params.j) * np.exp(1j * t * theta) * u0h
+def _quotient(grid: Grid, dh: np.ndarray, x_star: float, h_set) -> float:
+    """Second-difference quotient at ``x_star`` of the field whose half
+    spectrum is ``dh``, maximized over the steps ``h_set``."""
     pts = [x_star]
     for h in h_set:
         pts += [x_star - h, x_star + h]
@@ -186,71 +175,22 @@ def _quotient(params: DispersionParams, u0h: np.ndarray, grid: Grid, t: float,
                for i, h in enumerate(h_set))
 
 
-@dataclass
-class ContrastRecord:
-    t_rational: float
-    x_star: float
-    quotient_rational: float
-    quotient_irrational: float
+def jump_quotients(params: DispersionParams, t: float, u0: RealField,
+                   locations) -> list[float]:
+    """Jump quotients of ``d^j W(t) u0`` at each of ``locations``.
 
-    @property
-    def contrast(self) -> float:
-        return self.quotient_rational / self.quotient_irrational
-
-
-def blowup_contrast(datum: tuple[RealField, list[DatumTerm]],
-                    params: DispersionParams,
-                    t_rational: float,
-                    t_irrational: float = math.sqrt(2.0)) -> list[ContrastRecord]:
-    """Jump-quotient contrast between a manifest time and an irrational probe.
-
-    ``datum`` is the ``(u0, manifest)`` pair of :func:`build_blowup_datum`.
-    It is evolved linearly to both times; at each singular location of
-    ``t_rational`` the ratio of the second-difference quotients is reported.
-    The irrational probe must have a positive irrationality gap.
+    The quotient ``|d^j f(x*+h) - 2 d^j f(x*) + d^j f(x*-h)| / (2h)`` is
+    maximized over steps of 16, 8, 4 and 2 grid cells by band-limited
+    off-node evaluation.  A jump of size ``J`` in ``d^(j+1) f`` at ``x*``
+    drives it to ``J`` as ``h -> 0``; for ``f`` smooth to order ``j + 2`` it
+    vanishes linearly in ``h``.  The spectrum of ``d^j W(t) u0`` is built
+    once for all locations.
     """
-    if irrationality_gap(t_irrational, _PROBE_KMAX) == 0.0:
-        raise ValueError(f"probe time {t_irrational} is rational within kmax={_PROBE_KMAX}")
-    u0, manifest = datum
     grid = u0.grid
-    locations = sorted({t.singular_location for t in manifest
-                        if abs(t.singular_time - t_rational) < 1e-12})
-    if not locations:
-        raise ValueError(f"t={t_rational} is not a singular time of the manifest")
+    theta = dispersion_phase(params, grid)
+    dh = deriv_symbol(grid, params.j) * np.exp(1j * t * theta) * rfft(u0.samples)
     h_set = tuple(grid.dx * c for c in _H_CELLS)
-    u0h = rfft(u0.samples)
-    out = []
-    for loc in locations:
-        qr = _quotient(params, u0h, grid, t_rational, loc, h_set)
-        qi = _quotient(params, u0h, grid, t_irrational, loc, h_set)
-        out.append(ContrastRecord(t_rational, loc, qr, qi))
-    return out
-
-
-def excluded_time_ratio(datum: tuple[RealField, list[DatumTerm]],
-                        params: DispersionParams, t_excluded: float,
-                        t_irrational: float = math.sqrt(2.0)) -> float:
-    """Geometric-mean quotient ratio at the manifest locations.
-
-    ``datum`` is the ``(u0, manifest)`` pair of :func:`build_blowup_datum`.
-    For rational times absent from the truncation every term is a dispersed
-    smooth wave, so the quotient should match the irrational probe's to
-    within a factor ~2; the geometric mean across the singular locations
-    stabilizes the pointwise ripple ratio.
-    """
-    u0, manifest = datum
-    grid = u0.grid
-    if any(abs(trm.singular_time - t_excluded) < 1e-12 for trm in manifest):
-        raise ValueError(f"t={t_excluded} is a manifest singular time")
-    locations = sorted({trm.singular_location for trm in manifest})
-    h_set = tuple(grid.dx * c for c in _H_CELLS)
-    u0h = rfft(u0.samples)
-    logs = []
-    for loc in locations:
-        qe = _quotient(params, u0h, grid, t_excluded, loc, h_set)
-        qi = _quotient(params, u0h, grid, t_irrational, loc, h_set)
-        logs.append(math.log(qe / qi))
-    return math.exp(sum(logs) / len(logs))
+    return [_quotient(grid, dh, x, h_set) for x in locations]
 
 
 def _parseval(grid: Grid, c: np.ndarray) -> float:

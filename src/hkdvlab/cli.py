@@ -6,7 +6,8 @@ Subcommands::
     hkdvlab list [--json]
     hkdvlab plots <report.json>
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error.
+Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error,
+3 the run aborted with a typed error (``HkdvError``) before its verdicts.
 ``HKDVLAB_OUTPUT`` overrides the output directory.
 """
 
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, HkdvError
 from .experiments import (SUITES, default_config, emit_plots, list_suites,
                           parse_config, run)
 
@@ -75,7 +76,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    report = run(cfg)
+    try:
+        report = run(cfg)
+    except HkdvError as exc:
+        print(f"run aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.name}: {check.measured:.6g} (want {check.threshold})")

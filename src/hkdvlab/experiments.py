@@ -24,8 +24,8 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from . import fields
-from .blowup import (_PROBE_KMAX, BlowupDatumSpec, blowup_contrast, build_blowup_datum,
-                     excluded_time_ratio, irrationality_gap, smoothing_gain)
+from .blowup import (BlowupDatumSpec, build_blowup_datum, coprime_pairs, irrationality_gap,
+                     jump_quotients, smoothing_gain)
 from .errors import ConfigError
 from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator)
@@ -567,16 +567,23 @@ def _run_propagation(cfg: ExperimentConfig, outdir: str):
 
 
 def _check_blowup(v: dict) -> None:
-    _need(v[("suite", "qmax")] >= 1 and v[("suite", "pmax")] >= 1,
-          "truncation bounds must be >= 1")
+    qmax, pmax = v[("suite", "qmax")], v[("suite", "pmax")]
+    _need(qmax >= 1 and pmax >= 1, "truncation bounds must be >= 1")
     _need(v[("suite", "scheme")] in ("paper", "normalized"),
           "suite.scheme must be 'paper' or 'normalized'")
-    _excluded_times(v)
+    _need(pmax <= 0.4 * v[("grid", "L")],
+          "suite.pmax must be <= 0.4 grid.L: every singular location p1/q1 "
+          "stays in the profile's decay-safe region")
+    for p, q in _excluded_times(v):
+        _need(not any(p * q2 == p2 * q for p2, q2 in coprime_pairs(pmax, qmax)),
+              f"suite.excluded_times: {p}/{q} is a manifest singular time")
 
 
 #: bound of every manifest contrast, and range of the ratio at an excluded time
 _CONTRAST_MIN = 10.0
 _EXCLUDED_LO, _EXCLUDED_HI = 0.5, 2.0
+#: range ``p, q <= _PROBE_KMAX`` of the irrational probe's irrationality gap
+_PROBE_KMAX = 50
 
 
 def _run_blowup(cfg: ExperimentConfig, outdir: str):
@@ -590,26 +597,32 @@ def _run_blowup(cfg: ExperimentConfig, outdir: str):
     checks.append(_compare("probe_gap_positive", irrationality_gap(probe_t, _PROBE_KMAX),
                            ">", 0))
 
-    datum = build_blowup_datum(spec, params, g)
-    manifest = datum[1]
+    u0, manifest = build_blowup_datum(spec, params, g)
     artifacts.append(_write_csv(
         outdir, "manifest.csv",
         ["p1", "q1", "p2", "q2", "weight", "t_singular", "x_singular"],
         [(t.p1, t.q1, t.p2, t.q2, t.weight, t.singular_time, t.singular_location)
          for t in manifest]))
 
+    # the manifest pairs every location with every time, so each time shares
+    # one location list and the probe's quotients serve them all
+    locations = sorted({t.singular_location for t in manifest})
+    probe = jump_quotients(params, probe_t, u0, locations)
     rows = []
     worst = math.inf
     for t_rat in sorted({t.singular_time for t in manifest}):
-        for rec in blowup_contrast(datum, params, t_rat, probe_t):
-            rows.append((rec.t_rational, rec.x_star, rec.quotient_rational,
-                         rec.quotient_irrational, rec.contrast, "singular"))
-            worst = min(worst, rec.contrast)
+        for x, qr, qi in zip(locations, jump_quotients(params, t_rat, u0, locations), probe):
+            rows.append((t_rat, x, qr, qi, qr / qi, "singular"))
+            worst = min(worst, qr / qi)
     checks.append(_compare("manifest_contrast_min", worst, ">", _CONTRAST_MIN))
 
+    # at an excluded time every term is a dispersed smooth wave: the
+    # geometric mean of its ratios to the probe stabilizes the pointwise ripple
     for p, q in _excluded_times(v):
         t_ex = p / q
-        ratio = excluded_time_ratio(datum, params, t_ex, probe_t)
+        qe = jump_quotients(params, t_ex, u0, locations)
+        logs = [math.log(a / b) for a, b in zip(qe, probe)]
+        ratio = math.exp(sum(logs) / len(logs))
         rows.append((t_ex, float("nan"), float("nan"), float("nan"), ratio, "excluded"))
         checks.append(_in_range(f"excluded_ratio_{p}_{q}", ratio, _EXCLUDED_LO, _EXCLUDED_HI))
     artifacts.append(_write_csv(outdir, "contrast.csv",

@@ -32,18 +32,6 @@ class DispersionParams:
             raise ValueError("j and k must be positive integers")
 
 
-@dataclass(frozen=True)
-class ConjugationSpec:
-    """Orientation of the exponential weight and intended time direction."""
-
-    sigma: int = 1
-    time_sign: int = 1
-
-    def __post_init__(self):
-        if self.sigma not in (-1, 1) or self.time_sign not in (-1, 1):
-            raise ValueError("sigma and time_sign must be +1 or -1")
-
-
 def dispersion_phase(params: DispersionParams, grid: Grid) -> np.ndarray:
     """Phase ``theta`` on the rfft bins, with the odd-symbol Nyquist rule: the
     linear part is ``-(i xi)^(2j+1) = i theta``, so
@@ -56,29 +44,29 @@ def linear_flow(params: DispersionParams, t: float, u0: RealField) -> RealField:
     return _apply_half(u0, np.exp(1j * t * dispersion_phase(params, u0.grid)))
 
 
-def conjugated_flow(params: DispersionParams, spec: ConjugationSpec, t: float,
+def conjugated_flow(params: DispersionParams, sigma: int, t: float,
                     w0: RealField) -> RealField:
     """Exponentially conjugated semigroup ``exp(-t (i xi - sigma)^(2j+1))``.
 
-    The symbol magnitude is checked on every grid frequency before use: the
-    call is rejected with :class:`UnstableConjugation` when it exceeds
-    ``exp(2 |t|)`` anywhere, which catches the wrong pairing of weight
-    orientation and time direction for ``j = 1``.  Every ``j >= 2`` grows
-    past that bound (``j = 2``, ``sigma = -1``, ``t > 0`` is of type 4).
+    The exponent's real part, ``-t Re (i xi - sigma)^(2j+1)``, leads with
+    ``(-1)^j (2j+1) sigma t xi^(2j)``, so the symbol is bounded exactly when
+    ``(-1)^(j+1) t sigma > 0``; its sup is then ``exp(c_j |t|)``, with
+    ``c_j`` = 1, 4 and 64 for ``j`` = 1, 2 and 3.  Any other pairing of
+    weight orientation and time direction raises
+    :class:`UnstableConjugation`, which reports the growth the symbol
+    reaches on the grid.
     """
+    if sigma not in (-1, 1):
+        raise ValueError("sigma must be +1 or -1")
     if t == 0.0:
         return RealField(w0.grid, w0.samples.copy())
-    if t * spec.time_sign < 0:
-        raise ValueError(f"t={t} contradicts time_sign={spec.time_sign}")
-    g = w0.grid
-    xi = _context(g).xi
-    z = (1j * xi - spec.sigma) ** (2 * params.j + 1)
-    growth = -t * z.real
-    if float(growth.max()) > 2.0 * abs(t):
+    z = (1j * _context(w0.grid).xi - sigma) ** (2 * params.j + 1)
+    if (-1) ** (params.j + 1) * t * sigma < 0:
+        growth = float((-t * z.real).max())
         raise UnstableConjugation(
-            f"symbol magnitude reaches exp({float(growth.max()):.3g}) > "
-            f"exp({2.0 * abs(t):.3g}); sigma={spec.sigma:+d} with this "
-            f"time direction is unstable for j={params.j}")
+            f"symbol magnitude reaches exp({growth:.3g}) on this grid and grows "
+            f"without bound in xi; sigma={sigma:+d} with t={t} is unstable "
+            f"for j={params.j}")
     # irfft reads only the real part of the Nyquist bin
     return _apply_half(w0, np.exp(-t * z))
 

@@ -17,8 +17,7 @@ from hkdvlab.experiments import default_config, run
 from hkdvlab.identities import (dispersive_decay_probe, solve_coefficients,
                                 verify_reduction_identity)
 from hkdvlab.norms import CutoffFunction
-from hkdvlab.propagators import (ConjugationSpec, DispersionParams,
-                                 conjugated_flow, duhamel_quadrature,
+from hkdvlab.propagators import (DispersionParams, conjugated_flow, duhamel_quadrature,
                                  duhamel_split, evolve, linear_flow)
 from hkdvlab.spectral import RealField, derivative, frac_deriv, make_grid, stein_deriv
 
@@ -100,7 +99,6 @@ def test_criterion_04_x_commutator(suite_runs):
 
 
 def test_criterion_05_conjugated_semigroup_decay():
-    spec = ConjugationSpec(sigma=1, time_sign=1)
     p = DispersionParams(1)
     ts = (0.05, 0.1, 0.2, 0.5, 1.0)
     ratios = {}
@@ -110,7 +108,7 @@ def test_criterion_05_conjugated_semigroup_decay():
         w0 = RealField(g, np.exp(x) * np.exp(-2.0 * x ** 2))
         for ell in range(5):
             for t in ts:
-                wt = conjugated_flow(p, spec, t, w0)
+                wt = conjugated_flow(p, 1, t, w0)
                 ratios[(n, ell, t)] = (derivative(wt, ell).l2() * t ** (ell / 2.0)
                                        * math.exp(-t) / w0.l2())
     bound = max(v for (n, _, _), v in ratios.items() if n == 1024)

@@ -8,25 +8,32 @@ from scipy.integrate import quad
 
 import hkdvlab.fields as fields
 import reference
-from hkdvlab.blowup import (BlowupDatumSpec, DatumTerm, _quotient, blowup_contrast,
-                            build_blowup_datum, coprime_pairs, excluded_time_ratio,
-                            irrationality_gap, singular_profile, smoothing_gain,
-                            tail_exponent)
+from hkdvlab.blowup import (BlowupDatumSpec, DatumTerm, _quotient, build_blowup_datum,
+                            coprime_pairs, irrationality_gap, jump_quotients,
+                            singular_profile, smoothing_gain, tail_exponent)
 from hkdvlab.errors import TailFitError
 from hkdvlab.experiments import default_config
 from hkdvlab.propagators import DispersionParams, evolve, linear_flow
-from hkdvlab.spectral import make_grid
+from hkdvlab.spectral import deriv_symbol, make_grid
 
 J2 = DispersionParams(2, 1)
 
 
 def _jump_quotient(f, order, x_star, h_set=None):
-    """The suite's second-difference quotient of ``d^order f`` at ``x_star``,
-    taken at ``t = 0``, where ``W(0)`` is the identity for every ``j``."""
-    g = f.grid
+    """The suite's jump quotient of ``d^order f`` at ``x_star``, taken at
+    ``t = 0``, where ``W(0)`` is the identity for every ``j``; ``h_set``
+    replaces the suite's steps."""
     if h_set is None:
-        h_set = tuple(g.dx * c for c in (16, 8, 4, 2))
-    return _quotient(DispersionParams(order), rfft(f.samples), g, 0.0, x_star, h_set)
+        return jump_quotients(DispersionParams(order), 0.0, f, [x_star])[0]
+    return _quotient(f.grid, deriv_symbol(f.grid, order) * rfft(f.samples), x_star, h_set)
+
+
+def _contrast(datum, t, x_star):
+    """Quotients of ``datum``'s field at ``x_star`` at time ``t`` and at the
+    suite's probe time ``sqrt(2)``."""
+    u0, _ = datum
+    return (jump_quotients(J2, t, u0, [x_star])[0],
+            jump_quotients(J2, math.sqrt(2.0), u0, [x_star])[0])
 
 
 def _top_octaves_tail(f):
@@ -195,41 +202,34 @@ def contrast_grid():
 class TestContrast:
     def test_one_term_contrast(self, contrast_grid):
         spec = BlowupDatumSpec(qmax=1, pmax=1, scheme="normalized", delta=0.15)
-        rec = blowup_contrast(build_blowup_datum(spec, J2, contrast_grid), J2, 1.0)[0]
-        assert rec.contrast >= 10.0
+        qr, qi = _contrast(build_blowup_datum(spec, J2, contrast_grid), 1.0, 1.0)
+        assert qr / qi >= 10.0
         # refocusing is exact: the quotient equals the weighted raw profile's
         prof = singular_profile(contrast_grid, 3.0, 1.0)
         qprof = _jump_quotient(prof, 2, 1.0)
         w = spec.weight(1, 1, 1, 1)
-        assert rec.quotient_rational == pytest.approx(w * qprof, rel=1e-6)
+        assert qr == pytest.approx(w * qprof, rel=1e-6)
 
     def test_weight_scheme_only_rescales_one_term(self, contrast_grid):
-        a = blowup_contrast(build_blowup_datum(BlowupDatumSpec(1, 1, "normalized", 0.15),
-                                               J2, contrast_grid), J2, 1.0)[0]
-        b = blowup_contrast(build_blowup_datum(BlowupDatumSpec(1, 1, "paper"),
-                                               J2, contrast_grid), J2, 1.0)[0]
+        ar, ai = _contrast(build_blowup_datum(BlowupDatumSpec(1, 1, "normalized", 0.15),
+                                              J2, contrast_grid), 1.0, 1.0)
+        br, bi = _contrast(build_blowup_datum(BlowupDatumSpec(1, 1, "paper"),
+                                              J2, contrast_grid), 1.0, 1.0)
         # contrast is scale-free; quotients scale with the term weight
-        assert a.contrast == pytest.approx(b.contrast, rel=1e-6)
+        assert ar / ai == pytest.approx(br / bi, rel=1e-6)
         wa = BlowupDatumSpec(1, 1, "normalized", 0.15).weight(1, 1, 1, 1)
         wb = BlowupDatumSpec(1, 1, "paper").weight(1, 1, 1, 1)
-        assert (a.quotient_rational / b.quotient_rational
-                == pytest.approx(wa / wb, rel=1e-6))
+        assert ar / br == pytest.approx(wa / wb, rel=1e-6)
 
     def test_excluded_time_behaves_like_irrational(self, contrast_grid):
+        # the suite's excluded-time ratio: geometric mean over the locations
         spec = BlowupDatumSpec(qmax=2, pmax=2, scheme="normalized", delta=0.15)
-        ratio = excluded_time_ratio(build_blowup_datum(spec, J2, contrast_grid), J2, 2.5)
+        u0, manifest = build_blowup_datum(spec, J2, contrast_grid)
+        locations = sorted({t.singular_location for t in manifest})
+        qe = jump_quotients(J2, 2.5, u0, locations)
+        qi = jump_quotients(J2, math.sqrt(2.0), u0, locations)
+        ratio = math.exp(sum(math.log(a / b) for a, b in zip(qe, qi)) / len(qi))
         assert 0.5 <= ratio <= 2.0
-
-    def test_rational_probe_rejected(self, contrast_grid):
-        spec = BlowupDatumSpec(qmax=1, pmax=1)
-        with pytest.raises(ValueError, match="rational"):
-            blowup_contrast(build_blowup_datum(spec, J2, contrast_grid), J2, 1.0,
-                            t_irrational=0.5)
-
-    def test_non_manifest_time_rejected(self, contrast_grid):
-        spec = BlowupDatumSpec(qmax=1, pmax=1)
-        with pytest.raises(ValueError, match="singular time"):
-            blowup_contrast(build_blowup_datum(spec, J2, contrast_grid), J2, 0.75)
 
 
 class TestSmoothingGain:
@@ -281,18 +281,19 @@ class TestSmoothingGain:
                  for h in (dt, dt / 2)]
         assert abs(gains[0] - gains[1]) <= 1e-5
 
-    def test_k1_gain_converged_in_dt(self):
-        # the suite's k = 1 step at seed 0: dt_k1 and dt_k1/2 agree to about
-        # 1.3e-6, while 1e-4 is still 1.4e-3 off
+    def test_k1_gain_converged_in_dt(self, suite_runs):
+        # the suite's k = 1 step at seed 0: dt_k1 (the suite's own gain, same
+        # datum and step) and dt_k1/2 agree to about 1.3e-6, while 1e-4 is
+        # still 1.4e-3 off
+        by = {c.name: c for c in suite_runs.reports["smoothing"].checks}
         v = default_config("smoothing").values
         g = make_grid(v[("grid", "n")], v[("suite", "L_k1")])
         u0 = fields.rough_spectrum_field(g, np.random.default_rng(0), s=v[("suite", "s")],
                                          amplitude=v[("suite", "amplitude")])
         p = DispersionParams(1, 1)
         T, dt = v[("suite", "T")], v[("suite", "dt_k1")]
-        gains = [smoothing_gain(evolve(p, u0, T, h, stride=10 ** 9), u0).gain
-                 for h in (dt, dt / 2)]
-        assert abs(gains[0] - gains[1]) <= 1e-5
+        half = smoothing_gain(evolve(p, u0, T, dt / 2, stride=10 ** 9), u0).gain
+        assert abs(by["gain_j1_k1"].measured - half) <= 1e-5
 
 
 def _smoothing_k2_datum(v, seed):

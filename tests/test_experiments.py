@@ -86,6 +86,9 @@ dt = 0.004
         ("identities", "reduction_fields", "0"),
         ("identities", "algebra_fields", "0"),
         ("propagation", "rough_band_hi", "0.1"),
+        ("blowup", "excluded_times", "1/2"),
+        ("blowup", "excluded_times", "2/4"),
+        ("blowup", "pmax", "200"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, suite, option, raw):
         text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
@@ -132,6 +135,9 @@ dt = 0.004
             parse_config("[experiment]\nname = persistence\n[suite]\nr = 0.9\ns = 1.0\n")
         with pytest.raises(ConfigError, match="even"):
             parse_config("[experiment]\nname = persistence\n[grid]\nn = 511\n")
+        # the singular location 2 = pmax lies outside 0.4 L of a box of length 4
+        with pytest.raises(ConfigError, match="suite.pmax"):
+            parse_config("[experiment]\nname = blowup\n[grid]\nL = 4\n")
 
     def test_config_echo_lists_everything(self):
         cfg = default_config("smoothing", seed=3)
@@ -303,6 +309,15 @@ class TestCLI:
         p = tmp_path / "c.ini"
         p.write_text("[experiment]\nname = decay\n")
         assert main(["run", "persistence", "--config", str(p)]) == 2
+
+    def test_aborted_run_exit_three(self, tmp_path, capsys):
+        # persistence at j = 2 leaves the solver's stable range at step 114
+        p = tmp_path / "c.ini"
+        p.write_text("[experiment]\nname = persistence\n[params]\nj = 2\n")
+        assert main(["run", "persistence", "--config", str(p),
+                     "--output-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run aborted: SolverBlowup: ") and err.count("\n") == 1
 
     def test_plots_subcommand(self, tmp_path, capsys):
         main(["run", "persistence", "--output-dir", str(tmp_path)])

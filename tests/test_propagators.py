@@ -7,10 +7,9 @@ from scipy.fft import irfft, rfft
 import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import SolverBlowup, UnstableConjugation
-from hkdvlab.propagators import (ConjugationSpec, DispersionParams, Trajectory,
-                                 _nonlinear_rhs, conjugated_flow, dispersion_phase,
-                                 duhamel_quadrature, duhamel_split, evolve,
-                                 linear_flow)
+from hkdvlab.propagators import (DispersionParams, Trajectory, _nonlinear_rhs,
+                                 conjugated_flow, dispersion_phase, duhamel_quadrature,
+                                 duhamel_split, evolve, linear_flow)
 from hkdvlab.spectral import RealField, dealias_cutoff, derivative, make_grid
 
 KDV = DispersionParams(1, 1)
@@ -22,10 +21,11 @@ class TestParams:
         with pytest.raises(ValueError, match="positive"):
             DispersionParams(j, k)
 
-    def test_conjugation_signs_must_be_unit(self):
-        for kw in ({"sigma": 0}, {"time_sign": 2}):
+    def test_conjugation_signs_must_be_unit(self, grid):
+        w0 = fields.gaussian(grid)
+        for sigma in (0, 2):
             with pytest.raises(ValueError, match="must be"):
-                ConjugationSpec(**kw)
+                conjugated_flow(KDV, sigma, 0.5, w0)
 
 
 class TestDispersionPhase:
@@ -80,16 +80,15 @@ class TestConjugatedFlow:
         return RealField(fine_grid, np.exp(x) * np.exp(-2.0 * x ** 2))
 
     def test_time_zero_identity(self, w0):
-        out = conjugated_flow(KDV, ConjugationSpec(1, 1), 0.0, w0)
+        out = conjugated_flow(KDV, 1, 0.0, w0)
         assert np.array_equal(out.samples, w0.samples)
 
     def test_decay_ratio_bounded(self, w0):
         # || d^l w(t) || * t^(l/2) * e^(-t) / ||w0|| stays O(1) on [0.05, 1]
-        spec = ConjugationSpec(1, 1)
         for ell in range(5):
             ratios = []
             for t in (0.05, 0.1, 0.2, 0.5, 1.0):
-                wt = conjugated_flow(KDV, spec, t, w0)
+                wt = conjugated_flow(KDV, 1, t, w0)
                 ratios.append(derivative(wt, ell).l2() * t ** (ell / 2.0)
                               * math.exp(-t) / w0.l2())
             assert max(ratios) < 5.0
@@ -97,21 +96,41 @@ class TestConjugatedFlow:
 
     def test_inverted_time_sign_unstable(self, w0):
         with pytest.raises(UnstableConjugation):
-            conjugated_flow(KDV, ConjugationSpec(1, -1), -0.5, w0)
+            conjugated_flow(KDV, 1, -0.5, w0)
 
-    def test_sign_mismatch_rejected(self, w0):
-        with pytest.raises(ValueError, match="time_sign"):
-            conjugated_flow(KDV, ConjugationSpec(1, 1), -0.5, w0)
-
-    @pytest.mark.parametrize("j", [2, 3])
-    def test_orders_above_one_rejected(self, w0, j):
-        # the growth exceeds 2|t| in every pairing; j = 2 with sigma = -1 and
-        # t > 0 is a semigroup of type 4
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_rejected_exactly_when_unstable(self, w0, j):
+        # the symbol is bounded exactly when (-1)^(j+1) t sigma > 0
         for sigma in (1, -1):
-            for time_sign in (1, -1):
-                with pytest.raises(UnstableConjugation):
-                    conjugated_flow(DispersionParams(j), ConjugationSpec(sigma, time_sign),
-                                    0.3 * time_sign, w0)
+            for t in (0.3, -0.3):
+                if (-1) ** (j + 1) * t * sigma > 0:
+                    wt = conjugated_flow(DispersionParams(j), sigma, t, w0)
+                    assert np.all(np.isfinite(wt.samples))
+                else:
+                    with pytest.raises(UnstableConjugation, match=f"j={j}"):
+                        conjugated_flow(DispersionParams(j), sigma, t, w0)
+
+    @pytest.mark.parametrize("j,sigma,c_j", [(2, -1, 4.0), (3, 1, 64.0)])
+    def test_higher_order_decay_ratio_bounded(self, j, sigma, c_j):
+        # criterion 5 at j >= 2 on a stable pairing: the symbol's sup is
+        # e^(c_j t) and each derivative costs t^(-1/(2j))
+        p = DispersionParams(j)
+        ts = (0.05, 0.1, 0.2, 0.5, 1.0)
+        ratios = {}
+        for n in (1024, 2048):
+            g = make_grid(n, 60.0)
+            x = g.nodes
+            w0 = RealField(g, np.exp(sigma * x) * np.exp(-2.0 * x ** 2))
+            for ell in range(5):
+                for t in ts:
+                    wt = conjugated_flow(p, sigma, t, w0)
+                    ratios[(n, ell, t)] = (derivative(wt, ell).l2() * t ** (ell / (2.0 * j))
+                                           * math.exp(-c_j * t) / w0.l2())
+        bound = max(v for (n, _, _), v in ratios.items() if n == 1024)
+        drift = max(abs(ratios[(2048, ell, t)] - ratios[(1024, ell, t)])
+                    / ratios[(1024, ell, t)] for ell in range(5) for t in ts)
+        assert math.isfinite(bound) and bound < 5.0
+        assert drift < 0.05
 
 
 class TestEvolve:
