@@ -7,8 +7,10 @@ Subcommands::
     hkdvlab plots <report.json>
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error,
-3 the run aborted with a typed error (``HkdvError``) before its verdicts.
-``HKDVLAB_OUTPUT`` overrides the output directory.
+3 the run aborted with a typed error (``HkdvError``) before its verdicts; its
+``report.json`` records the error.  ``--seed`` and ``--output-dir`` replace
+the config's values before validation; ``HKDVLAB_OUTPUT`` overrides the
+output directory.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import json
 import sys
 
 from .errors import ConfigError, HkdvError
-from .experiments import (SUITES, default_config, emit_plots, list_suites,
-                          parse_config, run)
+from .experiments import SUITES, emit_plots, list_suites, parse_config, run
 
 
 def main(argv=None) -> int:
@@ -58,20 +59,17 @@ def main(argv=None) -> int:
             print(path)
         return 0
 
-    # run
+    # run: without a file the config names only the suite; the overrides
+    # are applied before the one validation
     try:
+        text = f"[experiment]\nname = {args.suite}\n"
         if args.config:
             with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-            if cfg.name != args.suite:
-                raise ConfigError(
-                    f"config names suite {cfg.name!r} but {args.suite!r} requested")
-        else:
-            cfg = default_config(args.suite)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
+                text = fh.read()
+        cfg = parse_config(text, args.seed, args.output_dir)
+        if cfg.name != args.suite:
+            raise ConfigError(
+                f"config names suite {cfg.name!r} but {args.suite!r} requested")
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from scipy.fft import next_fast_len
 from . import fields
 from .blowup import (BlowupDatumSpec, build_blowup_datum, coprime_pairs, irrationality_gap,
                      jump_quotients, smoothing_gain)
-from .errors import ConfigError
+from .errors import ConfigError, HkdvError
 from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator)
 from .norms import CutoffFunction, WindowSpec, mixed_norm, window_energy, weighted_norm
@@ -69,10 +69,12 @@ class ExperimentReport:
     checks: list[Check] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     wall_clock: float = 0.0
+    #: ``{"type", "message"}`` of the typed error that aborted the run
+    error: dict | None = None
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.error is None and all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
         payload = {
@@ -81,6 +83,7 @@ class ExperimentReport:
             "rng": self.rng,
             "checks": [asdict(c) for c in self.checks],
             "artifacts": self.artifacts,
+            "error": self.error,
             "pass": self.passed,
             "wall_clock": self.wall_clock,
         }
@@ -149,15 +152,15 @@ def _suite(name: str) -> Suite:
 
 
 def default_config(name: str, seed: int = 0, output_dir: str = "out") -> ExperimentConfig:
-    cfg = ExperimentConfig(name, seed, output_dir, dict(_suite(name).defaults))
-    _validate(cfg)
-    return cfg
+    return parse_config(f"[experiment]\nname = {name}\n", seed, output_dir)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, seed: int | None = None,
+                 output_dir: str | None = None) -> ExperimentConfig:
     """Parse the flat sectioned key=value format.
 
-    A value is converted to the type of the option's default.
+    A value is converted to the type of the option's default.  A ``seed`` or
+    ``output_dir`` other than None replaces the text's before validation.
     """
     cp = configparser.ConfigParser()
     cp.optionxform = str            # keys are case-sensitive (dt vs T)
@@ -182,9 +185,9 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(
                     f"{section}.{key}: cannot parse {raw!r} as {typ.__name__}") from exc
-    seed = values.pop(("run", "seed"))
-    outdir = values.pop(("run", "output_dir"))
-    cfg = ExperimentConfig(suite.name, seed, outdir, values)
+    file_seed, file_outdir = values.pop(("run", "seed")), values.pop(("run", "output_dir"))
+    cfg = ExperimentConfig(suite.name, file_seed if seed is None else seed,
+                           file_outdir if output_dir is None else output_dir, values)
     _validate(cfg)
     return cfg
 
@@ -219,16 +222,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     _suite(cfg.name).validate(v)
 
 
-def _float_list(v: dict, key: str) -> list[float]:
-    """The comma-separated numbers of option ``suite.<key>``."""
-    text = v[("suite", key)]
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(
-            f"suite.{key}: cannot parse {text!r} as comma-separated numbers") from exc
-
-
 def _excluded_times(v: dict) -> list[tuple[int, int]]:
     """``suite.excluded_times`` as ``(p, q)`` pairs; an entry is ``p/q`` or ``p``."""
     pairs = []
@@ -248,31 +241,17 @@ def _excluded_times(v: dict) -> list[tuple[int, int]]:
 # suites
 
 
-def _check_decay(v: dict) -> None:
-    ts = _float_list(v, "t_list")
-    _need(all(t >= 1 for t in ts), "suite.t_list entries must be >= 1")
-    _need(all(a < b for a, b in zip(ts, ts[1:])), "suite.t_list must increase")
-    _need(len(ts) >= 2, "suite.t_list needs at least two times to fit a slope")
-    for key in ("envelopes_j1", "envelopes_j2"):
-        _need(all(e > 0 for e in _float_list(v, key)), f"suite.{key} must be positive")
-    for j in _float_list(v, "j_list"):
-        _need(("suite", f"envelopes_j{j:g}") in v,
-              f"suite.j_list: j = {j:g} has no suite.envelopes_j{j:g}")
-
-
 #: range of each envelope's fitted slope, and the largest shift between envelopes
 _SLOPE_LO, _SLOPE_HI, _MAX_SHIFT = -0.55, -0.45, 0.02
 
 
 def _run_decay(cfg: ExperimentConfig, outdir: str):
-    v = cfg.values
     checks, artifacts = [], []
     rows = []
-    t_list = tuple(_float_list(v, "t_list"))
-    for j in [int(x) for x in _float_list(v, "j_list")]:
-        envs = tuple(_float_list(v, f"envelopes_j{j}"))
-        fit = dispersive_decay_probe(j, t_list=t_list, envelopes=envs)
-        for env in envs:
+    # the probe's own times and envelopes are the suite's
+    for j in (1, 2):
+        fit = dispersive_decay_probe(j)
+        for env in fit.envelopes:
             for t, sup, n in zip(fit.t_list, fit.sups[env], fit.grid_sizes[env]):
                 rows.append((j, env, t, sup, n))
             checks.append(_in_range(f"slope_j{j}_env{env:g}", fit.slopes[env],
@@ -286,12 +265,6 @@ def _run_decay(cfg: ExperimentConfig, outdir: str):
 def _check_identities(v: dict) -> None:
     _need(1 <= v[("suite", "reduction_j_max")] <= MAX_COEFF_ORDER,
           f"suite.reduction_j_max must lie in [1, {MAX_COEFF_ORDER}]")
-    n = v[("suite", "algebra_n")]
-    _need(n >= 16 and n % 2 == 0, "suite.algebra_n must be even and >= 16")
-    _need(v[("suite", "algebra_L")] > 0, "suite.algebra_L must be positive")
-    # with no field the residual, unitarity and group-law maxima would read 0
-    for key in ("reduction_fields", "algebra_fields"):
-        _need(v[("suite", key)] >= 1, f"suite.{key} must be >= 1")
 
 
 #: bounds of the reduction, linear-flow algebra, commutator and Richardson errors
@@ -299,6 +272,10 @@ _REDUCTION_TOL = 1e-8
 _ALGEBRA_TOL = 1e-12
 _COMMUTATOR_TOL = 1e-6
 _STEIN_TOL = 1e-3
+#: random fields per reduction order, and per linear-flow algebra case
+_REDUCTION_FIELDS, _ALGEBRA_FIELDS = 20, 50
+#: the algebra grid: on this box dispersive phases stay within float resolution
+_ALGEBRA_N, _ALGEBRA_L = 1024, 1100.0
 #: base box length of each (j, t) commutator case; each case also runs on half
 #: the box (the error must grow) and on twice the box (it must shrink)
 _COMMUTATOR_L = {(1, 0.05): 32.0, (1, 0.1): 48.0, (1, 0.5): 256.0,
@@ -333,7 +310,7 @@ def _run_identities(cfg: ExperimentConfig, outdir: str):
     g = make_grid(256, 2 * math.pi)
     rows, worst = [], 0.0
     for j in range(1, v[("suite", "reduction_j_max")] + 1):
-        for i in range(v[("suite", "reduction_fields")]):
+        for i in range(_REDUCTION_FIELDS):
             f = fields.random_band_limited(g, rng, band=g.n // 4 - 2, decay=1.0)
             res = verify_reduction_identity(j, f)
             rows.append((j, i, res))
@@ -342,10 +319,10 @@ def _run_identities(cfg: ExperimentConfig, outdir: str):
     checks.append(_compare("reduction_residual_max", worst, "<", _REDUCTION_TOL))
 
     # linear-flow algebra on a phase-resolved grid
-    ga = make_grid(v[("suite", "algebra_n")], v[("suite", "algebra_L")])
+    ga = make_grid(_ALGEBRA_N, _ALGEBRA_L)
     worst_u, worst_g = 0.0, 0.0
     rows = []
-    for i in range(v[("suite", "algebra_fields")]):
+    for i in range(_ALGEBRA_FIELDS):
         u0 = fields.random_band_limited(ga, rng, band=ga.n // 2 - 1, decay=0.0)
         for j in (1, 2, 3):
             p = DispersionParams(j)
@@ -494,15 +471,14 @@ def _check_propagation(v: dict) -> None:
     q_lo, q_hi = _rough_band(v)
     _need(1 <= q_lo <= q_hi < v[("grid", "n")] // 2, "suite.rough_band_lo and "
           f"suite.rough_band_hi give q_lo = {q_lo}, q_hi = {q_hi}; need 1 <= q_lo <= q_hi < n/2")
-    _need(v[("suite", "window_eps")] > 0, "suite.window_eps must be positive")
-    _need(v[("suite", "window_R")] > v[("suite", "window_eps")],
-          "suite.window_R must exceed suite.window_eps")
-    _need(v[("suite", "stride")] >= 1, "suite.stride must be >= 1")
-    _need(v[("suite", "window_v")] >= 0, "suite.window_v must be >= 0")
 
 
 #: bounds of the rightward windows' energy ratio and the leftward window's growth
 _RIGHT_RATIO_MAX, _LEFT_GROWTH_MIN = 2.0, 10.0
+#: base steps between stored times, and the window geometry: ramp width eps,
+#: reach R and speed v; the leftward window sits at x0 on the reflected data
+_STRIDE = 25
+_WINDOW_EPS, _WINDOW_R, _WINDOW_V, _MIRROR_X0 = 1.0, 10.0, 1.0, 10.0
 
 
 def _run_propagation(cfg: ExperimentConfig, outdir: str):
@@ -511,12 +487,10 @@ def _run_propagation(cfg: ExperimentConfig, outdir: str):
     n, L = v[("grid", "n")], v[("grid", "L")]
     j, k = v[("params", "j")], v[("params", "k")]
     params = DispersionParams(j, k)
-    T, dt, stride = v[("suite", "T")], v[("suite", "dt")], v[("suite", "stride")]
+    T, dt = v[("suite", "T")], v[("suite", "dt")]
     m = j + 1
-    wspec = WindowSpec(x0=0.0, eps=v[("suite", "window_eps")],
-                       R=v[("suite", "window_R")], v=v[("suite", "window_v")], m=m)
-    mirror = WindowSpec(x0=v[("suite", "mirror_x0")], eps=v[("suite", "window_eps")],
-                        R=v[("suite", "window_R")], v=v[("suite", "window_v")], m=m)
+    wspec = WindowSpec(x0=0.0, eps=_WINDOW_EPS, R=_WINDOW_R, v=_WINDOW_V, m=m)
+    mirror = WindowSpec(x0=_MIRROR_X0, eps=_WINDOW_EPS, R=_WINDOW_R, v=_WINDOW_V, m=m)
 
     xi_cut = 2 * math.pi * dealias_cutoff(n, k) / L   # base-grid band, held fixed
 
@@ -524,7 +498,7 @@ def _run_propagation(cfg: ExperimentConfig, outdir: str):
         g = make_grid(nn, L)
         rng = np.random.default_rng(cfg.seed)
         u0 = _propagation_datum(g, rng, _rough_band(v), v[("suite", "amplitude")])
-        sstride = max(1, int(round(stride * dt / ddt)))
+        sstride = max(1, int(round(_STRIDE * dt / ddt)))
         traj = evolve(params, u0, T, ddt, stride=sstride, xi_cut=xi_cut)
         return (traj, *window_energy(traj, wspec))
 
@@ -687,13 +661,10 @@ def read(name):
 """
 
 _REGISTRY = (
-    Suite("decay", _run_decay, _check_decay,
+    Suite("decay", _run_decay, lambda v: None,
           "sup-norm of the weighted dispersive kernel decays like t^(-1/2), "
           "robust to envelope doubling",
-          {("suite", "j_list"): "1,2",
-           ("suite", "t_list"): "1,2,4,8,16,32,64",
-           ("suite", "envelopes_j1"): "4,8",
-           ("suite", "envelopes_j2"): "3,6"},
+          {},
           {"decay.csv": """
 rows = read("decay.csv")
 fig, ax = plt.subplots()
@@ -717,11 +688,7 @@ fig.savefig(os.path.join(HERE, "decay.png"), dpi=150)
           "reduction coefficients, linear-flow algebra, first-moment "
           "commutator, and principal-value fractional derivative agree "
           "with their independent evaluations",
-          {("suite", "reduction_j_max"): 5,
-           ("suite", "reduction_fields"): 20,
-           ("suite", "algebra_n"): 1024,
-           ("suite", "algebra_L"): 1100.0,
-           ("suite", "algebra_fields"): 50},
+          {("suite", "reduction_j_max"): 5},
           {"stein.csv": """
 rows = read("stein.csv")
 fig, ax = plt.subplots()
@@ -766,14 +733,9 @@ fig.savefig(os.path.join(HERE, "persistence.png"), dpi=150)
            ("params", "k"): 1,
            ("suite", "T"): 0.5,
            ("suite", "dt"): 1e-3,
-           ("suite", "stride"): 25,
            ("suite", "rough_band_lo"): 0.5,
            ("suite", "rough_band_hi"): 8.0,
-           ("suite", "amplitude"): 0.4,
-           ("suite", "window_v"): 1.0,
-           ("suite", "window_eps"): 1.0,
-           ("suite", "window_R"): 10.0,
-           ("suite", "mirror_x0"): 10.0},
+           ("suite", "amplitude"): 0.4},
           {"window_energies.csv": """
 rows = read("window_energies.csv")
 fig, ax = plt.subplots()
@@ -838,16 +800,28 @@ _PLOT_BODIES = {csv: body for s in _REGISTRY for csv, body in s.plots.items()}
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute a suite: write CSV artifacts + JSON report, return the report."""
+    """Execute a suite: write CSV artifacts + JSON report, return the report.
+
+    A typed error (:class:`HkdvError`) that aborts the suite is recorded in
+    the report, which then does not pass, and raised again.
+    """
     outdir = os.environ.get("HKDVLAB_OUTPUT", cfg.output_dir)
     outdir = os.path.join(outdir, cfg.name)
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
-    checks, artifacts = _RUNNERS[cfg.name](cfg, outdir)
-    report = ExperimentReport(cfg.name, cfg.flat(), RNG_ALGORITHM, checks,
-                              artifacts, time.perf_counter() - t0)
+    checks, artifacts, error = [], [], None
+    try:
+        checks, artifacts = _RUNNERS[cfg.name](cfg, outdir)
+    except HkdvError as exc:
+        error = exc
+    report = ExperimentReport(cfg.name, cfg.flat(), RNG_ALGORITHM, checks, artifacts,
+                              time.perf_counter() - t0,
+                              None if error is None
+                              else {"type": type(error).__name__, "message": str(error)})
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.to_json())
+    if error is not None:
+        raise error
     return report
 
 

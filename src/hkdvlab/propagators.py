@@ -198,14 +198,9 @@ def duhamel_split(traj: Trajectory, u0: RealField) -> Trajectory:
     params = traj.params
     if u0.grid != traj.grid:
         raise ValueError("datum grid differs from trajectory grid")
-    g = traj.grid
-    theta = dispersion_phase(params, g)
-    u0h = rfft(u0.samples)
-    slices = []
-    for t, s in zip(traj.times, traj.slices):
-        lin = irfft(np.exp(1j * t * theta) * u0h, g.n)
-        slices.append(RealField(g, s.samples - lin))
-    return Trajectory(g, traj.times.copy(), slices, params, traj.dt)
+    slices = [RealField(traj.grid, s.samples - linear_flow(params, t, u0).samples)
+              for t, s in zip(traj.times, traj.slices)]
+    return Trajectory(traj.grid, traj.times.copy(), slices, params, traj.dt)
 
 
 def duhamel_quadrature(traj: Trajectory) -> RealField:

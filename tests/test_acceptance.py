@@ -14,8 +14,7 @@ import pytest
 
 import hkdvlab.fields as fields
 from hkdvlab.experiments import default_config, run
-from hkdvlab.identities import (dispersive_decay_probe, solve_coefficients,
-                                verify_reduction_identity)
+from hkdvlab.identities import solve_coefficients, verify_reduction_identity
 from hkdvlab.norms import CutoffFunction
 from hkdvlab.propagators import (DispersionParams, conjugated_flow, duhamel_quadrature,
                                  duhamel_split, evolve, linear_flow)
@@ -72,21 +71,15 @@ def test_criterion_02_linear_flow_algebra():
                     f"{elapsed:.1f}s < 10s")
 
 
-def test_criterion_03_dispersive_decay():
-    t0 = time.perf_counter()
-    lines = []
-    ok = True
-    for j in (1, 2):
-        fit = dispersive_decay_probe(j)
-        for env in fit.envelopes:
-            sl = fit.slopes[env]
-            ok &= -0.55 <= sl <= -0.45
-            lines.append(f"j={j} env={env:g}: {sl:.4f}")
-        ok &= fit.slope_shift < 0.02
-        lines.append(f"j={j} shift={fit.slope_shift:.4f}")
-    elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 60.0
-    _verdict(3, ok, "; ".join(lines) + f"; {elapsed:.0f}s < 60s")
+def test_criterion_03_dispersive_decay(suite_runs):
+    rep = suite_runs.reports["decay"]
+    slopes = {c.name: c.measured for c in rep.checks if c.name.startswith("slope_")}
+    shifts = {c.name: c.measured for c in rep.checks if c.name.startswith("envelope_shift_")}
+    ok = (len(slopes) == 4 and all(-0.55 <= sl <= -0.45 for sl in slopes.values())
+          and len(shifts) == 2 and all(sh < 0.02 for sh in shifts.values())
+          and rep.wall_clock < 60.0)
+    lines = [f"{name}: {m:.4f}" for name, m in {**slopes, **shifts}.items()]
+    _verdict(3, ok, "; ".join(lines) + f"; {rep.wall_clock:.0f}s < 60s")
 
 
 def test_criterion_04_x_commutator(suite_runs):

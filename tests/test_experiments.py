@@ -15,6 +15,18 @@ from hkdvlab.experiments import (SUITES, default_config, emit_plots,
                                  list_suites, parse_config, run)
 
 
+def _assert_unknown_option(tmp_path, suite, option, raw):
+    """Setting ``suite.<option>`` is an unknown option to the parser and exits 2
+    from the CLI, before the suite's output directory exists."""
+    text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
+    with pytest.raises(ConfigError, match=re.escape(f"unknown option suite.{option}")):
+        parse_config(text)
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    assert main(["run", suite, "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert not (tmp_path / suite).exists()
+
+
 class TestConfig:
     def test_defaults_validate(self):
         for name in SUITES:
@@ -69,22 +81,15 @@ dt = 0.004
             parse_config("[experiment]\nname = decay\n[run]\nseed = 1.5\n")
 
     @pytest.mark.parametrize("suite,option,raw", [
-        ("decay", "t_list", "1,x"),
         ("blowup", "excluded_times", "5/2/1"),
         ("blowup", "excluded_times", "5/0"),
-        ("decay", "j_list", "1,3"),
-        ("identities", "algebra_n", "7"),
         ("persistence", "dt", "0.3"),
-        ("decay", "t_list", "2"),
         ("smoothing", "dt_k1", "3e-5"),
         ("smoothing", "dt_k2", "3e-4"),
         ("smoothing", "L_k1", "-5"),
         ("smoothing", "L_k2", "-5"),
-        ("propagation", "window_v", "-1"),
         ("persistence", "width", "0"),
         ("identities", "reduction_j_max", "40"),
-        ("identities", "reduction_fields", "0"),
-        ("identities", "algebra_fields", "0"),
         ("propagation", "rough_band_hi", "0.1"),
         ("blowup", "excluded_times", "1/2"),
         ("blowup", "excluded_times", "2/4"),
@@ -121,14 +126,27 @@ dt = 0.004
     def test_verdict_bound_is_not_an_option(self, tmp_path, suite, option, raw):
         # the bounds are frozen constants: a config cannot set one, even to
         # the value it had when it was an option
-        text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
-        with pytest.raises(ConfigError, match=re.escape(f"unknown option suite.{option}")):
-            parse_config(text)
-        path = tmp_path / "c.ini"
-        path.write_text(text)
-        assert main(["run", suite, "--config", str(path),
-                     "--output-dir", str(tmp_path)]) == 2
-        assert not (tmp_path / suite).exists()
+        _assert_unknown_option(tmp_path, suite, option, raw)
+
+    @pytest.mark.parametrize("suite,option,raw", [
+        ("decay", "j_list", "1,2"),
+        ("decay", "t_list", "1,2,4,8,16,32,64"),
+        ("decay", "envelopes_j1", "4,8"),
+        ("decay", "envelopes_j2", "3,6"),
+        ("identities", "reduction_fields", "20"),
+        ("identities", "algebra_n", "1024"),
+        ("identities", "algebra_L", "1100.0"),
+        ("identities", "algebra_fields", "50"),
+        ("propagation", "stride", "25"),
+        ("propagation", "window_v", "1.0"),
+        ("propagation", "window_eps", "1.0"),
+        ("propagation", "window_R", "10.0"),
+        ("propagation", "mirror_x0", "10.0"),
+    ])
+    def test_measurement_geometry_is_not_an_option(self, tmp_path, suite, option, raw):
+        # the decay times and envelopes, the algebra box and the propagation
+        # windows are the geometry the frozen bounds were calibrated on
+        _assert_unknown_option(tmp_path, suite, option, raw)
 
     def test_precondition_validation(self):
         with pytest.raises(ConfigError, match="s >= 2"):
@@ -305,6 +323,19 @@ class TestCLI:
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["run", "fourier_circus"]) == 2
 
+    @pytest.mark.parametrize("suite", ["identities", "blowup"])
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_override_is_validated(self, tmp_path, capsys, suite, with_file):
+        # --seed is checked like a seed in the file, before any output exists
+        args = ["run", suite, "--seed", "-1", "--output-dir", str(tmp_path)]
+        if with_file:
+            path = tmp_path / "c.ini"
+            path.write_text(f"[experiment]\nname = {suite}\n")
+            args += ["--config", str(path)]
+        assert main(args) == 2
+        assert "run.seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not (tmp_path / suite).exists()
+
     def test_config_mismatch_exit_two(self, tmp_path):
         p = tmp_path / "c.ini"
         p.write_text("[experiment]\nname = decay\n")
@@ -318,6 +349,11 @@ class TestCLI:
                      "--output-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("run aborted: SolverBlowup: ") and err.count("\n") == 1
+        # the aborted run still reports, and its report does not pass
+        payload = json.loads((tmp_path / "persistence" / "report.json").read_text())
+        assert payload["error"] == {"type": "SolverBlowup",
+                                    "message": err.strip().split(": ", 2)[2]}
+        assert payload["checks"] == [] and payload["pass"] is False
 
     def test_plots_subcommand(self, tmp_path, capsys):
         main(["run", "persistence", "--output-dir", str(tmp_path)])
