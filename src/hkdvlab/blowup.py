@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy.fft import irfft, rfft
 
 from .errors import TailFitError
 from .propagators import DispersionParams, Trajectory, dispersion_phase
-from .spectral import Grid, RealField, _context, dealias_cutoff, deriv_symbol, synthesize_at
+from .spectral import (Grid, RealField, _context, _irfft, _rfft, dealias_cutoff, deriv_symbol,
+                       synthesize_at)
 
 #: steps ``h`` of the jump quotient, in grid cells
 _H_CELLS = (16, 8, 4, 2)
@@ -109,10 +109,10 @@ def build_blowup_datum(spec: BlowupDatumSpec, params: DispersionParams,
         for (p1, q1) in pairs:
             w = spec.weight(p1, q1, p2, q2)
             prof = singular_profile(grid, alpha, p1 / q1)
-            term = np.exp(-1j * (p2 / q2) * theta) * rfft(prof.samples)
+            term = np.exp(-1j * (p2 / q2) * theta) * _rfft(prof.samples)
             total += w * term
             manifest.append(DatumTerm(p1, q1, p2, q2, w))
-    return RealField(grid, irfft(total, grid.n)), manifest
+    return RealField(grid, _irfft(total, grid.n)), manifest
 
 
 def irrationality_gap(t: float, kmax: int) -> float:
@@ -188,7 +188,7 @@ def jump_quotients(params: DispersionParams, t: float, u0: RealField,
     """
     grid = u0.grid
     theta = dispersion_phase(params, grid)
-    dh = deriv_symbol(grid, params.j) * np.exp(1j * t * theta) * rfft(u0.samples)
+    dh = deriv_symbol(grid, params.j) * np.exp(1j * t * theta) * _rfft(u0.samples)
     h_set = tuple(grid.dx * c for c in _H_CELLS)
     return [_quotient(grid, dh, x, h_set) for x in locations]
 
@@ -223,8 +223,8 @@ def smoothing_gain(traj: Trajectory, u0: RealField) -> SmoothingGainReport:
     g = traj.grid
     T = float(traj.times[-1])
     theta = dispersion_phase(params, g)
-    wh = np.exp(1j * T * theta) * rfft(u0.samples)
-    uh = rfft(traj.final().samples)
+    wh = np.exp(1j * T * theta) * _rfft(u0.samples)
+    uh = _rfft(traj.final().samples)
     if _parseval(g, uh - wh) < 1e-10 * max(_parseval(g, uh), 1e-300):
         return SmoothingGainReport(None, None, None, 0.0)
     drift = 0.0

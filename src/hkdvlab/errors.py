@@ -16,12 +16,17 @@ class UnstableConjugation(HkdvError):
 class SolverBlowup(HkdvError):
     """Time integration produced non-finite values.
 
-    Carries the last finite trajectory in ``partial`` for post-mortem use.
+    Carries the last finite trajectory in ``partial`` for post-mortem use,
+    the failing ``step`` and its time ``t``, and ``max_abs``, the max|u| of
+    the last stored slice.
     """
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial, step, t, max_abs):
         super().__init__(message)
         self.partial = partial
+        self.step = step
+        self.t = t
+        self.max_abs = max_abs
 
 
 class WindowExitsGrid(HkdvError):

@@ -26,7 +26,7 @@ from scipy.fft import next_fast_len
 from . import fields
 from .blowup import (BlowupDatumSpec, build_blowup_datum, coprime_pairs, irrationality_gap,
                      jump_quotients, smoothing_gain)
-from .errors import ConfigError, HkdvError
+from .errors import ConfigError, HkdvError, SolverBlowup
 from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator)
 from .norms import CutoffFunction, WindowSpec, mixed_norm, window_energy, weighted_norm
@@ -69,7 +69,8 @@ class ExperimentReport:
     checks: list[Check] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     wall_clock: float = 0.0
-    #: ``{"type", "message"}`` of the typed error that aborted the run
+    #: ``{"type", "message"}`` of the typed error that aborted the run, plus
+    #: ``step``, ``t`` and ``max_abs`` for a :class:`SolverBlowup`
     error: dict | None = None
 
     @property
@@ -803,21 +804,24 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute a suite: write CSV artifacts + JSON report, return the report.
 
     A typed error (:class:`HkdvError`) that aborts the suite is recorded in
-    the report, which then does not pass, and raised again.
+    the report, which then does not pass, and raised again; a
+    :class:`SolverBlowup` record also carries the failing step, its time and
+    the last stored max|u|.
     """
     outdir = os.environ.get("HKDVLAB_OUTPUT", cfg.output_dir)
     outdir = os.path.join(outdir, cfg.name)
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
-    checks, artifacts, error = [], [], None
+    checks, artifacts, error, record = [], [], None, None
     try:
         checks, artifacts = _RUNNERS[cfg.name](cfg, outdir)
     except HkdvError as exc:
         error = exc
+        record = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SolverBlowup):
+            record.update(step=exc.step, t=exc.t, max_abs=exc.max_abs)
     report = ExperimentReport(cfg.name, cfg.flat(), RNG_ALGORITHM, checks, artifacts,
-                              time.perf_counter() - t0,
-                              None if error is None
-                              else {"type": type(error).__name__, "message": str(error)})
+                              time.perf_counter() - t0, record)
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.to_json())
     if error is not None:

@@ -4,9 +4,8 @@ prescribed spectral decay, the glued datum, reflection and weights."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft
 
-from .spectral import Grid, RealField, _context
+from .spectral import Grid, RealField, _context, _irfft
 
 
 def gaussian(grid: Grid, center: float = 0.0, width: float = 1.0,
@@ -30,7 +29,7 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, band: int,
     mags[1:band + 1] = q.astype(float) ** (-decay)
     phases = rng.uniform(0.0, 2.0 * np.pi, nf)
     half = mags * np.exp(1j * phases)
-    samples = irfft(half, grid.n)
+    samples = _irfft(half, grid.n)
     peak = float(np.max(np.abs(samples))) or 1.0
     return RealField(grid, samples * (1.0 / peak))
 
@@ -63,7 +62,7 @@ def rough_spectrum_field(grid: Grid, rng: np.random.Generator, s: float,
     mags = np.zeros(nf)
     mags[1:] = (1.0 + xif[1:]) ** (-(s + 0.5))
     phases = rng.uniform(0.0, 2.0 * np.pi, nf)
-    samples = irfft(mags * np.exp(1j * phases), grid.n)
+    samples = _irfft(mags * np.exp(1j * phases), grid.n)
     peak = float(np.max(np.abs(samples))) or 1.0
     return RealField(grid, samples * (amplitude / peak))
 
@@ -85,7 +84,7 @@ def band_noise_by_index(grid: Grid, rng: np.random.Generator, q_lo: int,
     for q in range(q_lo, q_hi + 1):
         phase = rng.uniform(0.0, 2.0 * np.pi)
         coeffs[q] = (xi0 * q) ** (-xi_decay) * np.exp(1j * phase)
-    samples = irfft(coeffs, grid.n) * grid.n
+    samples = _irfft(coeffs, grid.n) * grid.n
     if envelope is not None:
         samples = _enveloped_zero_mean(grid, samples, envelope)
     peak = float(np.max(np.abs(samples))) or 1.0

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import ifft, irfft, next_fast_len, rfft
+from scipy.fft import ifft, next_fast_len
 
 from .errors import KernelGridTooLarge, KernelWindowError, PhaseRangeError
 from .fields import weighted
 from .propagators import DispersionParams, dispersion_phase
-from .spectral import (RealField, _REDUCE_RANGE, _power, _reduce_2pi,
+from .spectral import (RealField, _REDUCE_RANGE, _irfft, _power, _reduce_2pi, _rfft,
                        band_limit_check, deriv_symbol, derivative, require_decay)
 
 MAX_COEFF_ORDER = 32
@@ -105,16 +105,16 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
     """
     g = u0.grid
     x = g.nodes
-    u0h = rfft(u0.samples)
+    u0h = _rfft(u0.samples)
     group = np.exp(1j * t * dispersion_phase(params, g))
     xu0 = weighted(u0, x)
-    xwu0 = RealField(g, x * irfft(group * u0h, g.n))
+    xwu0 = RealField(g, x * _irfft(group * u0h, g.n))
     require_decay(u0, rel=gate, what="u0")
     require_decay(xu0, rel=gate, what="x*u0")
     require_decay(xwu0, rel=gate, what="x*W(t)u0")
-    rhs = rfft(xu0.samples)
+    rhs = _rfft(xu0.samples)
     rhs += (2 * params.j + 1) * t * deriv_symbol(g, 2 * params.j) * u0h
-    resid = irfft(group * rhs, g.n) - xwu0.samples
+    resid = _irfft(group * rhs, g.n) - xwu0.samples
     den = xwu0.l2()
     num = math.sqrt(g.dx * float(np.sum(resid ** 2)))
     return num / den if den > 0 else num

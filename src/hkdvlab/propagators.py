@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, rfft
 
 from .errors import SolverBlowup, UnstableConjugation
-from .spectral import (Grid, RealField, _apply_half, _context, dealias_cutoff,
-                       deriv_symbol)
+from .spectral import (Grid, RealField, _apply_half, _context, _irfft, _rfft,
+                       dealias_cutoff, deriv_symbol)
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,10 @@ def _nonlinear_rhs(params: DispersionParams, grid: Grid,
     band below the degree-dependent dealias rule, so grid-refinement studies
     compare the same truncated system.  Returns the evaluator and the
     boolean mask of retained bins.
+
+    The evaluator ``rhs(uh, out)`` writes the result for the half spectrum
+    ``uh`` into the caller's ``out`` and returns it; its real work buffers
+    are its own, allocated here once.
     """
     n, k = grid.n, params.k
     dj = deriv_symbol(grid, params.j)
@@ -119,24 +122,29 @@ def _nonlinear_rhs(params: DispersionParams, grid: Grid,
     if (params.j, k) == (1, 1):
         # conservative form u u_x = (u^2)_x / 2: one inverse transform
         mult = 0.5 * neg_keep * dj
+        u = np.empty(n)
 
-        def rhs(uh: np.ndarray) -> np.ndarray:
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = irfft(uh, n)
-                return mult * rfft(u * u)
+        def rhs(uh: np.ndarray, out: np.ndarray) -> np.ndarray:
+            _irfft(uh, n, out=u)
+            np.multiply(u, u, out=u)
+            _rfft(u, out=out)
+            return np.multiply(mult, out, out=out)
 
         return rhs, keep
     # u and d^j u come back from one batched inverse transform
     pair = np.empty((2, dj.size), dtype=complex)
+    real = np.empty((2, n))
+    u, du = real
 
-    def rhs(uh: np.ndarray) -> np.ndarray:
-        # overflow here only means the state is diverging; evolve() detects
-        # the non-finite result and raises with the surviving slices
-        with np.errstate(over="ignore", invalid="ignore"):
-            pair[0] = uh
-            np.multiply(dj, uh, out=pair[1])
-            u, du = irfft(pair, n)
-            return neg_keep * rfft((u ** k) * du)
+    def rhs(uh: np.ndarray, out: np.ndarray) -> np.ndarray:
+        pair[0] = uh
+        np.multiply(dj, uh, out=pair[1])
+        _irfft(pair, n, out=real)
+        if k > 1:
+            np.power(u, k, out=u)
+        np.multiply(u, du, out=u)
+        _rfft(u, out=out)
+        return np.multiply(neg_keep, out, out=out)
 
     return rhs, keep
 
@@ -147,12 +155,17 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
 
     ``T`` must be an integer multiple of ``dt`` (within rounding).  One slice
     is stored every ``stride`` steps, always including t=0 and t=T.  Raises
-    :class:`SolverBlowup` carrying the surviving slices when the state stops
-    being finite.  ``xi_cut`` pins the retained nonlinear band (see
-    ``_nonlinear_rhs``); the default follows the grid's dealias rule.
+    :class:`SolverBlowup` carrying the surviving slices, and the step, time
+    and last stored max|u|, when the state stops being finite.  ``xi_cut``
+    pins the retained nonlinear band (see ``_nonlinear_rhs``); the default
+    follows the grid's dealias rule.
 
-    The state is the dealiased ``rfft`` half spectrum; the phase factors and
-    the right-hand side's symbols are built once, before the step loop.
+    The state is the dealiased ``rfft`` half spectrum; the phase factors, the
+    right-hand side's symbols and every stage buffer are built once, before
+    the step loop, and each stage is formed in place with the operands of
+    ``E (uh + dt/2 na)``, ``E uh + dt/2 nb``, ``E^2 uh + (dt E) nc`` and
+    ``E^2 uh + dt/6 (E^2 na + (2E)(nb + nc) + nd)`` in that order (a complex
+    product's last bits depend on the operand order).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -164,32 +177,57 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     rhs, keep = _nonlinear_rhs(params, g, xi_cut)
     E = np.exp(1j * theta * (dt / 2.0))
     E2 = E * E
-    uh = rfft(u0.samples)
+    dtE = dt * E
+    twoE = 2.0 * E
+    half, sixth = dt / 2.0, dt / 6.0
+    uh = _rfft(u0.samples)
     uh[~keep] = 0.0
+    na, nb, nc, nd, stage, tmp, E2uh = (np.empty_like(uh) for _ in range(7))
 
     def snapshot(coeffs: np.ndarray) -> RealField:
-        return RealField(g, irfft(coeffs, g.n))
+        return RealField(g, _irfft(coeffs, g.n))
 
     times = [0.0]
     slices = [snapshot(uh)]
-    for step in range(1, nsteps + 1):
-        na = rhs(uh)
-        b = E * (uh + (dt / 2.0) * na)
-        nb = rhs(b)
-        c = E * uh + (dt / 2.0) * nb
-        nc = rhs(c)
-        E2uh = E2 * uh
-        d = E2uh + dt * E * nc
-        nd = rhs(d)
-        uh = E2uh + (dt / 6.0) * (E2 * na + 2.0 * E * (nb + nc) + nd)
-        if not np.all(np.isfinite(uh.view(float))):
-            partial = Trajectory(g, np.array(times), slices, params, dt)
-            raise SolverBlowup(
-                f"state became non-finite at step {step} (t={step * dt:.6g}); "
-                f"max|u| before failure {slices[-1].linf():.3e}", partial)
-        if step % stride == 0 or step == nsteps:
-            times.append(step * dt)
-            slices.append(snapshot(uh))
+    # overflow here only means the state is diverging; the finiteness test
+    # below raises with the surviving slices
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, nsteps + 1):
+            rhs(uh, na)
+            # b = E (uh + dt/2 na)
+            np.multiply(half, na, out=stage)
+            np.add(uh, stage, out=stage)
+            np.multiply(E, stage, out=stage)
+            rhs(stage, nb)
+            # c = E uh + dt/2 nb
+            np.multiply(E, uh, out=stage)
+            np.multiply(half, nb, out=tmp)
+            stage += tmp
+            rhs(stage, nc)
+            # d = E^2 uh + (dt E) nc
+            np.multiply(E2, uh, out=E2uh)
+            np.multiply(dtE, nc, out=stage)
+            np.add(E2uh, stage, out=stage)
+            rhs(stage, nd)
+            # uh = E^2 uh + dt/6 (E^2 na + (2E)(nb + nc) + nd)
+            nb += nc
+            np.multiply(twoE, nb, out=nb)
+            np.multiply(E2, na, out=na)
+            na += nb
+            na += nd
+            np.multiply(sixth, na, out=na)
+            np.add(E2uh, na, out=uh)
+            if not np.all(np.isfinite(uh.view(float))):
+                t = step * dt
+                max_abs = slices[-1].linf()
+                partial = Trajectory(g, np.array(times), slices, params, dt)
+                raise SolverBlowup(
+                    f"state became non-finite at step {step} (t={t:.6g}); "
+                    f"max|u| before failure {max_abs:.3e}", partial,
+                    step=step, t=t, max_abs=max_abs)
+            if step % stride == 0 or step == nsteps:
+                times.append(step * dt)
+                slices.append(snapshot(uh))
     return Trajectory(g, np.array(times), slices, params, dt)
 
 
@@ -223,10 +261,11 @@ def duhamel_quadrature(traj: Trajectory) -> RealField:
     rhs, _ = _nonlinear_rhs(params, g)
     T = float(traj.times[-1])
     acc = np.zeros(g.n // 2 + 1, dtype=complex)
+    nh = np.empty_like(acc)
     for i, (t, s) in enumerate(zip(traj.times, traj.slices)):
         w = 1.0 if i in (0, m) else (4.0 if i % 2 == 1 else 2.0)
-        nh = rhs(rfft(s.samples))
+        rhs(_rfft(s.samples), nh)
         acc += w * np.exp(1j * (T - t) * theta) * nh
     acc *= h / 3.0
-    return RealField(g, irfft(acc, g.n))
+    return RealField(g, _irfft(acc, g.n))
 

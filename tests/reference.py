@@ -1,4 +1,5 @@
-"""Full-complex spectral reference for the oracle tests.
+"""Full-complex spectral reference for the oracle tests, and the plain
+allocating IF-RK4 loop that ``evolve`` must match bit for bit.
 
 The package keeps one coefficient layout, the ``n//2 + 1`` bins of
 ``scipy.fft.rfft``.  This module keeps the independent layout the oracle
@@ -17,10 +18,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.fft import irfft, rfft
 
 from hkdvlab.fields import weighted
-from hkdvlab.propagators import linear_flow
-from hkdvlab.spectral import RealField, derivative
+from hkdvlab.propagators import dispersion_phase, linear_flow
+from hkdvlab.spectral import RealField, _context, dealias_cutoff, deriv_symbol, derivative
 
 
 def phase_signs(grid) -> np.ndarray:
@@ -79,3 +81,46 @@ def x_weight_commutator(params, t: float, u0: RealField) -> float:
     num = math.sqrt(u0.grid.dx * float(np.sum(resid ** 2)))
     den = xwu0.l2()
     return num / den if den > 0 else num
+
+
+def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,
+                xi_cut: float | None = None) -> tuple[list[float], list[np.ndarray]]:
+    """``evolve`` written the plain way: public ``scipy.fft`` calls, a fresh
+    array for every intermediate, the same expressions in the same operand
+    order.  Returns the stored times and samples."""
+    g = u0.grid
+    n, k = g.n, params.k
+    dj = deriv_symbol(g, params.j)
+    keep = np.arange(n // 2 + 1) <= dealias_cutoff(n, k)
+    if xi_cut is not None:
+        keep &= _context(g).xi <= xi_cut
+    neg_keep = np.where(keep, -1.0, 0.0)
+    mult = 0.5 * neg_keep * dj
+
+    def rhs(uh):
+        if (params.j, k) == (1, 1):
+            u = irfft(uh, n)
+            return mult * rfft(u * u)
+        u, du = irfft(np.stack([uh, dj * uh]), n)
+        return neg_keep * rfft((u ** k) * du)
+
+    E = np.exp(1j * dispersion_phase(params, g) * (dt / 2.0))
+    E2 = E * E
+    uh = rfft(u0.samples)
+    uh[~keep] = 0.0
+    nsteps = int(round(T / dt))
+    times, slices = [0.0], [irfft(uh, n)]
+    for step in range(1, nsteps + 1):
+        na = rhs(uh)
+        b = E * (uh + (dt / 2.0) * na)
+        nb = rhs(b)
+        c = E * uh + (dt / 2.0) * nb
+        nc = rhs(c)
+        E2uh = E2 * uh
+        d = E2uh + dt * E * nc
+        nd = rhs(d)
+        uh = E2uh + (dt / 6.0) * (E2 * na + 2.0 * E * (nb + nc) + nd)
+        if step % stride == 0 or step == nsteps:
+            times.append(step * dt)
+            slices.append(irfft(uh, n))
+    return times, slices

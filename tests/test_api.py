@@ -1,5 +1,5 @@
-"""The package ships only what the program itself uses, and runs no
-reduction on BLAS."""
+"""The package ships only what the program itself uses, runs no reduction
+on BLAS, and binds the real FFT in one module."""
 
 import ast
 from pathlib import Path
@@ -216,3 +216,46 @@ def test_blas_guard_flags(source):
 
 def test_blas_guard_passes_thread_local_reductions():
     assert not _blas_uses("np.einsum('i,i->', a, a); np.sum(a * a); np.polyfit(x, y, 1)")
+
+
+def _real_fft_bindings(source: str) -> list[str]:
+    """Each import of ``rfft`` or ``irfft`` from ``scipy.fft``, each
+    ``.rfft``/``.irfft`` attribute, and each import or attribute that names
+    scipy's private pocketfft module in ``source``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = [a.name for a in node.names]
+            if (any("pocketfft" in name for name in [module, *names])
+                    or (module.startswith("scipy.fft") and {"rfft", "irfft"} & set(names))):
+                out.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in ("rfft", "irfft") or "pocketfft" in node.attr):
+            out.append(ast.unparse(node))
+    return out
+
+
+def test_only_spectral_binds_the_real_fft():
+    # spectral._rfft/_irfft call the kernel without scipy.fft's per-call
+    # dispatch; a second binding would bring the dispatch back and leave
+    # TestTransformBinding guarding only half the calls
+    uses = {p.name: _real_fft_bindings(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert uses.pop("spectral.py")
+    assert not {k: v for k, v in uses.items() if v}
+
+
+@pytest.mark.parametrize("source", [
+    "from scipy.fft import rfft", "from scipy.fft import ifft, irfft as inv",
+    "scipy.fft.rfft(x)", "np.fft.irfft(X, n)", "sf.rfft(x)",
+    "from scipy.fft._pocketfft import pypocketfft",
+    "import scipy.fft._pocketfft.pypocketfft as p", "scipy.fft._pocketfft.pypocketfft.r2c(x)",
+])
+def test_real_fft_guard_flags(source):
+    assert _real_fft_bindings(source)
+
+
+def test_real_fft_guard_passes_the_helpers_and_complex_transforms():
+    assert not _real_fft_bindings(
+        "from scipy.fft import ifft, next_fast_len\n"
+        "from .spectral import _irfft, _rfft\n_irfft(_rfft(x), n); ifft(y)")

@@ -351,8 +351,10 @@ class TestCLI:
         assert err.startswith("run aborted: SolverBlowup: ") and err.count("\n") == 1
         # the aborted run still reports, and its report does not pass
         payload = json.loads((tmp_path / "persistence" / "report.json").read_text())
-        assert payload["error"] == {"type": "SolverBlowup",
-                                    "message": err.strip().split(": ", 2)[2]}
+        error = payload["error"]
+        assert error.pop("step") == 114 and error.pop("t") == pytest.approx(0.228)
+        assert f"max|u| before failure {error.pop('max_abs'):.3e}" in err
+        assert error == {"type": "SolverBlowup", "message": err.strip().split(": ", 2)[2]}
         assert payload["checks"] == [] and payload["pass"] is False
 
     def test_plots_subcommand(self, tmp_path, capsys):

@@ -10,8 +10,8 @@ import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
 from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve, linear_flow
-from hkdvlab.spectral import (RealField, _REDUCE_RANGE, _context,
-                              _reduce_2pi, _stein_truncated, band_limit_check,
+from hkdvlab.spectral import (RealField, _REDUCE_RANGE, _context, _irfft,
+                              _reduce_2pi, _rfft, _stein_truncated, band_limit_check,
                               dealias_cutoff, deriv_symbol, derivative, frac_deriv,
                               make_grid, require_decay, stein_constant, stein_deriv,
                               synthesize_at)
@@ -98,6 +98,29 @@ class TestTransforms:
         approx = g.dx * ctx.signs * rfft(f.samples)
         expect = math.sqrt(math.pi) * np.exp(-(ctx.xi ** 2) / 4.0)
         assert np.max(np.abs(approx - expect)) < 1e-12
+
+
+class TestTransformBinding:
+    """``_rfft``/``_irfft`` call scipy's private ``pypocketfft`` kernel; they
+    must stay bit for bit equal to the public ``scipy.fft`` pair, so a scipy
+    upgrade that changes the kernel's signature or normalization fails here."""
+
+    @pytest.mark.parametrize("n", [64, 510, 1024, 4096, 1025])
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_equals_public_pair(self, n, shape):
+        r = np.random.default_rng(n)
+        x = r.standard_normal((*shape, n))
+        X = rfft(x) + 1e-3 * (r.standard_normal((*shape, n // 2 + 1))
+                              + 1j * r.standard_normal((*shape, n // 2 + 1)))
+        want_f, want_i = rfft(x), irfft(X, n)
+        got_f, got_i = _rfft(x), _irfft(X, n)
+        out_f = np.empty((*shape, n // 2 + 1), dtype=complex)
+        out_i = np.empty((*shape, n))
+        assert _rfft(x, out=out_f) is out_f
+        assert _irfft(X, n, out=out_i) is out_i
+        for got, want in ((got_f, want_f), (out_f, want_f), (got_i, want_i), (out_i, want_i)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=20, deadline=None)
@@ -382,7 +405,8 @@ class TestDealias:
         g = make_grid(64, 10.0)
         rhs, keep = _nonlinear_rhs(DispersionParams(j, k), g)
         assert np.array_equal(keep, np.arange(g.n // 2 + 1) <= dealias_cutoff(g.n, k))
-        out = rhs(np.fft.rfft(fields.random_band_limited(g, rng, band=30).samples))
+        uh = np.fft.rfft(fields.random_band_limited(g, rng, band=30).samples)
+        out = rhs(uh, np.empty_like(uh))
         assert np.all(out[~keep] == 0) and np.any(out[keep] != 0)
 
     def test_top_kept_mode_does_not_alias(self):
@@ -391,7 +415,8 @@ class TestDealias:
         g = make_grid(64, 2 * math.pi)
         c = dealias_cutoff(g.n, 2)
         rhs, keep = _nonlinear_rhs(DispersionParams(1, 2), g)
-        got = rhs(np.fft.rfft(np.cos(c * g.nodes)))
+        uh = np.fft.rfft(np.cos(c * g.nodes))
+        got = rhs(uh, np.empty_like(uh))
         # each kept bin holds the exact coefficient of its own mode; 3c lies
         # beyond the Nyquist bin and is dropped, not folded
         expect = np.zeros(g.n // 2 + 1, dtype=complex)
@@ -415,7 +440,8 @@ class TestDealias:
             c = dealias_cutoff(n, k)
             f = fields.random_band_limited(g, np.random.default_rng(seed), band=c, decay=0.5)
             rhs, keep = _nonlinear_rhs(DispersionParams(j, k), g)
-            got = rhs(np.fft.rfft(f.samples))
+            uh = np.fft.rfft(f.samples)
+            got = rhs(uh, np.empty_like(uh))
             cu = reference.forward(f)
             cd = (1j * g.frequencies) ** j * cu
             band = np.arange(-c, c + 1) % n
