@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .errors import TailFitError
-from .propagators import DispersionParams, Trajectory, dispersion_phase
+from .propagators import DispersionParams, Trajectory, _group
 from .spectral import (Grid, RealField, _context, _irfft, _rfft, dealias_cutoff, deriv_symbol,
                        synthesize_at)
 
@@ -102,15 +102,14 @@ def build_blowup_datum(spec: BlowupDatumSpec, params: DispersionParams,
     pairs = coprime_pairs(spec.pmax, spec.qmax)
     if not pairs:
         raise ValueError("empty truncation")
-    theta = dispersion_phase(params, grid)
+    back = {(p, q): _group(params, grid, -(p / q)) for p, q in pairs}
+    prof = {(p, q): _rfft(singular_profile(grid, alpha, p / q).samples) for p, q in pairs}
     total = np.zeros(grid.n // 2 + 1, dtype=complex)
     manifest = []
     for (p2, q2) in pairs:
         for (p1, q1) in pairs:
             w = spec.weight(p1, q1, p2, q2)
-            prof = singular_profile(grid, alpha, p1 / q1)
-            term = np.exp(-1j * (p2 / q2) * theta) * _rfft(prof.samples)
-            total += w * term
+            total += w * (back[p2, q2] * prof[p1, q1])
             manifest.append(DatumTerm(p1, q1, p2, q2, w))
     return RealField(grid, _irfft(total, grid.n)), manifest
 
@@ -151,7 +150,8 @@ def tail_exponent(grid: Grid, coeffs: np.ndarray, xi_lo: float, xi_hi: float) ->
     lx = np.log(xi[sel])
     ly = np.log(np.abs(coeffs[sel]) + 1e-300)
     edges = np.linspace(lx.min(), lx.max() * (1 + 1e-12), _TAIL_BINS + 1)
-    idx = np.digitize(lx, edges) - 1
+    # below xi = 1 the top edge shrinks under the top mode; keep it in the top bin
+    idx = np.minimum(np.digitize(lx, edges) - 1, _TAIL_BINS - 1)
     bx, by = [], []
     for b in range(_TAIL_BINS):
         m = idx == b
@@ -187,8 +187,7 @@ def jump_quotients(params: DispersionParams, t: float, u0: RealField,
     once for all locations.
     """
     grid = u0.grid
-    theta = dispersion_phase(params, grid)
-    dh = deriv_symbol(grid, params.j) * np.exp(1j * t * theta) * _rfft(u0.samples)
+    dh = deriv_symbol(grid, params.j) * _group(params, grid, t) * _rfft(u0.samples)
     h_set = tuple(grid.dx * c for c in _H_CELLS)
     return [_quotient(grid, dh, x, h_set) for x in locations]
 
@@ -222,8 +221,7 @@ def smoothing_gain(traj: Trajectory, u0: RealField) -> SmoothingGainReport:
     params = traj.params
     g = traj.grid
     T = float(traj.times[-1])
-    theta = dispersion_phase(params, g)
-    wh = np.exp(1j * T * theta) * _rfft(u0.samples)
+    wh = _group(params, g, T) * _rfft(u0.samples)
     uh = _rfft(traj.final().samples)
     if _parseval(g, uh - wh) < 1e-10 * max(_parseval(g, uh), 1e-300):
         return SmoothingGainReport(None, None, None, 0.0)

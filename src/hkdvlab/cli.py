@@ -9,8 +9,7 @@ Subcommands::
 Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error,
 3 the run aborted with a typed error (``HkdvError``) before its verdicts; its
 ``report.json`` records the error.  ``--seed`` and ``--output-dir`` replace
-the config's values before validation; ``HKDVLAB_OUTPUT`` overrides the
-output directory.
+the config's values before validation.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ class SolverBlowup(HkdvError):
 
     Carries the last finite trajectory in ``partial`` for post-mortem use,
     the failing ``step`` and its time ``t``, and ``max_abs``, the max|u| of
-    the last stored slice.
+    the last finite step.
     """
 
     def __init__(self, message, partial, step, t, max_abs):

@@ -31,7 +31,8 @@ from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coeffici
                          verify_reduction_identity, x_weight_commutator)
 from .norms import CutoffFunction, WindowSpec, mixed_norm, window_energy, weighted_norm
 from .propagators import DispersionParams, Trajectory, evolve, linear_flow
-from .spectral import Grid, RealField, dealias_cutoff, frac_deriv, make_grid, stein_deriv
+from .spectral import (DECAY_GATE, Grid, RealField, dealias_cutoff, frac_deriv, make_grid,
+                       stein_deriv)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -346,8 +347,8 @@ def _run_identities(cfg: ExperimentConfig, outdir: str):
     for (j, t), L in sorted(_COMMUTATOR_L.items()):
         params = DispersionParams(j)
         errs = {}
-        for label, LL, gate in (("half", L / 2, 1e6), ("base", L, 1e-6),
-                                ("double", 2 * L, 1e6)):
+        for label, LL, gate in (("half", L / 2, None), ("base", L, DECAY_GATE),
+                                ("double", 2 * L, None)):
             u0 = fields.gaussian(_commutator_grid(LL), width=1.0)
             errs[label] = x_weight_commutator(params, t, u0, gate=gate)
             rows.append((j, t, label, LL, errs[label]))
@@ -806,10 +807,9 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     A typed error (:class:`HkdvError`) that aborts the suite is recorded in
     the report, which then does not pass, and raised again; a
     :class:`SolverBlowup` record also carries the failing step, its time and
-    the last stored max|u|.
+    the max|u| of the last finite step.
     """
-    outdir = os.environ.get("HKDVLAB_OUTPUT", cfg.output_dir)
-    outdir = os.path.join(outdir, cfg.name)
+    outdir = os.path.join(cfg.output_dir, cfg.name)
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     checks, artifacts, error, record = [], [], None, None

@@ -17,8 +17,8 @@ from scipy.fft import ifft, next_fast_len
 
 from .errors import KernelGridTooLarge, KernelWindowError, PhaseRangeError
 from .fields import weighted
-from .propagators import DispersionParams, dispersion_phase
-from .spectral import (RealField, _REDUCE_RANGE, _irfft, _power, _reduce_2pi, _rfft,
+from .propagators import DispersionParams, _group, _phase
+from .spectral import (DECAY_GATE, RealField, _REDUCE_RANGE, _irfft, _reduce_2pi, _rfft,
                        band_limit_check, deriv_symbol, derivative, require_decay)
 
 MAX_COEFF_ORDER = 32
@@ -91,22 +91,22 @@ def verify_reduction_identity(j: int, f: RealField) -> float:
 
 
 def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
-                        gate: float = 1e-6) -> float:
+                        gate: float | None = DECAY_GATE) -> float:
     """Relative error of the first-moment commutator identity.
 
     The group satisfies ``W(t)(x u0) = x W(t) u0 - (2j+1) t W(t) u0^(2j)``
     (Galilean-type first moment transport; for j=1 this is the classical
     ``x - 3t d^2`` commuting vector field).  The multiplication by ``x`` uses
     node coordinates, so validity is gated by boundary decay of ``u0``,
-    ``x*u0``, and ``x*W(t)u0``.  The group symbol ``E`` is built once, and
-    ``W(t)(x u0)`` and the correction share one inverse transform,
-    ``irfft(E (rfft(x u0) + (2j+1) t (i xi)^(2j) rfft(u0)))``: four
-    transforms in all.
+    ``x*u0``, and ``x*W(t)u0`` (``gate=None`` skips it).  The group symbol
+    ``E`` is built once, and ``W(t)(x u0)`` and the correction share one
+    inverse transform, ``irfft(E (rfft(x u0) + (2j+1) t (i xi)^(2j)
+    rfft(u0)))``: four transforms in all.
     """
     g = u0.grid
     x = g.nodes
     u0h = _rfft(u0.samples)
-    group = np.exp(1j * t * dispersion_phase(params, g))
+    group = _group(params, g, t)
     xu0 = weighted(u0, x)
     xwu0 = RealField(g, x * _irfft(group * u0h, g.n))
     require_decay(u0, rel=gate, what="u0")
@@ -156,44 +156,48 @@ _MIN_FOLD = 1 << 14
 _BLOCK_BINS = 1 << 17
 
 
-def _kernel_grid(j: int, t: float, env: float, kappa: float) -> tuple[float, float, int]:
-    """Span, node spacing and size ``n`` of the oscillatory-kernel grid.
+def _kernel_grid(j: int, t: float, env: float) -> tuple[float, int]:
+    """Node spacing and size ``n`` of the oscillatory-kernel grid.
 
-    The span suppresses the stationary-phase fold from periodization by
-    ``exp(-kappa^2)`` at the box edge; the spacing resolves the envelope up to
-    ``xi = 3.2 env``, where it is below ``exp(-10.2) ~ 3.6e-5``.
+    Its span suppresses the stationary-phase fold from periodization by
+    ``exp(-kappa^2)`` at the box edge, ``kappa = 2`` or, past ``2^23`` nodes,
+    1.62; the spacing resolves the envelope up to ``xi = 3.2 env``, where it
+    is below ``exp(-10.2) ~ 3.6e-5``.
     """
-    span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + _PAD
     dx = math.pi / (3.2 * env)
-    return span, dx, next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
+    for kappa in (2.0, 1.62):
+        span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + _PAD
+        if span / dx <= (1 << 23):
+            break
+    return dx, next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
 
 
-def _kernel_sup(j: int, t: float, env: float, kappa: float) -> tuple[float, int]:
+def _kernel_sup(j: int, t: float, env: float) -> tuple[float, int]:
     """sup of the envelope-regularized oscillatory kernel on a window of nodes.
 
     The grid comes from ``_kernel_grid``.  The sup is taken over the ``2m+1``
     nodes ``|x_k| <= 24 t^(1/(2j+1))``, which hold the Airy region; an argmax
     on the edge of the window raises ``KernelWindowError``.  No array of grid
     length is built: with ``Q`` the smallest divisor of ``n`` of at least
-    ``max(2^14, 2m+1)`` and ``P = n/Q``, every bin ``q = aP + b`` (``a < Q``, ``b < P``) of the full spectrum is
-    given its signed frequency (``q - n`` where ``q > n//2``), and
+    ``max(2^14, 2m+1)`` and ``P = n/Q``, every bin ``q = aP + b`` (``a < Q``,
+    ``b < P``) gets its signed frequency (``q - n`` where ``q > n//2``), and
     ``K(x_k) = sum_b e^(2 pi i b k/n) G_b(k mod Q)``, where ``G_b`` is the
     unnormalized ``Q``-point inverse DFT over ``a`` of the symbol on row
-    ``b``.  The amplitude is even in ``xi`` (it is built from ``|xi|``) and
-    ``t theta`` exactly odd, so row ``P - b`` is the conjugate mirror of row
-    ``b`` and only rows ``b <= P/2`` are evaluated:
+    ``b``.  The amplitude is even in ``xi`` and the phase ``t theta``
+    (``propagators._phase``) exactly odd, so row ``P - b`` is the conjugate
+    mirror of row ``b`` and only rows ``b <= P/2`` are evaluated:
     ``K = sum_b w_b Re(e^(2 pi i b k/n) G_b)`` with ``w_b = 2``, except
-    ``w = 1`` for row 0 and, for even ``P``, row ``P/2``, which are their own
-    mirrors.  The Nyquist bin of an even ``n`` lies on one of those two rows,
-    so it enters by the real part of its symbol.  Rows are evaluated a block
-    of about ``2^17`` bins at a time, and each block is transformed by one
-    batched ``ifft``.  The phase ``t theta`` is reduced by ``_reduce_2pi`` in
-    double; grids of ``2^22`` points and more then take the amplitude, the
-    trig and the transform in single precision (the sup is needed to ~1e-3).  Raises ``KernelGridTooLarge`` past ``_MAX_KERNEL_N``
+    ``w = 1`` for row 0 and, for even ``P``, row ``P/2``, their own mirrors;
+    the Nyquist bin of an even ``n`` lies on one of them, so it enters by the
+    real part of its symbol.  Blocks of about ``2^17`` bins are evaluated and
+    transformed by one batched ``ifft`` each.  The phase is reduced by
+    ``_reduce_2pi`` in double; grids of ``2^22`` points and more then take the
+    amplitude, the trig and the transform in single precision (the sup is
+    needed to ~1e-3).  Raises ``KernelGridTooLarge`` past ``_MAX_KERNEL_N``
     points and ``PhaseRangeError`` when the largest phase is past the exact
     reduction.
     """
-    _, dx, n = _kernel_grid(j, t, env, kappa)
+    dx, n = _kernel_grid(j, t, env)
     if n > _MAX_KERNEL_N:
         raise KernelGridTooLarge(f"kernel grid n={n} for j={j}, t={t:g}, env={env:g} "
                                  f"exceeds the supported maximum {_MAX_KERNEL_N}")
@@ -214,7 +218,6 @@ def _kernel_sup(j: int, t: float, env: float, kappa: float) -> tuple[float, int]
     P = n // Q
     aP = P * np.arange(Q, dtype=np.float64)
     cols = k % Q
-    sign = 1.0 if (j + 1) % 2 == 0 else -1.0
     rows = np.arange(P // 2 + 1)
     weight = np.where((rows == 0) | (2 * rows == P), 1.0, 2.0)
     block = max(1, _BLOCK_BINS // Q)
@@ -224,9 +227,7 @@ def _kernel_sup(j: int, t: float, env: float, kappa: float) -> tuple[float, int]
         xi = b[:, None] + aP
         np.subtract(xi, n, out=xi, where=xi > half)     # signed bins, then
         xi *= two_pi_over_L                             # their frequencies
-        phase = _power(xi, 2 * j + 1)
-        phase *= sign * t
-        ph = _reduce_2pi(phase).astype(real, copy=False)
+        ph = _reduce_2pi(_phase(xi, j, t)).astype(real, copy=False)
         cos, sin = np.cos(ph), np.sin(ph)
         axi = np.abs(xi).astype(real, copy=False)
         amp = np.sqrt(axi)
@@ -263,15 +264,8 @@ def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),
         envelopes = (4.0, 8.0) if j == 1 else (3.0, 6.0)
     fit = DecayFit(j, tuple(envelopes), tuple(float(t) for t in t_list), {}, {}, {})
     for env in envelopes:
-        sups, ns = [], []
-        for t in t_list:
-            span, dx, _ = _kernel_grid(j, t, env, 2.0)
-            kappa = 1.62 if span / dx > (1 << 23) else 2.0
-            sup, n = _kernel_sup(j, float(t), env, kappa)
-            sups.append(sup)
-            ns.append(n)
-        fit.sups[env] = sups
-        fit.grid_sizes[env] = ns
+        sups, ns = zip(*(_kernel_sup(j, float(t), env) for t in t_list))
+        fit.sups[env], fit.grid_sizes[env] = list(sups), list(ns)
         fit.slopes[env] = float(np.polyfit(np.log(np.asarray(t_list, float)),
                                            np.log(sups), 1)[0])
     return fit

@@ -9,10 +9,10 @@ import numpy as np
 
 from .errors import WindowExitsGrid
 from .propagators import Trajectory
-from .spectral import RealField, derivative, frac_deriv, require_decay
+from .spectral import DECAY_GATE, RealField, derivative, frac_deriv, require_decay
 
 
-def weighted_norm(f: RealField, r: float, gate: float | None = 1e-6) -> float:
+def weighted_norm(f: RealField, r: float, gate: float | None = DECAY_GATE) -> float:
     """``|| |x|^r f ||_2`` by node quadrature.
 
     The weight grows toward the box edges, so the field must pass the decay
@@ -20,8 +20,7 @@ def weighted_norm(f: RealField, r: float, gate: float | None = 1e-6) -> float:
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    if gate is not None:
-        require_decay(f, rel=gate, what="weighted_norm input")
+    require_decay(f, rel=gate, what="weighted_norm input")
     w = np.abs(f.grid.nodes) ** r
     return math.sqrt(f.grid.dx * float(np.sum((w * f.samples) ** 2)))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverBlowup, UnstableConjugation
-from .spectral import (Grid, RealField, _apply_half, _context, _irfft, _rfft,
+from .spectral import (Grid, RealField, _apply_half, _context, _irfft, _power, _rfft,
                        dealias_cutoff, deriv_symbol)
 
 
@@ -31,16 +31,27 @@ class DispersionParams:
             raise ValueError("j and k must be positive integers")
 
 
+def _phase(xi: np.ndarray, j: int, t: float) -> np.ndarray:
+    """``t theta = t (-1)^(j+1) xi^(2j+1)`` by a multiply chain."""
+    phase = _power(xi, 2 * j + 1)
+    phase *= t if j % 2 else -t
+    return phase
+
+
 def dispersion_phase(params: DispersionParams, grid: Grid) -> np.ndarray:
-    """Phase ``theta`` on the rfft bins, with the odd-symbol Nyquist rule: the
-    linear part is ``-(i xi)^(2j+1) = i theta``, so
-    ``theta = (-1)^(j+1) xi^(2j+1)``."""
-    return -deriv_symbol(grid, 2 * params.j + 1).imag
+    """Phase ``theta = (-1)^(j+1) xi^(2j+1)`` of the linear part
+    ``-(i xi)^(2j+1) = i theta`` on the rfft bins, Nyquist zeroed."""
+    return _phase(np.append(_context(grid).xi[:-1], 0.0), params.j, 1.0)
+
+
+def _group(params: DispersionParams, grid: Grid, t: float) -> np.ndarray:
+    """Symbol ``exp(i t theta)`` of the group ``W(t)`` on the rfft bins."""
+    return np.exp(1j * t * dispersion_phase(params, grid))
 
 
 def linear_flow(params: DispersionParams, t: float, u0: RealField) -> RealField:
     """Apply the unitary group at time ``t``."""
-    return _apply_half(u0, np.exp(1j * t * dispersion_phase(params, u0.grid)))
+    return _apply_half(u0, _group(params, u0.grid, t))
 
 
 def conjugated_flow(params: DispersionParams, sigma: int, t: float,
@@ -156,9 +167,9 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     ``T`` must be an integer multiple of ``dt`` (within rounding).  One slice
     is stored every ``stride`` steps, always including t=0 and t=T.  Raises
     :class:`SolverBlowup` carrying the surviving slices, and the step, time
-    and last stored max|u|, when the state stops being finite.  ``xi_cut``
-    pins the retained nonlinear band (see ``_nonlinear_rhs``); the default
-    follows the grid's dealias rule.
+    and max|u| of the last finite step, when the state stops being finite.
+    ``xi_cut`` pins the retained nonlinear band (see ``_nonlinear_rhs``); the
+    default follows the grid's dealias rule.
 
     The state is the dealiased ``rfft`` half spectrum; the phase factors, the
     right-hand side's symbols and every stage buffer are built once, before
@@ -173,9 +184,8 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     g = u0.grid
-    theta = dispersion_phase(params, g)
     rhs, keep = _nonlinear_rhs(params, g, xi_cut)
-    E = np.exp(1j * theta * (dt / 2.0))
+    E = _group(params, g, dt / 2.0)
     E2 = E * E
     dtE = dt * E
     twoE = 2.0 * E
@@ -216,15 +226,16 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
             na += nb
             na += nd
             np.multiply(sixth, na, out=na)
-            np.add(E2uh, na, out=uh)
-            if not np.all(np.isfinite(uh.view(float))):
-                t = step * dt
-                max_abs = slices[-1].linf()
-                partial = Trajectory(g, np.array(times), slices, params, dt)
+            # into the free stage buffer: the last finite state survives a failure
+            np.add(E2uh, na, out=stage)
+            if not np.all(np.isfinite(stage.view(float))):
+                t, max_abs = step * dt, snapshot(uh).linf()
                 raise SolverBlowup(
                     f"state became non-finite at step {step} (t={t:.6g}); "
-                    f"max|u| before failure {max_abs:.3e}", partial,
+                    f"max|u| before failure {max_abs:.3e}",
+                    Trajectory(g, np.array(times), slices, params, dt),
                     step=step, t=t, max_abs=max_abs)
+            uh, stage = stage, uh
             if step % stride == 0 or step == nsteps:
                 times.append(step * dt)
                 slices.append(snapshot(uh))
@@ -257,7 +268,6 @@ def duhamel_quadrature(traj: Trajectory) -> RealField:
     if not np.allclose(hsteps, h, rtol=1e-8):
         raise ValueError("stored times must be uniformly spaced")
     g = traj.grid
-    theta = dispersion_phase(params, g)
     rhs, _ = _nonlinear_rhs(params, g)
     T = float(traj.times[-1])
     acc = np.zeros(g.n // 2 + 1, dtype=complex)
@@ -265,7 +275,7 @@ def duhamel_quadrature(traj: Trajectory) -> RealField:
     for i, (t, s) in enumerate(zip(traj.times, traj.slices)):
         w = 1.0 if i in (0, m) else (4.0 if i % 2 == 1 else 2.0)
         rhs(_rfft(s.samples), nh)
-        acc += w * np.exp(1j * (T - t) * theta) * nh
+        acc += w * _group(params, g, T - t) * nh
     acc *= h / 3.0
     return RealField(g, _irfft(acc, g.n))
 

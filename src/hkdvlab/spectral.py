@@ -253,8 +253,10 @@ def frac_deriv(f: RealField, s: float, kind: str = "homogeneous") -> RealField:
     return _apply_half(f, sym)
 
 
-def require_decay(f: RealField, rel: float = DECAY_GATE, what: str = "field") -> None:
-    """Abort when the field's boundary amplitude exceeds ``rel * max|f|``."""
+def require_decay(f: RealField, rel: float | None = DECAY_GATE, what: str = "field") -> None:
+    """Abort when the boundary amplitude exceeds ``rel * max|f|``; ``None`` is off."""
+    if rel is None:
+        return
     peak = f.linf()
     if peak == 0.0:
         return
@@ -316,11 +318,11 @@ def _stein_truncated(f: RealField, alpha: float, m_min: int) -> np.ndarray:
 def stein_deriv(f: RealField, alpha: float, eps_seq: Sequence[float] | None = None) -> RealField:
     """Principal-value fractional derivative of order ``alpha`` in (0, 2).
 
-    Each entry of ``eps_seq`` (decreasing inner cutoffs, snapped to whole grid
-    cells) yields one truncated-quadrature evaluation; consecutive pairs are
-    Richardson-extrapolated with the truncation exponent ``2 - alpha`` and the
-    final extrapolant is returned.  A one-entry sequence returns the plain
-    truncated evaluation.  Default ``eps_seq`` is ``(8*dx, 4*dx)``.
+    ``eps_seq`` holds one or two inner cutoffs, snapped to whole grid cells
+    and decreasing; each yields one truncated-quadrature evaluation.  One
+    cutoff returns the plain truncated evaluation, two the Richardson
+    extrapolant with the truncation exponent ``2 - alpha``.  Default
+    ``eps_seq`` is ``(8*dx, 4*dx)``.
 
     Requires boundary decay of ``f``; agrees with
     ``frac_deriv(f, alpha, "homogeneous")`` up to quadrature error.
@@ -331,6 +333,8 @@ def stein_deriv(f: RealField, alpha: float, eps_seq: Sequence[float] | None = No
     g = f.grid
     if eps_seq is None:
         eps_seq = (8 * g.dx, 4 * g.dx)
+    if not 1 <= len(eps_seq) <= 2:
+        raise ValueError("eps_seq must hold one or two cutoffs")
     ms = []
     for eps in eps_seq:
         if eps <= 0:
@@ -344,12 +348,8 @@ def stein_deriv(f: RealField, alpha: float, eps_seq: Sequence[float] | None = No
     vals = [_stein_truncated(f, alpha, m) for m in ms]
     if len(vals) == 1:
         return RealField(g, vals[0])
-    p = 2.0 - alpha
-    out = vals[0]
-    for (m1, v1), (m2, v2) in zip(zip(ms, vals), zip(ms[1:], vals[1:])):
-        e1, e2 = m1 * g.dx, m2 * g.dx
-        out = (v2 * e1 ** p - v1 * e2 ** p) / (e1 ** p - e2 ** p)
-    return RealField(g, out)
+    (v1, v2), (w1, w2) = vals, [(m * g.dx) ** (2.0 - alpha) for m in ms]
+    return RealField(g, (v2 * w1 - v1 * w2) / (w1 - w2))
 
 
 def dealias_cutoff(n: int, k: int = 1) -> int:

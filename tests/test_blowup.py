@@ -193,6 +193,15 @@ class TestTailExponent:
         with pytest.raises(TailFitError):
             tail_exponent(g, c, xi_lo=5.0, xi_hi=8.0)
 
+    def test_fit_range_below_one_keeps_the_top_mode(self, rng):
+        # L = 1000 over (0.2, 0.9) and L = 100 over (2, 9) select the same
+        # bins, whose logs differ by log 10; below xi = 1 the top edge shrank
+        # under the top mode, which was dropped
+        c = rfft(fields.rough_spectrum_field(make_grid(4096, 160.0), rng, s=2.0).samples)
+        low = tail_exponent(make_grid(4096, 1000.0), c, 0.2, 0.9)
+        high = tail_exponent(make_grid(4096, 100.0), c, 2.0, 9.0)
+        assert low == pytest.approx(high, rel=1e-12, abs=0)
+
 
 @pytest.fixture(scope="module")
 def contrast_grid():

@@ -9,10 +9,13 @@ import types
 
 import pytest
 
+import hkdvlab.fields as fields
 from hkdvlab.cli import main
-from hkdvlab.errors import ConfigError
+from hkdvlab.errors import ConfigError, SolverBlowup
 from hkdvlab.experiments import (SUITES, default_config, emit_plots,
                                  list_suites, parse_config, run)
+from hkdvlab.propagators import DispersionParams, evolve
+from hkdvlab.spectral import make_grid
 
 
 def _assert_unknown_option(tmp_path, suite, option, raw):
@@ -191,7 +194,7 @@ class TestRunAndReport:
         # every reduction runs on the calling thread, so the BLAS thread
         # count cannot change a summation order
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = {k: v for k, v in os.environ.items() if k != "HKDVLAB_OUTPUT"}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         for threads in ("1", "2"):
             for suite in ("identities", "blowup"):
@@ -214,13 +217,6 @@ class TestRunAndReport:
             if bad:
                 failed[seed] = bad
         assert not failed
-
-    def test_output_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HKDVLAB_OUTPUT", str(tmp_path / "envdir"))
-        cfg = default_config("persistence", output_dir=str(tmp_path / "ignored"))
-        run(cfg)
-        assert (tmp_path / "envdir" / "persistence" / "report.json").exists()
-        assert not (tmp_path / "ignored").exists()
 
 
 class TestCatalogue:
@@ -356,6 +352,22 @@ class TestCLI:
         assert f"max|u| before failure {error.pop('max_abs'):.3e}" in err
         assert error == {"type": "SolverBlowup", "message": err.strip().split(": ", 2)[2]}
         assert payload["checks"] == [] and payload["pass"] is False
+
+    def test_aborted_run_reports_the_last_finite_step(self, tmp_path):
+        # the abort comes from the 2n refinement run; it stores every 10th
+        # step, so the slice of step 110 is not the last finite state
+        text = "[experiment]\nname = persistence\n[params]\nj = 2\n"
+        cfg = parse_config(text, output_dir=str(tmp_path))
+        with pytest.raises(SolverBlowup):
+            run(cfg)
+        error = json.loads((tmp_path / "persistence" / "report.json").read_text())["error"]
+        v = cfg.values
+        dt = v[("suite", "dt")]
+        g = make_grid(2 * v[("grid", "n")], v[("grid", "L")])
+        u0 = fields.gaussian(g, width=v[("suite", "width")], amplitude=v[("suite", "amplitude")])
+        last = evolve(DispersionParams(2, v[("params", "k")]), u0, 113 * dt, dt)
+        assert (g.n, dt, error["step"]) == (1024, 2e-3, 114)
+        assert error["max_abs"] == last.final().linf()
 
     def test_plots_subcommand(self, tmp_path, capsys):
         main(["run", "persistence", "--output-dir", str(tmp_path)])

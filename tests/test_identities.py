@@ -17,7 +17,7 @@ from hkdvlab.identities import (_MAX_KERNEL_N, _kernel_grid, _kernel_sup,
                                 dispersive_decay_probe, solve_coefficients,
                                 verify_reduction_identity, x_weight_commutator)
 from hkdvlab.propagators import DispersionParams
-from hkdvlab.spectral import RealField, _REDUCE_RANGE, make_grid
+from hkdvlab.spectral import DECAY_GATE, RealField, _REDUCE_RANGE, make_grid
 
 
 class TestCoefficients:
@@ -94,7 +94,7 @@ class TestReductionIdentity:
 
 
 #: the identities suite's paddings: scale of the base box and decay gate
-_PADDINGS = (("half", 0.5, 1e6), ("base", 1.0, 1e-6), ("double", 2.0, 1e6))
+_PADDINGS = (("half", 0.5, None), ("base", 1.0, DECAY_GATE), ("double", 2.0, None))
 
 
 @pytest.fixture(scope="module")
@@ -164,14 +164,13 @@ class TestDecayProbe:
     @pytest.mark.parametrize("j", [1, 2])
     def test_phases_below_the_grid_cap_reduce_exactly(self, j):
         # the largest phase t xi^(2j+1) at the top bin of every grid the cap
-        # admits, for both kappa values of the probe's rule
+        # admits, with either kappa of the grid's rule
         top = 0.0
-        for kappa in (1.62, 2.0):
-            for env in (3.0, 4.0, 6.0, 8.0):
-                for t in np.geomspace(1.0, 1e5, 400):
-                    _, dx, n = _kernel_grid(j, t, env, kappa)
-                    if n <= _MAX_KERNEL_N:
-                        top = max(top, t * (2.0 * math.pi / (n * dx) * (n // 2)) ** (2 * j + 1))
+        for env in (3.0, 4.0, 6.0, 8.0):
+            for t in np.geomspace(1.0, 1e5, 400):
+                dx, n = _kernel_grid(j, t, env)
+                if n <= _MAX_KERNEL_N:
+                    top = max(top, t * (2.0 * math.pi / (n * dx) * (n // 2)) ** (2 * j + 1))
         assert top < _REDUCE_RANGE
 
     def test_phase_past_the_reduction_range_raises(self):
@@ -184,15 +183,15 @@ class TestDecayProbe:
         monkeypatch.setattr(identities, "_WINDOW_REACH", 0.5)
         with pytest.raises(KernelWindowError, match=r"j=1, t=2, env=4 lies at argmax "
                                                     r"index (0|4), .* m=2 nodes"):
-            _kernel_sup(1, 2.0, 4.0, 2.0)
+            _kernel_sup(1, 2.0, 4.0)
 
     def test_memory_is_bounded_by_the_block(self):
         # n = 5,080,320: a full-grid synthesis holds the half-spectrum symbol
         # and the kernel, 103 MiB traced; the folded one 40 MiB
-        _kernel_sup(1, 1.0, 4.0, 2.0)     # load the FFT backend
+        _kernel_sup(1, 1.0, 4.0)     # load the FFT backend
         tracemalloc.start()
         try:
-            _, n = _kernel_sup(2, 4.0, 6.0, 2.0)
+            _, n = _kernel_sup(2, 4.0, 6.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -203,10 +202,10 @@ class TestDecayProbe:
         # the same n = 5,080,320 call: dense rows b <= P/2 in blocks of 2^17
         # bins peak near 8 MiB traced; rows filled only up to n//2 in blocks
         # of 2^20 bins held 40 MiB
-        _kernel_sup(1, 1.0, 4.0, 2.0)     # load the FFT backend
+        _kernel_sup(1, 1.0, 4.0)     # load the FFT backend
         tracemalloc.start()
         try:
-            _kernel_sup(2, 4.0, 6.0, 2.0)
+            _kernel_sup(2, 4.0, 6.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,7 +244,7 @@ class TestKernelAgainstComplexReference:
         (2, 6.0, 4.0, 1e-6, 5_080_320),
     ])
     def test_matches_reference(self, j, env, t, rtol, n_expected):
-        sup, n = _kernel_sup(j, t, env, 2.0)
+        sup, n = _kernel_sup(j, t, env)
         ref, n_ref = _reference_kernel_sup(j, t, env, 2.0)
         assert n == n_ref
         assert n == n_expected if n_expected else n < (1 << 22)
@@ -257,7 +256,7 @@ class TestKernelAgainstComplexReference:
     def test_suite_grid_window_holds_the_sup(self, j, env, t):
         # every decay-suite grid below 2^22 points: the sup over the window
         # equals the sup over the whole grid
-        sup, n = _kernel_sup(j, t, env, 2.0)
+        sup, n = _kernel_sup(j, t, env)
         ref, n_ref = _reference_kernel_sup(j, t, env, 2.0)
         assert n == n_ref < (1 << 22)
         assert sup == pytest.approx(ref, rel=1e-12)

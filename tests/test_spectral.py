@@ -285,6 +285,11 @@ class TestSteinDeriv:
         with pytest.raises(BoundaryDecayError):
             stein_deriv(f, 0.5)
 
+    def test_rejects_three_cutoffs(self):
+        g = make_grid(512, 40.0)
+        with pytest.raises(ValueError, match="one or two cutoffs"):
+            stein_deriv(fields.gaussian(g), 0.5, eps_seq=(8 * g.dx, 4 * g.dx, 2 * g.dx))
+
     @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.3, 2.5])
     def test_rejects_alpha_out_of_range(self, alpha):
         g = make_grid(512, 40.0)
