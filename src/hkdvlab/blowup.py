@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import TailFitError
 from .propagators import DispersionParams, Trajectory, _group
-from .spectral import (Grid, RealField, _context, _irfft, _rfft, dealias_cutoff, deriv_symbol,
-                       synthesize_at)
+from .spectral import (Grid, RealField, _bin_weights, _irfft, _rfft, dealias_cutoff,
+                       deriv_symbol, synthesize_at)
 
 #: steps ``h`` of the jump quotient, in grid cells
 _H_CELLS = (16, 8, 4, 2)
@@ -122,13 +122,10 @@ def irrationality_gap(t: float, kmax: int) -> float:
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
     best = math.inf
-    for q in range(1, kmax + 1):
-        for p in range(1, kmax + 1):
-            if gcd(p, q) != 1:
-                continue
-            best = min(best, abs(t - p / q) * (p + q) ** 3)
-            if best == 0.0:
-                return 0.0
+    for p, q in coprime_pairs(kmax, kmax):
+        best = min(best, abs(t - p / q) * (p + q) ** 3)
+        if best == 0.0:
+            return 0.0
     return best
 
 
@@ -141,7 +138,7 @@ def tail_exponent(grid: Grid, coeffs: np.ndarray, xi_lo: float, xi_hi: float) ->
     :class:`TailFitError` when fewer than four populated bins or less than
     one octave are available.
     """
-    xi = _context(grid).xi
+    xi = grid.xi
     if not xi_hi > 2.0 * xi_lo:
         raise TailFitError("need at least one octave between xi_lo and xi_hi")
     sel = (xi > xi_lo) & (xi < xi_hi)
@@ -194,7 +191,7 @@ def jump_quotients(params: DispersionParams, t: float, u0: RealField,
 
 def _parseval(grid: Grid, c: np.ndarray) -> float:
     """Norm of the full spectrum whose half is ``c``."""
-    return math.sqrt(float(np.einsum("q,q->", _context(grid).weights, np.abs(c) ** 2)))
+    return math.sqrt(float(np.einsum("q,q->", _bin_weights(grid.n), np.abs(c) ** 2)))
 
 
 @dataclass
@@ -228,7 +225,7 @@ def smoothing_gain(traj: Trajectory, u0: RealField) -> SmoothingGainReport:
     drift = 0.0
     if (params.j, params.k) == (1, 2):
         drift = -T * float(np.mean(traj.slices[0].samples ** 2))
-    zh = uh - np.exp(1j * drift * _context(g).xi) * wh
+    zh = uh - np.exp(1j * drift * g.xi) * wh
     cut_xi = 2 * math.pi * dealias_cutoff(g.n, params.k) / g.L
     tw = tail_exponent(g, wh, cut_xi / 4.0, cut_xi)
     tz = tail_exponent(g, zh, cut_xi / 4.0, cut_xi)

@@ -213,6 +213,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         _need(v[("params", "j")] >= 1, "params.j must be >= 1")
     if ("params", "k") in v:
         _need(v[("params", "k")] >= 1, "params.k must be >= 1")
+    if ("suite", "amplitude") in v:
+        # a negative amplitude is a valid datum; zero leaves nothing to measure
+        _need(v[("suite", "amplitude")] != 0, "suite.amplitude must be nonzero")
     for key in ("dt", "dt_k1", "dt_k2"):
         if ("suite", key) not in v:
             continue

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Grid, RealField, _context, _irfft
+from .spectral import Grid, RealField, _irfft
 
 
 def gaussian(grid: Grid, center: float = 0.0, width: float = 1.0,
@@ -23,15 +23,20 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, band: int,
     """
     if band < 1 or band >= grid.n // 2:
         raise ValueError(f"band must lie in [1, n/2), got {band}")
-    nf = grid.n // 2 + 1
-    mags = np.zeros(nf)
+    mags = np.zeros(grid.n // 2 + 1)
     q = np.arange(1, band + 1)
     mags[1:band + 1] = q.astype(float) ** (-decay)
-    phases = rng.uniform(0.0, 2.0 * np.pi, nf)
-    half = mags * np.exp(1j * phases)
-    samples = _irfft(half, grid.n)
+    return _random_phases(grid, rng, mags, 1.0)
+
+
+def _random_phases(grid: Grid, rng: np.random.Generator, mags: np.ndarray,
+                   amplitude: float) -> RealField:
+    """Field of half-spectrum magnitudes ``mags`` with uniform random phases,
+    scaled to ``max|f| = |amplitude|``."""
+    phases = rng.uniform(0.0, 2.0 * np.pi, mags.size)
+    samples = _irfft(mags * np.exp(1j * phases), grid.n)
     peak = float(np.max(np.abs(samples))) or 1.0
-    return RealField(grid, samples * (1.0 / peak))
+    return RealField(grid, samples * (amplitude / peak))
 
 
 def _enveloped_zero_mean(grid: Grid, samples: np.ndarray,
@@ -57,14 +62,9 @@ def rough_spectrum_field(grid: Grid, rng: np.random.Generator, s: float,
     Zero mean.  The tail exponent makes the field a grid representative of
     Sobolev regularity ``s``.
     """
-    nf = grid.n // 2 + 1
-    xif = _context(grid).xi
-    mags = np.zeros(nf)
-    mags[1:] = (1.0 + xif[1:]) ** (-(s + 0.5))
-    phases = rng.uniform(0.0, 2.0 * np.pi, nf)
-    samples = _irfft(mags * np.exp(1j * phases), grid.n)
-    peak = float(np.max(np.abs(samples))) or 1.0
-    return RealField(grid, samples * (amplitude / peak))
+    mags = np.zeros(grid.n // 2 + 1)
+    mags[1:] = (1.0 + grid.xi[1:]) ** (-(s + 0.5))
+    return _random_phases(grid, rng, mags, amplitude)
 
 
 def band_noise_by_index(grid: Grid, rng: np.random.Generator, q_lo: int,

@@ -165,15 +165,11 @@ class WindowSpec:
 
 
 def _halfline_integral(g: np.ndarray, grid, a: float) -> float:
-    """Integral of sampled ``g >= 0`` over [a, right edge], linear sub-cell fix."""
+    """Integral of sampled ``g >= 0`` over [a, right edge], linear sub-cell fix;
+    ``a`` lies between the first and the last node."""
     x = grid.nodes
     dx = grid.dx
-    if a <= x[0]:
-        i0 = 0
-    else:
-        i0 = int(np.searchsorted(x, a, side="left"))
-    if i0 >= grid.n:
-        return 0.0
+    i0 = int(np.searchsorted(x, a, side="left"))
     # composite trapezoid from node i0 rightward (field decayed at right edge)
     total = dx * (0.5 * g[i0] + float(np.sum(g[i0 + 1:])))
     if i0 > 0 and x[i0] > a:
@@ -196,15 +192,16 @@ def window_energy(traj: Trajectory, w: WindowSpec):
     stored time, so ``table.max(axis=0)`` are the sup-in-time energies and
     ``table[0]`` the initial ones.  ``spacetime`` integrates ``(d^(m+j) u)^2``
     over the moving band and [0, T], with ``j`` the trajectory's dispersion
-    order.
+    order.  Raises :class:`WindowExitsGrid` when the half-line edge or the
+    band edge lies outside the nodes at a stored time.
     """
     j = traj.params.j
     grid = traj.grid
     x_lo, x_hi = grid.nodes[0], grid.nodes[-1]
     for t in traj.times:
-        a = w.x0 + w.eps - w.v * t
-        if a < x_lo or a > x_hi:
-            raise WindowExitsGrid(f"window edge {a:.3g} outside grid at t={t:.3g}")
+        for edge in (w.x0 + w.eps - w.v * t, w.x0 + w.R - w.v * t):
+            if edge < x_lo or edge > x_hi:
+                raise WindowExitsGrid(f"window edge {edge:.3g} outside grid at t={t:.3g}")
     max_order = w.m + j
     if max_order > grid.n // 8:
         raise ValueError(f"derivative order {max_order} exceeds the n/8 margin")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverBlowup, UnstableConjugation
-from .spectral import (Grid, RealField, _apply_half, _context, _irfft, _power, _rfft,
-                       dealias_cutoff, deriv_symbol)
+from .spectral import (Grid, RealField, _apply_half, _irfft, _power, _rfft, dealias_cutoff,
+                       deriv_symbol)
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def _phase(xi: np.ndarray, j: int, t: float) -> np.ndarray:
 def dispersion_phase(params: DispersionParams, grid: Grid) -> np.ndarray:
     """Phase ``theta = (-1)^(j+1) xi^(2j+1)`` of the linear part
     ``-(i xi)^(2j+1) = i theta`` on the rfft bins, Nyquist zeroed."""
-    return _phase(np.append(_context(grid).xi[:-1], 0.0), params.j, 1.0)
+    return _phase(np.append(grid.xi[:-1], 0.0), params.j, 1.0)
 
 
 def _group(params: DispersionParams, grid: Grid, t: float) -> np.ndarray:
@@ -70,7 +70,7 @@ def conjugated_flow(params: DispersionParams, sigma: int, t: float,
         raise ValueError("sigma must be +1 or -1")
     if t == 0.0:
         return RealField(w0.grid, w0.samples.copy())
-    z = (1j * _context(w0.grid).xi - sigma) ** (2 * params.j + 1)
+    z = (1j * w0.grid.xi - sigma) ** (2 * params.j + 1)
     if (-1) ** (params.j + 1) * t * sigma < 0:
         growth = float((-t * z.real).max())
         raise UnstableConjugation(
@@ -128,7 +128,7 @@ def _nonlinear_rhs(params: DispersionParams, grid: Grid,
     dj = deriv_symbol(grid, params.j)
     keep = np.arange(n // 2 + 1) <= dealias_cutoff(n, k)
     if xi_cut is not None:
-        keep &= _context(grid).xi <= xi_cut
+        keep &= grid.xi <= xi_cut
     neg_keep = np.where(keep, -1.0, 0.0)
     if (params.j, k) == (1, 1):
         # conservative form u u_x = (u^2)_x / 2: one inverse transform
@@ -180,6 +180,8 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     nsteps = int(round(T / dt))
     if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")

@@ -10,8 +10,8 @@ Spectral coefficients are the ``n//2 + 1`` bins ``q = 0, ..., n/2`` of
 spectrum the solver holds.  Every operator multiplies it by a symbol's
 values on the non-negative frequencies and returns ``irfft(..., n)``; real
 fields have Hermitian spectra, so the half spectrum determines the field.
-The frequencies, node-origin signs and bin weights of a grid are built
-once and cached.
+A grid caches its ``nodes`` and ``xi``, read-only; ``_bin_weights`` forms
+the weights ``w`` below.
 
 Off the nodes a field is the band-limited sum
 
@@ -61,9 +61,12 @@ class Grid:
     def dx(self) -> float:
         return self.L / self.n
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return -self.L / 2 + self.dx * np.arange(self.n)
+        """``x_m = -L/2 + m*dx``, built once per grid and read-only."""
+        x = -self.L / 2 + self.dx * np.arange(self.n)
+        x.flags.writeable = False
+        return x
 
     @property
     def freq_index(self) -> np.ndarray:
@@ -74,6 +77,15 @@ class Grid:
     def frequencies(self) -> np.ndarray:
         """xi_q = 2*pi*q/L in numpy FFT order."""
         return (2.0 * np.pi / self.L) * self.freq_index
+
+    @functools.cached_property
+    def xi(self) -> np.ndarray:
+        """Frequencies of the ``n//2 + 1`` rfft bins, built once per grid and
+        read-only."""
+        # FFT order puts q = -n/2 in the last half-spectrum slot; rfft has +n/2
+        xi = np.abs(self.frequencies[: self.n // 2 + 1])
+        xi.flags.writeable = False
+        return xi
 
 
 def _rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -101,28 +113,12 @@ def make_grid(n: int, L: float) -> Grid:
     return Grid(int(n), float(L))
 
 
-@dataclass(frozen=True)
-class _Context:
-    """Read-only per-grid arrays on the ``n//2 + 1`` rfft bins: ``xi``, the
-    ``(-1)^q`` node-origin signs, and the weights ``w`` (1 at bins 0 and
-    ``n/2``, 2 elsewhere) that count each bin's conjugate partner."""
-
-    xi: np.ndarray
-    signs: np.ndarray
-    weights: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def _context(grid: Grid) -> _Context:
-    # FFT order puts q = -n/2 in the last half-spectrum slot; rfft has +n/2
-    xi = np.abs(grid.frequencies[: grid.n // 2 + 1])
-    signs = np.ones(xi.size)
-    signs[1::2] = -1.0
-    weights = np.full(xi.size, 2.0)
+def _bin_weights(n: int) -> np.ndarray:
+    """Weights ``w`` on the ``n//2 + 1`` rfft bins: 1 at bins 0 and ``n/2``,
+    2 elsewhere, counting each bin's conjugate partner."""
+    weights = np.full(n // 2 + 1, 2.0)
     weights[[0, -1]] = 1.0
-    for a in (xi, signs, weights):
-        a.flags.writeable = False
-    return _Context(xi, signs, weights)
+    return weights
 
 
 def _power(xi: np.ndarray, order: int) -> np.ndarray:
@@ -166,7 +162,7 @@ def deriv_symbol(grid: Grid, order: int) -> np.ndarray:
 
     Even orders give a real array, odd orders a purely imaginary one.
     """
-    p = _power(_context(grid).xi, order)
+    p = _power(grid.xi, order)
     if order % 2:
         p[-1] = 0.0
     return (1.0, 1j, -1.0, -1j)[order % 4] * p
@@ -209,13 +205,14 @@ def synthesize_at(grid: Grid, coeffs: np.ndarray, points: np.ndarray) -> np.ndar
     ``(points, n//2 + 1)`` phase table per call; intended for small point
     sets.
     """
-    ctx = _context(grid)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     # the node-origin signs are applied exactly to the coefficients; folded
     # into the phase as e^{i xi (x + L/2)} they would raise its argument from
     # xi |x| to up to xi L, and its rounding with it
-    c = ctx.weights * ctx.signs * coeffs
-    phases = np.exp(1j * np.multiply.outer(pts, ctx.xi))
+    signs = np.ones(grid.n // 2 + 1)
+    signs[1::2] = -1.0
+    c = _bin_weights(grid.n) * signs * coeffs
+    phases = np.exp(1j * np.multiply.outer(pts, grid.xi))
     return np.einsum("pq,q->p", phases, c).real / grid.n
 
 
@@ -240,7 +237,7 @@ def frac_deriv(f: RealField, s: float, kind: str = "homogeneous") -> RealField:
     mean); ``inhomogeneous`` applies ``(1 + xi^2)^{s/2}``, for any real
     ``s`` (the Bessel potential when ``s < 0``).
     """
-    xi = _context(f.grid).xi
+    xi = f.grid.xi
     if kind == "homogeneous":
         if s < 0:
             raise ValueError("negative-order homogeneous derivatives are out of scope")

@@ -22,7 +22,7 @@ from scipy.fft import irfft, rfft
 
 from hkdvlab.fields import weighted
 from hkdvlab.propagators import dispersion_phase, linear_flow
-from hkdvlab.spectral import RealField, _context, dealias_cutoff, deriv_symbol, derivative
+from hkdvlab.spectral import RealField, dealias_cutoff, deriv_symbol, derivative
 
 
 def phase_signs(grid) -> np.ndarray:
@@ -93,7 +93,7 @@ def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,
     dj = deriv_symbol(g, params.j)
     keep = np.arange(n // 2 + 1) <= dealias_cutoff(n, k)
     if xi_cut is not None:
-        keep &= _context(g).xi <= xi_cut
+        keep &= g.xi <= xi_cut
     neg_keep = np.where(keep, -1.0, 0.0)
     mult = 0.5 * neg_keep * dj
 

@@ -1,7 +1,10 @@
 """The package ships only what the program itself uses, runs no reduction
-on BLAS, and binds the real FFT in one module."""
+on BLAS, binds the real FFT in one module, and keeps the hooks the
+benchmark's traced runs install."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,3 +262,30 @@ def test_real_fft_guard_passes_the_helpers_and_complex_transforms():
     assert not _real_fft_bindings(
         "from scipy.fft import ifft, next_fast_len\n"
         "from .spectral import _irfft, _rfft\n_irfft(_rfft(x), n); ifft(y)")
+
+
+_BENCH_HOOKS = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import spans
+from hkdvlab import experiments, spectral
+runners = dict(experiments._RUNNERS)
+tracer = spans.Tracer()
+spans.install(tracer)
+grid = spectral.make_grid(64, 10.0)
+grid.xi, grid.xi
+assert tracer.counts["grid.freq_index"] == 1, dict(tracer.counts)
+assert tracer.calls["spectral.make_grid"] == 1, dict(tracer.calls)
+for name, runner in runners.items():
+    assert experiments._RUNNERS[name].__wrapped__ is runner, name
+"""
+
+
+def test_bench_spans_install_on_the_package():
+    # bench/spans.py patches Grid.freq_index, wraps the layers' public
+    # functions and every suite runner; a subprocess keeps those wrappers out
+    # of the other tests
+    proc = subprocess.run(
+        [sys.executable, "-c", _BENCH_HOOKS, str(ROOT / "src"), str(ROOT / "bench")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -97,6 +97,9 @@ dt = 0.004
         ("blowup", "excluded_times", "1/2"),
         ("blowup", "excluded_times", "2/4"),
         ("blowup", "pmax", "200"),
+        ("persistence", "amplitude", "0"),
+        ("propagation", "amplitude", "0.0"),
+        ("smoothing", "amplitude", "-0"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, suite, option, raw):
         text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"

@@ -252,6 +252,16 @@ class TestWindowEnergy:
         with pytest.raises(WindowExitsGrid):
             window_energy(traj, WindowSpec(-9.5, 0.1, 5.0, v=10.0, m=1))
 
+    def test_band_edge_exits_grid(self):
+        # at R = 10 the band edge x0 + R - v t lies past the last node, 7.9375;
+        # at R = 5 both edges stay on the grid and the value is unchanged
+        g = make_grid(256, 16.0)
+        traj = evolve(KDV, fields.gaussian(g, amplitude=0.5), 0.2, 2e-3, stride=20)
+        with pytest.raises(WindowExitsGrid, match="window edge 10"):
+            window_energy(traj, WindowSpec(0.0, 1.0, 10.0, v=1.0, m=1))
+        _, spacetime = window_energy(traj, WindowSpec(0.0, 1.0, 5.0, v=1.0, m=1))
+        assert spacetime == pytest.approx(0.008819397201654684, rel=1e-12)
+
     def test_order_cap(self, rng):
         g = make_grid(64, 20.0)
         u0 = reference.scale(fields.random_band_limited(g, rng, band=5), 0.1)

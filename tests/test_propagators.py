@@ -193,6 +193,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="positive"):
             evolve(KDV, fields.gaussian(g), 1.0, 0.0)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        g = make_grid(64, 20.0)
+        with pytest.raises(ValueError, match="stride"):
+            evolve(KDV, fields.gaussian(g), 1.0, 0.1, stride=stride)
+
     def test_stride_keeps_both_endpoints(self):
         g = make_grid(64, 20.0)
         traj = evolve(KDV, fields.gaussian(g, amplitude=0.1), 1.0, 0.1, stride=3)

@@ -10,7 +10,7 @@ import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
 from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve, linear_flow
-from hkdvlab.spectral import (RealField, _REDUCE_RANGE, _context, _irfft,
+from hkdvlab.spectral import (RealField, _REDUCE_RANGE, _bin_weights, _irfft,
                               _reduce_2pi, _rfft, _stein_truncated, band_limit_check,
                               dealias_cutoff, deriv_symbol, derivative, frac_deriv,
                               make_grid, require_decay, stein_constant, stein_deriv,
@@ -39,9 +39,10 @@ class TestGrid:
         assert grid.nodes[0] == pytest.approx(-grid.L / 2)
         assert grid.nodes[-1] == pytest.approx(grid.L / 2 - grid.dx)
 
-    def test_phase_signs_follow_frequency_parity(self, grid):
+    def test_xi_holds_the_rfft_bins(self, grid):
+        # bins q = 0, ..., n/2 with the Nyquist frequency positive, as in rfft
         q = np.arange(grid.n // 2 + 1)
-        assert np.array_equal(_context(grid).signs, (-1.0) ** q)
+        assert np.allclose(grid.xi, 2 * math.pi * q / grid.L)
 
 
 class TestFieldValidation:
@@ -86,7 +87,7 @@ class TestTransforms:
         # sum f^2 = (1/n) sum_q w_q |c_q|^2 over the half spectrum
         f = fields.random_band_limited(grid, rng, band=grid.n // 3, decay=0.0)
         c = rfft(f.samples)
-        l2 = math.sqrt(grid.dx / grid.n * float(np.sum(_context(grid).weights * np.abs(c) ** 2)))
+        l2 = math.sqrt(grid.dx / grid.n * float(np.sum(_bin_weights(grid.n) * np.abs(c) ** 2)))
         assert abs(f.l2() - l2) < 1e-13 * f.l2()
 
     def test_coefficients_match_integral_transform(self):
@@ -94,9 +95,9 @@ class TestTransforms:
         # dx (-1)^q c_q is the trapezoid rule for the integral on [-L/2, L/2)
         g = make_grid(512, 60.0)
         f = fields.gaussian(g, width=1.0)
-        ctx = _context(g)
-        approx = g.dx * ctx.signs * rfft(f.samples)
-        expect = math.sqrt(math.pi) * np.exp(-(ctx.xi ** 2) / 4.0)
+        signs = (-1.0) ** np.arange(g.n // 2 + 1)
+        approx = g.dx * signs * rfft(f.samples)
+        expect = math.sqrt(math.pi) * np.exp(-(g.xi ** 2) / 4.0)
         assert np.max(np.abs(approx - expect)) < 1e-12
 
 
@@ -334,9 +335,11 @@ class TestHalfSpectrumOracle:
         got = linear_flow(DispersionParams(j), t, u0)
         assert np.max(np.abs(got.samples - ref.samples)) <= 1e-12 * np.max(np.abs(ref.samples))
 
-    def test_context_is_read_only(self):
-        ctx = _context(make_grid(64, 10.0))
-        for a in (ctx.xi, ctx.signs, ctx.weights):
+    def test_grid_geometry_is_read_only(self):
+        g = make_grid(64, 10.0)
+        for name in ("xi", "nodes"):
+            a = getattr(g, name)
+            assert getattr(g, name) is a          # built once per grid
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
