@@ -45,13 +45,5 @@ class KernelWindowError(HkdvError):
     """The oscillatory-kernel sup lies on the edge of its evaluation window."""
 
 
-class KernelGridTooLarge(HkdvError, MemoryError):
-    """The oscillatory-kernel grid exceeds the supported size."""
-
-
-class PhaseRangeError(HkdvError):
-    """A phase exceeds the range of the exact ``2 pi`` reduction."""
-
-
 class ConfigError(HkdvError):
     """Experiment configuration failed validation."""

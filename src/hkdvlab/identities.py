@@ -8,18 +8,18 @@ on the Airy window, one envelope width at a time.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import ifft, next_fast_len
 
-from .errors import KernelGridTooLarge, KernelWindowError, PhaseRangeError
+from .errors import KernelWindowError
 from .fields import weighted
 from .propagators import DispersionParams, _group, _phase
-from .spectral import (DECAY_GATE, RealField, _REDUCE_RANGE, _irfft, _reduce_2pi, _rfft,
-                       band_limit_check, deriv_symbol, derivative, require_decay)
+from .spectral import (DECAY_GATE, RealField, _irfft, _rfft, band_limit_check, deriv_symbol,
+                       derivative, require_decay)
 
 MAX_COEFF_ORDER = 32
 
@@ -133,7 +133,7 @@ class DecayFit:
     t_list: tuple[float, ...]
     sups: dict          # envelope -> list of sup|I_t|
     slopes: dict        # envelope -> fitted slope
-    grid_sizes: dict    # envelope -> list of kernel grid sizes
+    grid_sizes: dict    # envelope -> list of window node counts 2m+1
 
     @property
     def slope_shift(self) -> float:
@@ -142,110 +142,96 @@ class DecayFit:
         return max((abs(b - a) for a, b in zip(s, s[1:])), default=0.0)
 
 
-_MAX_KERNEL_N = 2 ** 26
-#: length added to the kernel grid's span beyond the stationary-phase reach
-_PAD = 300.0
-#: half-width of the automatic sup window in units of t^(1/(2j+1)); the
-#: suite's argmax lies at |x| <= 19
+#: half-width of the sup window in units of t^(1/(2j+1)); the suite's argmax
+#: lies at |x| <= 19
 _WINDOW_REACH = 24.0
-#: smallest inverse-DFT length of the folded spectrum
-_MIN_FOLD = 1 << 14
-#: folded-spectrum bins evaluated and transformed per block.  A block holds
-#: about a dozen temporaries of 8 or 16 bytes per bin; on the decay suite
-#: 2^17 bins ran faster than 2^18 and 2^20, and with less peak memory
-_BLOCK_BINS = 1 << 17
+#: Gauss-Legendre nodes per contour panel, and the largest change of the
+#: exponent across one panel, in radians, at the window's worst node
+_PANEL_NODES = 20
+_PANEL_PHASE = 16.0
+#: the ray ends where the integrand is below exp(-_RAY_DEPTH) of its start
+_RAY_DEPTH = 40.0
+#: window nodes per block of the running-product synthesis
+_CHUNK = 64
 
 
-def _kernel_grid(j: int, t: float, env: float) -> tuple[float, int]:
-    """Node spacing and size ``n`` of the oscillatory-kernel grid.
+def _panels(bound, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on ``[0, top]``.
 
-    Its span suppresses the stationary-phase fold from periodization by
-    ``exp(-kappa^2)`` at the box edge, ``kappa = 2`` or, past ``2^23`` nodes,
-    1.62; the spacing resolves the envelope up to ``xi = 3.2 env``, where it
-    is below ``exp(-10.2) ~ 3.6e-5``.
+    ``bound(p)`` is increasing from ``bound(0) = 0`` and bounds the change of
+    the integrand's exponent over ``[0, p]``; the panels split it into equal
+    parts of at most ``_PANEL_PHASE``.
+    """
+    p = np.linspace(0.0, top, 4097)
+    cum = bound(p)
+    edges = np.interp(np.linspace(0.0, cum[-1], math.ceil(cum[-1] / _PANEL_PHASE) + 1), cum, p)
+    z, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (1.0 + z)).ravel(), (half * w).ravel()
+
+
+def _kernel_window(j: int, t: float, env: float) -> tuple[float, np.ndarray]:
+    """The node spacing ``dx`` and the kernel on the window's ``2m+1`` nodes.
+
+    ``K(x) = 2 Re int_0^inf xi^(j-1/2) e^(i t theta(xi) + i x xi - (xi/env)^2)
+    dxi`` (``theta`` odd, ``propagators._phase``) on ``x_k = k dx``, ``dx = pi
+    / (3.2 env)``, ``|k| <= m = int(24 t^(1/(2j+1)) / dx)``, by steepest
+    descent: the real segment ``xi = u^2`` up to ``R0``, 1.3 times the
+    farthest saddle ``(x_m / ((2j+1) t))^(1/(2j))``, then the ray ``xi = R0 +
+    s e^(i sigma pi / (2(2j+1)))``, ``sigma = (-1)^(j+1)``, along which
+    ``|e^(i t theta)|`` falls like ``e^(-t s^(2j+1))`` and every node's
+    integrand decays.  Both parts use composite Gauss-Legendre panels sized
+    from a bound on the exponent's change at the window's worst node, and the
+    ray ends where that node's integrand is below ``e^(-_RAY_DEPTH)`` of its
+    start or of 1.  ``e^(i x_k xi)`` is built by a running product over blocks of 64
+    nodes and reduced by row sums.
     """
     dx = math.pi / (3.2 * env)
-    for kappa in (2.0, 1.62):
-        span = 2.0 * ((2 * j + 1) * t * (kappa * env) ** (2 * j)) + _PAD
-        if span / dx <= (1 << 23):
-            break
-    return dx, next_fast_len(max(1024, int(math.ceil(span / dx))), real=False)
+    m = max(1, int(_WINDOW_REACH * t ** (1.0 / (2 * j + 1)) / dx))
+    p, reach = 2 * j + 1, m * dx
+    r0 = 1.3 * (reach / (p * t)) ** (1.0 / (2 * j))
+    u, wu = _panels(lambda u: t * u ** (2 * p) + reach * u * u + u ** 4 / env ** 2,
+                    math.sqrt(r0))
+    ray = cmath.rect(1.0, (1 if j % 2 else -1) * math.pi / (2 * p))
+    # log of the worst node's integrand along the ray, up to where t s^(2j+1)
+    # alone reaches the depth
+    table = np.linspace(0.0, (_RAY_DEPTH / t) ** (1.0 / p), 4097)
+    z = r0 + table * ray
+    level = (-_phase(z, j, t).imag + reach * abs(ray.imag) * table - (z * z).real / env ** 2
+             + (j - 0.5) * np.log(np.abs(z)))
+    below = np.flatnonzero(level < max(level[0], 0.0) - _RAY_DEPTH)
+    s, ws = _panels(lambda s: t * ((r0 + s) ** p - r0 ** p) + reach * s
+                    + ((r0 + s) ** 2 - r0 ** 2) / env ** 2,
+                    table[below[0]] if below.size else table[-1])
+    xi = np.concatenate([u * u, r0 + s * ray])
+    weight = np.concatenate([2.0 * u ** (2 * j) * wu, xi[u.size:] ** (j - 0.5) * (ws * ray)])
+    weight *= np.exp(1j * _phase(xi, j, t) - (xi / env) ** 2)
+    step = np.exp((1j * dx) * xi)
+    kern = np.empty(2 * m + 1)
+    rows = np.empty((_CHUNK, xi.size), dtype=complex)
+    for k0 in range(0, kern.size, _CHUNK):
+        block = rows[:min(_CHUNK, kern.size - k0)]
+        np.multiply(np.exp((1j * (k0 - m) * dx) * xi), weight, out=block[0])
+        block[1:] = step
+        np.cumprod(block, axis=0, out=block)
+        kern[k0:k0 + block.shape[0]] = block.real.sum(axis=1)
+    return dx, 2.0 * kern
 
 
 def _kernel_sup(j: int, t: float, env: float) -> tuple[float, int]:
-    """sup of the envelope-regularized oscillatory kernel on a window of nodes.
+    """sup of the envelope-regularized oscillatory kernel on the window of
+    ``_kernel_window`` and the window's node count ``2m+1``.
 
-    The grid comes from ``_kernel_grid``.  The sup is taken over the ``2m+1``
-    nodes ``|x_k| <= 24 t^(1/(2j+1))``, which hold the Airy region; an argmax
-    on the edge of the window raises ``KernelWindowError``.  No array of grid
-    length is built: with ``Q`` the smallest divisor of ``n`` of at least
-    ``max(2^14, 2m+1)`` and ``P = n/Q``, every bin ``q = aP + b`` (``a < Q``,
-    ``b < P``) gets its signed frequency (``q - n`` where ``q > n//2``), and
-    ``K(x_k) = sum_b e^(2 pi i b k/n) G_b(k mod Q)``, where ``G_b`` is the
-    unnormalized ``Q``-point inverse DFT over ``a`` of the symbol on row
-    ``b``.  The amplitude is even in ``xi`` and the phase ``t theta``
-    (``propagators._phase``) exactly odd, so row ``P - b`` is the conjugate
-    mirror of row ``b`` and only rows ``b <= P/2`` are evaluated:
-    ``K = sum_b w_b Re(e^(2 pi i b k/n) G_b)`` with ``w_b = 2``, except
-    ``w = 1`` for row 0 and, for even ``P``, row ``P/2``, their own mirrors;
-    the Nyquist bin of an even ``n`` lies on one of them, so it enters by the
-    real part of its symbol.  Blocks of about ``2^17`` bins are evaluated and
-    transformed by one batched ``ifft`` each.  The phase is reduced by
-    ``_reduce_2pi`` in double; grids of ``2^22`` points and more then take the
-    amplitude, the trig and the transform in single precision (the sup is
-    needed to ~1e-3).  Raises ``KernelGridTooLarge`` past ``_MAX_KERNEL_N``
-    points and ``PhaseRangeError`` when the largest phase is past the exact
-    reduction.
+    The window holds the Airy region; an argmax on its edge raises
+    ``KernelWindowError``.
     """
-    dx, n = _kernel_grid(j, t, env)
-    if n > _MAX_KERNEL_N:
-        raise KernelGridTooLarge(f"kernel grid n={n} for j={j}, t={t:g}, env={env:g} "
-                                 f"exceeds the supported maximum {_MAX_KERNEL_N}")
-    two_pi_over_L = 2.0 * math.pi / (n * dx)
-    half = n // 2
-    top = t * (two_pi_over_L * half) ** (2 * j + 1)
-    if top >= _REDUCE_RANGE:
-        raise PhaseRangeError(f"kernel phase up to {top:.4g} rad on n={n} for j={j}, "
-                              f"t={t:g}, env={env:g} exceeds the exact reduction "
-                              f"range {_REDUCE_RANGE:.4g}")
-    big = n >= (1 << 22)
-    real = np.float32 if big else np.float64
-    m = min(max(1, int(_WINDOW_REACH * t ** (1.0 / (2 * j + 1)) / dx)), half)
-    k = np.arange(-m, m + 1)
-    fold = min(n, max(_MIN_FOLD, k.size))
-    Q = min(d for i in range(1, math.isqrt(n) + 1) if n % i == 0
-            for d in (i, n // i) if d >= fold)
-    P = n // Q
-    aP = P * np.arange(Q, dtype=np.float64)
-    cols = k % Q
-    rows = np.arange(P // 2 + 1)
-    weight = np.where((rows == 0) | (2 * rows == P), 1.0, 2.0)
-    block = max(1, _BLOCK_BINS // Q)
-    kern = np.zeros(k.size)
-    for b0 in range(0, rows.size, block):
-        b = rows[b0:b0 + block]
-        xi = b[:, None] + aP
-        np.subtract(xi, n, out=xi, where=xi > half)     # signed bins, then
-        xi *= two_pi_over_L                             # their frequencies
-        ph = _reduce_2pi(_phase(xi, j, t)).astype(real, copy=False)
-        cos, sin = np.cos(ph), np.sin(ph)
-        axi = np.abs(xi).astype(real, copy=False)
-        amp = np.sqrt(axi)
-        for _ in range(j - 1):
-            amp *= axi
-        amp *= np.exp(-(axi / env) ** 2)
-        sym = np.empty(xi.shape, dtype=np.complex64 if big else np.complex128)
-        np.multiply(cos, amp, out=sym.real)
-        np.multiply(sin, amp, out=sym.imag)
-        g = ifft(sym, axis=-1, norm="forward", overwrite_x=True)[:, cols]
-        twiddle = weight[b, None] * np.exp((2j * math.pi / n) * ((b[:, None] * k) % n))
-        kern += np.einsum("bw,bw->w", g, twiddle).real
-    i = int(np.argmax(np.abs(kern)))
-    if m < half and i in (0, k.size - 1):
+    dx, kern = _kernel_window(j, t, env)
+    i, m = int(np.argmax(np.abs(kern))), kern.size // 2
+    if i in (0, kern.size - 1):
         raise KernelWindowError(
             f"kernel sup for j={j}, t={t:g}, env={env:g} lies at argmax index {i}, on "
             f"the edge of the window |x| <= {m * dx:.4g} of m={m} nodes each side")
-    return abs(float(kern[i])) * two_pi_over_L, n
+    return abs(float(kern[i])), kern.size
 
 
 def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),
@@ -253,9 +239,11 @@ def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),
     """Fit the time-decay exponent of the weighted oscillatory kernel.
 
     For each envelope width the kernel ``int |xi|^{(2j-1)/2}
-    exp(i t theta(xi) + i x xi) exp(-(xi/env)^2) dxi`` is synthesized on an
-    auto-sized grid, its sup over x recorded per t, and the log-log slope
-    fitted.  Default envelopes: ``(4, 8)`` for j=1 and ``(3, 6)`` for j=2;
+    exp(i t theta(xi) + i x xi) exp(-(xi/env)^2) dxi`` is evaluated by a
+    steepest-descent contour on the nodes of its Airy window
+    (``_kernel_window``), its sup over those nodes recorded per t, and the
+    log-log slope fitted; ``grid_sizes`` holds the window's node counts.
+    Default envelopes: ``(4, 8)`` for j=1 and ``(3, 6)`` for j >= 2;
     robustness is judged by the slope shift under envelope doubling.
     """
     if min(t_list) < 1.0:

@@ -131,31 +131,6 @@ def _power(xi: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-#: the double ``2 pi`` split as ``hi + lo`` with 27 and 17 significant bits,
-#: so ``N * hi`` and ``N * lo`` are exact for integers ``|N| <= 2^26``
-_TWO_PI_HI = float.fromhex("0x1.921fb54p+2")
-_TWO_PI_LO = 2.0 * math.pi - _TWO_PI_HI
-#: ``|x|`` below which ``_reduce_2pi`` is exact to one rounding
-_REDUCE_RANGE = 2.0 ** 26 * _TWO_PI_HI
-
-
-def _reduce_2pi(x: np.ndarray) -> np.ndarray:
-    """``x`` less the nearest whole number of (double) ``2 pi``, in place.
-
-    With ``N = rint(x / 2 pi)`` the result is ``(x - N hi) - N lo``: for
-    ``|x| < _REDUCE_RANGE`` both products and the first difference are exact,
-    so it lies in about ``[-pi, pi]`` and differs from ``np.mod(x, 2 pi)``, up
-    to a multiple of ``2 pi``, by one rounding, at a fifth of its cost.
-    """
-    turns = x * (1.0 / (2.0 * math.pi))
-    np.rint(turns, out=turns)
-    step = turns * _TWO_PI_HI
-    x -= step
-    np.multiply(turns, _TWO_PI_LO, out=step)
-    x -= step
-    return x
-
-
 def deriv_symbol(grid: Grid, order: int) -> np.ndarray:
     """``(i xi)^order`` on the ``n//2 + 1`` rfft bins, Nyquist zeroed for odd
     orders.

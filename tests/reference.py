@@ -1,5 +1,6 @@
-"""Full-complex spectral reference for the oracle tests, and the plain
-allocating IF-RK4 loop that ``evolve`` must match bit for bit.
+"""Full-complex spectral reference for the oracle tests, the plain
+allocating IF-RK4 loop that ``evolve`` must match bit for bit, and a
+brute-force quadrature of the decay probe's kernel.
 
 The package keeps one coefficient layout, the ``n//2 + 1`` bins of
 ``scipy.fft.rfft``.  This module keeps the independent layout the oracle
@@ -81,6 +82,30 @@ def x_weight_commutator(params, t: float, u0: RealField) -> float:
     num = math.sqrt(u0.grid.dx * float(np.sum(resid ** 2)))
     den = xwu0.l2()
     return num / den if den > 0 else num
+
+
+def kernel_trapezoid(j: int, t: float, env: float, x: np.ndarray, step: float,
+                     reach: float = 6.0, block: int = 1 << 16) -> np.ndarray:
+    """The decay probe's kernel ``int |xi|^(j-1/2) e^(i t (-1)^(j+1) xi^(2j+1)
+    + i x xi - (xi/env)^2) dxi`` at the points ``x``, by brute force.
+
+    The substitution ``xi = s|s|`` (as in ``bench/checks.py``) makes the
+    integrand smooth, and it is even in ``s``, so the trapezoid rule with step
+    ``step`` on ``0 <= s <= sqrt(reach * env)``, where the envelope falls to
+    ``e^(-reach^2)``, gives ``K(x) = 2 int_0^inf 2 s^(2j) cos(t theta(s^2) +
+    x s^2) e^(-(s^2/env)^2) ds`` with the accuracy of the whole-line rule.
+    """
+    sign = 1.0 if j % 2 else -1.0
+    count = int(math.sqrt(reach * env) / step) + 1
+    out = np.zeros(len(x))
+    for i0 in range(0, count, block):
+        s = step * np.arange(i0, min(i0 + block, count))
+        xi = s * s
+        amp = 2.0 * s ** (2 * j) * np.exp(-(xi / env) ** 2)
+        phase = (sign * t) * xi ** (2 * j + 1)
+        for a, xa in enumerate(x):
+            out[a] += np.sum(amp * np.cos(phase + xa * xi))
+    return 2.0 * step * out
 
 
 def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,

@@ -10,11 +10,10 @@ import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
 from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve, linear_flow
-from hkdvlab.spectral import (RealField, _REDUCE_RANGE, _bin_weights, _irfft,
-                              _reduce_2pi, _rfft, _stein_truncated, band_limit_check,
-                              dealias_cutoff, deriv_symbol, derivative, frac_deriv,
-                              make_grid, require_decay, stein_constant, stein_deriv,
-                              synthesize_at)
+from hkdvlab.spectral import (RealField, _bin_weights, _irfft, _rfft, _stein_truncated,
+                              band_limit_check, dealias_cutoff, deriv_symbol, derivative,
+                              frac_deriv, make_grid, require_decay, stein_constant,
+                              stein_deriv, synthesize_at)
 
 
 class TestGrid:
@@ -175,23 +174,6 @@ class TestSymbols:
         assert xi[grid.n // 2] == 0.0
         keep = np.arange(grid.n) != grid.n // 2
         assert np.array_equal(xi[keep], grid.frequencies[keep])
-
-
-class TestPhaseReduction:
-    def test_trig_matches_mod_up_to_the_range(self):
-        rng = np.random.default_rng(7)
-        two_pi = 2.0 * math.pi
-        turns = np.arange(1.0, 2.0 ** 26, 9973.0)      # on and half-way between multiples
-        x = np.concatenate([
-            rng.uniform(-_REDUCE_RANGE, _REDUCE_RANGE, 200_000),
-            np.geomspace(1e-3, _REDUCE_RANGE, 20_000) * rng.choice((-1.0, 1.0), 20_000),
-            turns * two_pi, (turns + 0.5) * two_pi, -(turns - 0.5) * two_pi,
-            np.nextafter(_REDUCE_RANGE, 0.0) * np.array([1.0, -1.0]), [0.0, -0.0]])
-        r = _reduce_2pi(x.copy())
-        ref = np.mod(x, 2.0 * math.pi)
-        assert np.max(np.abs(np.cos(r) - np.cos(ref))) < 1e-13
-        assert np.max(np.abs(np.sin(r) - np.sin(ref))) < 1e-13
-        assert np.max(np.abs(r)) < math.pi + 1e-6
 
 
 class TestFracDeriv:
