@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Callable
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import fields
 from .blowup import (BlowupDatumSpec, build_blowup_datum, coprime_pairs, irrationality_gap,
@@ -31,8 +30,8 @@ from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coeffici
                          verify_reduction_identity, x_weight_commutator)
 from .norms import CutoffFunction, WindowSpec, mixed_norm, window_energy, weighted_norm
 from .propagators import DispersionParams, Trajectory, evolve, linear_flow
-from .spectral import (DECAY_GATE, Grid, RealField, dealias_cutoff, frac_deriv, make_grid,
-                       stein_deriv)
+from .spectral import (DECAY_GATE, Grid, RealField, _fast_len, dealias_cutoff, frac_deriv,
+                       make_grid, stein_deriv)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -289,7 +288,7 @@ _COMMUTATOR_L = {(1, 0.05): 32.0, (1, 0.1): 48.0, (1, 0.5): 256.0,
 
 def _commutator_grid(L: float) -> Grid:
     """Even grid of spacing about 0.1 on a box of length ``L``."""
-    n = next_fast_len(int(L / 0.1))
+    n = _fast_len(int(L / 0.1))
     return make_grid(n + n % 2, L)
 
 

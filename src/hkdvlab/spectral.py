@@ -28,13 +28,15 @@ even grid.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft
-from scipy.special import zeta
 
 from .errors import BandLimitError, BoundaryDecayError
 
@@ -42,6 +44,41 @@ from .errors import BandLimitError, BoundaryDecayError
 DECAY_GATE = 1e-6
 #: kernel periods summed exactly before the closed-form fold tail
 _KERNEL_FOLDS = 3
+#: the import name scipy gives its pocketfft extension
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft extension, without importing ``scipy.fft``.
+
+    ``import scipy.fft`` and ``import scipy.special`` each cost about 0.3 s
+    on a 2-core x86_64 box, most of a cold start, and the package uses
+    neither module's Python layer.  The extension file is loaded from
+    scipy's directory and registered under scipy's own name, so a later
+    ``import scipy.fft`` reuses this module object instead of initializing
+    the extension a second time; a module already imported by scipy is
+    reused here the same way.
+    """
+    if _POCKETFFT in sys.modules:
+        return sys.modules[_POCKETFFT]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ModuleNotFoundError("hkdvlab needs scipy's pocketfft extension, "
+                                  "and scipy is not installed", name="scipy")
+    where = os.path.join(scipy_spec.submodule_search_locations[0], "fft", "_pocketfft")
+    spec = importlib.machinery.PathFinder.find_spec(_POCKETFFT, [where])
+    if spec is None:
+        import scipy
+        raise ImportError(f"scipy {scipy.__version__} has no pocketfft extension "
+                          f"(pypocketfft) in {where}, where hkdvlab loads its FFT kernel from",
+                          name=_POCKETFFT, path=where)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_POCKETFFT] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+pypocketfft = _load_pocketfft()
 
 
 @dataclass(frozen=True)
@@ -93,10 +130,10 @@ def _rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``out`` when given.
 
     This module is the package's one binding of the real transform pair: it
-    calls scipy's pocketfft kernel directly, with scipy's default
-    normalization, and skips the public function's per-call dispatch and
-    argument checks, which cost about as much as the kernel at solver sizes.
-    ``x`` must be a real ndarray.
+    calls scipy's pocketfft kernel directly (see ``_load_pocketfft``), with
+    scipy's default normalization, and skips the public function's per-call
+    dispatch and argument checks, which cost about as much as the kernel at
+    solver sizes.  ``x`` must be a real ndarray.
     """
     return pypocketfft.r2c(x, (-1,), True, 0, out, 1)
 
@@ -106,6 +143,12 @@ def _irfft(X: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     into ``out`` when given; ``X`` must be a complex ndarray of exactly
     ``n//2 + 1`` bins on that axis."""
     return pypocketfft.c2r(X, (-1,), n, False, 2, out, 1)
+
+
+def _fast_len(n: int) -> int:
+    """The smallest length ``>= n`` that the kernel transforms fastest,
+    ``scipy.fft.next_fast_len(n)``."""
+    return pypocketfft.good_size(n, False)
 
 
 def make_grid(n: int, L: float) -> Grid:
@@ -251,6 +294,51 @@ def stein_constant(alpha: float) -> float:
             / (2.0 ** alpha * math.gamma((1.0 + alpha) / 2.0)))
 
 
+#: cephes' Euler-Maclaurin coefficients (2k)!/B_2k for the Hurwitz zeta
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """``sum_{m>=0} (m + q)^(-x)`` for ``x > 1`` and ``0 < q <= 1e8``, equal
+    bit for bit to ``scipy.special.zeta(x, q)``.
+
+    A line-for-line port of the cephes routine that function runs: a head
+    sum of at least 9 terms that reaches past 9, then the Euler-Maclaurin
+    tail.
+    """
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coeff in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def _stein_truncated(f: RealField, alpha: float, m_min: int) -> np.ndarray:
     """Trapezoid evaluation of the truncated principal-value integral.
 
@@ -277,8 +365,9 @@ def _stein_truncated(f: RealField, alpha: float, m_min: int) -> np.ndarray:
     acc = _irfft(_rfft(s) * _rfft(kern), n) - (2.0 * np.sum(ker)) * s
     acc *= dx
     x = g.nodes
-    c0 = 2.0 * zeta(1.0 + alpha, _KERNEL_FOLDS + 1) / L ** (1.0 + alpha)
-    c2 = (1.0 + alpha) * (2.0 + alpha) * zeta(3.0 + alpha, _KERNEL_FOLDS + 1) / L ** (3.0 + alpha)
+    c0 = 2.0 * _hurwitz_zeta(1.0 + alpha, _KERNEL_FOLDS + 1) / L ** (1.0 + alpha)
+    c2 = ((1.0 + alpha) * (2.0 + alpha) * _hurwitz_zeta(3.0 + alpha, _KERNEL_FOLDS + 1)
+          / L ** (3.0 + alpha))
     m0 = dx * np.sum(s)
     m1 = dx * np.sum(x * s)
     m2 = dx * np.sum(x * x * s)

@@ -223,10 +223,16 @@ def test_blas_guard_passes_thread_local_reductions():
 
 def _real_fft_bindings(source: str) -> list[str]:
     """Each import of ``rfft`` or ``irfft`` from ``scipy.fft``, each
-    ``.rfft``/``.irfft`` attribute, and each import or attribute that names
-    scipy's private pocketfft module in ``source``."""
+    ``.rfft``/``.irfft`` attribute, and each import, attribute or string
+    constant that names scipy's private pocketfft module in ``source``.
+
+    Strings count because a loader names the extension only in strings
+    (``PathFinder.find_spec("pypocketfft", [p])``); docstrings, which bind
+    nothing, do not."""
+    tree = ast.parse(source)
+    docs = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             module = getattr(node, "module", None) or ""
             names = [a.name for a in node.names]
@@ -235,6 +241,9 @@ def _real_fft_bindings(source: str) -> list[str]:
                 out.append(ast.unparse(node))
         elif isinstance(node, ast.Attribute) and (
                 node.attr in ("rfft", "irfft") or "pocketfft" in node.attr):
+            out.append(ast.unparse(node))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "pocketfft" in node.value and id(node) not in docs):
             out.append(ast.unparse(node))
     return out
 
@@ -253,6 +262,8 @@ def test_only_spectral_binds_the_real_fft():
     "scipy.fft.rfft(x)", "np.fft.irfft(X, n)", "sf.rfft(x)",
     "from scipy.fft._pocketfft import pypocketfft",
     "import scipy.fft._pocketfft.pypocketfft as p", "scipy.fft._pocketfft.pypocketfft.r2c(x)",
+    'PathFinder.find_spec("pypocketfft", [p])',
+    'importlib.import_module("scipy.fft._pocketfft.pypocketfft")',
 ])
 def test_real_fft_guard_flags(source):
     assert _real_fft_bindings(source)
@@ -260,8 +271,32 @@ def test_real_fft_guard_flags(source):
 
 def test_real_fft_guard_passes_the_helpers_and_complex_transforms():
     assert not _real_fft_bindings(
+        '"""Transforms through spectral\'s binding of the pocketfft kernel."""\n'
         "from scipy.fft import ifft, next_fast_len\n"
-        "from .spectral import _irfft, _rfft\n_irfft(_rfft(x), n); ifft(y)")
+        "from .spectral import _fast_len, _irfft, _rfft\n_irfft(_rfft(x), n); ifft(y)")
+
+
+_IMPORT_WEIGHT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import hkdvlab
+from hkdvlab.experiments import SUITES, default_config
+assert len(SUITES) == 6, SUITES
+for name in SUITES:
+    default_config(name)
+import hkdvlab.cli
+heavy = {"scipy.fft", "scipy.special"} & set(sys.modules)
+assert not heavy, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_import_loads_neither_scipy_fft_nor_scipy_special():
+    # each costs about 0.3 s of every cold start; spectral loads only the
+    # pocketfft extension and ports the one zeta it needs, so a new top-level
+    # scipy import fails here; a subprocess starts from a clean sys.modules
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_WEIGHT, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 _BENCH_HOOKS = """

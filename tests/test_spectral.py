@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +13,13 @@ import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
 from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve, linear_flow
-from hkdvlab.spectral import (RealField, _bin_weights, _irfft, _rfft, _stein_truncated,
-                              band_limit_check, dealias_cutoff, deriv_symbol, derivative,
-                              frac_deriv, make_grid, require_decay, stein_constant,
-                              stein_deriv, synthesize_at)
+from hkdvlab.spectral import (RealField, _bin_weights, _hurwitz_zeta, _irfft, _rfft,
+                              _stein_truncated, band_limit_check, dealias_cutoff,
+                              deriv_symbol, derivative, frac_deriv, make_grid, require_decay,
+                              stein_constant, stein_deriv, synthesize_at)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestGrid:
@@ -121,6 +127,85 @@ class TestTransformBinding:
         for got, want in ((got_f, want_f), (out_f, want_f), (got_i, want_i), (out_i, want_i)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    _IMPORT_ORDER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "hkdvlab":
+    from hkdvlab import spectral
+    import scipy.fft
+else:
+    import scipy.fft
+    from hkdvlab import spectral
+import numpy as np
+from scipy.fft._pocketfft import basic, pypocketfft
+assert spectral.pypocketfft is pypocketfft is basic.pfft
+for n in (256, 4096):
+    for shape in ((), (2,)):
+        r = np.random.default_rng(n)
+        x = r.standard_normal((*shape, n))
+        X = r.standard_normal((*shape, n // 2 + 1)) + 1j * r.standard_normal((*shape, n // 2 + 1))
+        for got, want in ((spectral._rfft(x), scipy.fft.rfft(x)),
+                          (spectral._irfft(X, n), scipy.fft.irfft(X, n))):
+            assert got.dtype == want.dtype and got.shape == want.shape, (n, shape)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, shape)
+bad = [t for t in range(1, 40001) if spectral._fast_len(t) != scipy.fft.next_fast_len(t)]
+assert not bad, bad[:10]
+"""
+
+    @pytest.mark.parametrize("first", ["hkdvlab", "scipy"])
+    def test_either_import_order_shares_scipys_kernel(self, first):
+        # spectral loads the extension file itself, so the order in which a
+        # process imports it and scipy.fft decides which of them initializes
+        # it; the test modules import scipy.fft first, so a fresh process runs
+        # both orders
+        proc = subprocess.run([sys.executable, "-c", self._IMPORT_ORDER, str(SRC), first],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_moved_kernel_raises_a_typed_import_error(self, tmp_path):
+        # a scipy without fft/_pocketfft/pypocketfft*.so, as a release that
+        # moved the extension would be
+        stub = tmp_path / "scipy"
+        stub.mkdir()
+        (stub / "__init__.py").write_text('__version__ = "0.0.stub"\n')
+        code = ("import sys\nsys.path[:0] = sys.argv[1:3]\n"
+                "try:\n    import hkdvlab\n"
+                "except ImportError as e:\n    print(type(e).__name__, e.path, e)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(SRC)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        where = str(stub / "fft" / "_pocketfft")
+        kind, path, message = proc.stdout.strip().split(" ", 2)
+        assert (kind, path) == ("ImportError", where)
+        assert where in message and "scipy 0.0.stub" in message
+
+    def test_missing_scipy_raises_module_not_found(self):
+        code = ("import sys\nsys.path.insert(0, sys.argv[1])\nsys.modules['scipy'] = None\n"
+                "try:\n    import hkdvlab\n"
+                "except ModuleNotFoundError as e:\n    print(e.name)\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "scipy"
+
+
+class TestHurwitzZeta:
+    """``_hurwitz_zeta`` ports the cephes routine behind
+    ``scipy.special.zeta``; ``stein_deriv``'s fold tail needs it to the bit
+    for ``stein.csv`` to stay byte-identical."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
+    def test_suite_arguments(self, alpha):
+        for x in (1.0 + alpha, 3.0 + alpha):
+            assert _hurwitz_zeta(x, 4.0).hex() == float(zeta(x, 4.0)).hex()
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0, 7.5])
+    def test_equals_scipy_bit_for_bit(self, q):
+        # 1 - random() lies in (0, 1], so x in (1, 6]
+        x = 1.0 + 5.0 * (1.0 - np.random.default_rng(int(4 * q)).random(20_000))
+        got = np.array([_hurwitz_zeta(float(v), q) for v in x])
+        assert np.array_equal(got.view(np.int64), zeta(x, q).view(np.int64))
 
 
 @settings(max_examples=20, deadline=None)
