@@ -9,6 +9,7 @@ on the Airy window, one envelope width at a time.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,25 +99,36 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
     (Galilean-type first moment transport; for j=1 this is the classical
     ``x - 3t d^2`` commuting vector field).  The multiplication by ``x`` uses
     node coordinates, so validity is gated by boundary decay of ``u0``,
-    ``x*u0``, and ``x*W(t)u0`` (``gate=None`` skips it).  The group symbol
-    ``E`` is built once, and ``W(t)(x u0)`` and the correction share one
-    inverse transform, ``irfft(E (rfft(x u0) + (2j+1) t (i xi)^(2j)
-    rfft(u0)))``: four transforms in all.
+    ``x*u0``, and ``x*W(t)u0``, checked in that order (``gate=None`` skips
+    it).  The group symbol ``E`` is built once, and ``W(t)(x u0)`` and the
+    correction share one inverse transform, ``irfft(E (rfft(x u0) + (2j+1) t
+    (i xi)^(2j) rfft(u0)))``: four transforms in all.  The work runs in
+    place, so at most four ``n``-point arrays are alive at once.
     """
     g = u0.grid
     x = g.nodes
-    u0h = _rfft(u0.samples)
-    group = _group(params, g, t)
-    xu0 = weighted(u0, x)
-    xwu0 = RealField(g, x * _irfft(group * u0h, g.n))
     require_decay(u0, rel=gate, what="u0")
+    xu0 = weighted(u0, x)
     require_decay(xu0, rel=gate, what="x*u0")
-    require_decay(xwu0, rel=gate, what="x*W(t)u0")
     rhs = _rfft(xu0.samples)
-    rhs += (2 * params.j + 1) * t * deriv_symbol(g, 2 * params.j) * u0h
-    resid = _irfft(group * rhs, g.n) - xwu0.samples
+    del xu0
+    u0h = _rfft(u0.samples)
+    # the correction's symbol is real, so it scales both parts of the spectrum
+    corr = (2 * params.j + 1) * t * deriv_symbol(g, 2 * params.j)
+    re, im = rhs.real, rhs.imag
+    re += corr * u0h.real
+    im += corr * u0h.imag
+    del corr
+    group = _group(params, g, t)
+    wu0 = _irfft(np.multiply(group, u0h, out=u0h), g.n)
+    del u0h
+    xwu0 = RealField(g, np.multiply(x, wu0, out=wu0))
+    require_decay(xwu0, rel=gate, what="x*W(t)u0")
+    resid = _irfft(np.multiply(group, rhs, out=rhs), g.n)
+    resid -= xwu0.samples
+    resid *= resid
     den = xwu0.l2()
-    num = math.sqrt(g.dx * float(np.sum(resid ** 2)))
+    num = math.sqrt(g.dx * float(np.sum(resid)))
     return num / den if den > 0 else num
 
 
@@ -155,17 +167,32 @@ _RAY_DEPTH = 40.0
 _CHUNK = 64
 
 
+@functools.cache
+def _rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count``-node Gauss-Legendre nodes and weights on ``[-1, 1]``,
+    read-only.
+
+    Built on first use, not at import: ``numpy.polynomial`` costs a cold
+    start several milliseconds, and ``leggauss`` (eigenvalues, a Newton step)
+    up to about a millisecond a call.
+    """
+    z, w = np.polynomial.legendre.leggauss(count)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
 def _panels(bound, top: float) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on ``[0, top]``.
 
     ``bound(p)`` is increasing from ``bound(0) = 0`` and bounds the change of
     the integrand's exponent over ``[0, p]``; the panels split it into equal
-    parts of at most ``_PANEL_PHASE``.
+    parts of at most ``_PANEL_PHASE``, each carrying the ``_PANEL_NODES``-node
+    rule of ``_rule``, which a process builds once.
     """
     p = np.linspace(0.0, top, 4097)
     cum = bound(p)
     edges = np.interp(np.linspace(0.0, cum[-1], math.ceil(cum[-1] / _PANEL_PHASE) + 1), cum, p)
-    z, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    z, w = _rule(_PANEL_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     return (edges[:-1, None] + half * (1.0 + z)).ravel(), (half * w).ravel()
 

@@ -46,7 +46,8 @@ def dispersion_phase(params: DispersionParams, grid: Grid) -> np.ndarray:
 
 def _group(params: DispersionParams, grid: Grid, t: float) -> np.ndarray:
     """Symbol ``exp(i t theta)`` of the group ``W(t)`` on the rfft bins."""
-    return np.exp(1j * t * dispersion_phase(params, grid))
+    z = 1j * t * dispersion_phase(params, grid)
+    return np.exp(z, out=z)
 
 
 def linear_flow(params: DispersionParams, t: float, u0: RealField) -> RealField:

@@ -1,6 +1,7 @@
 """Full-complex spectral reference for the oracle tests, the plain
-allocating IF-RK4 loop that ``evolve`` must match bit for bit, and a
-brute-force quadrature of the decay probe's kernel.
+allocating IF-RK4 loop that ``evolve`` must match bit for bit, the plain
+allocating commutator that ``x_weight_commutator`` must match bit for bit,
+and a brute-force quadrature of the decay probe's kernel.
 
 The package keeps one coefficient layout, the ``n//2 + 1`` bins of
 ``scipy.fft.rfft``.  This module keeps the independent layout the oracle
@@ -23,7 +24,8 @@ from scipy.fft import irfft, rfft
 
 from hkdvlab.fields import weighted
 from hkdvlab.propagators import dispersion_phase, linear_flow
-from hkdvlab.spectral import RealField, dealias_cutoff, deriv_symbol, derivative
+from hkdvlab.spectral import (DECAY_GATE, RealField, dealias_cutoff, deriv_symbol, derivative,
+                              require_decay)
 
 
 def phase_signs(grid) -> np.ndarray:
@@ -81,6 +83,28 @@ def x_weight_commutator(params, t: float, u0: RealField) -> float:
     resid = lhs.samples - xwu0.samples + (2 * params.j + 1) * t * corr.samples
     num = math.sqrt(u0.grid.dx * float(np.sum(resid ** 2)))
     den = xwu0.l2()
+    return num / den if den > 0 else num
+
+
+def x_weight_commutator_plain(params, t: float, u0: RealField,
+                              gate: float | None = DECAY_GATE) -> float:
+    """``x_weight_commutator`` written the plain way: public ``scipy.fft``
+    calls, a fresh array for every intermediate, all four transforms before
+    the three decay checks, the same expressions in the same operand order."""
+    g = u0.grid
+    x = g.nodes
+    u0h = rfft(u0.samples)
+    group = np.exp(1j * t * dispersion_phase(params, g))
+    xu0 = weighted(u0, x)
+    xwu0 = RealField(g, x * irfft(group * u0h, g.n))
+    require_decay(u0, rel=gate, what="u0")
+    require_decay(xu0, rel=gate, what="x*u0")
+    require_decay(xwu0, rel=gate, what="x*W(t)u0")
+    rhs = rfft(xu0.samples)
+    rhs += (2 * params.j + 1) * t * deriv_symbol(g, 2 * params.j) * u0h
+    resid = irfft(group * rhs, g.n) - xwu0.samples
+    den = xwu0.l2()
+    num = math.sqrt(g.dx * float(np.sum(resid ** 2)))
     return num / den if den > 0 else num
 
 

@@ -287,13 +287,17 @@ for name in SUITES:
 import hkdvlab.cli
 heavy = {"scipy.fft", "scipy.special"} & set(sys.modules)
 assert not heavy, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert "numpy.polynomial" not in sys.modules, sorted(m for m in sys.modules
+                                                     if m.startswith("numpy.polynomial"))
 """
 
 
 def test_import_loads_neither_scipy_fft_nor_scipy_special():
     # each costs about 0.3 s of every cold start; spectral loads only the
     # pocketfft extension and ports the one zeta it needs, so a new top-level
-    # scipy import fails here; a subprocess starts from a clean sys.modules
+    # scipy import fails here; numpy.polynomial (several ms) waits for the
+    # decay contour's first Gauss-Legendre rule; a subprocess starts from a
+    # clean sys.modules
     proc = subprocess.run([sys.executable, "-c", _IMPORT_WEIGHT, str(ROOT / "src")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import reference
 import hkdvlab.identities as identities
 from hkdvlab.experiments import (_COMMUTATOR_L, _MAX_SHIFT, _SLOPE_HI, _SLOPE_LO,
                                  _commutator_grid)
-from hkdvlab.errors import BandLimitError, KernelWindowError
+from hkdvlab.errors import BandLimitError, BoundaryDecayError, KernelWindowError
 from hkdvlab.identities import (_kernel_sup, _kernel_window, dispersive_decay_probe,
                                 solve_coefficients, verify_reduction_identity,
                                 x_weight_commutator)
@@ -126,6 +127,55 @@ class TestCommutator:
         errs = {label: value for label, (value, _) in suite_commutators[case].items()}
         assert errs["half"] > errs["base"] > errs["double"], errs
 
+    @pytest.mark.parametrize("gate", [None, DECAY_GATE])
+    def test_bit_identical_to_the_plain_formula(self, gate):
+        # in-place buffers and checks moved ahead of the transforms change
+        # neither the value's bits nor which check raises, on every grid of
+        # the suite; with the gate on, each half box fails at x*W(t)u0
+        raised = 0
+        for (j, t), L in _COMMUTATOR_L.items():
+            params = DispersionParams(j)
+            for label, scale, _ in _PADDINGS:
+                u0 = fields.gaussian(_commutator_grid(scale * L), width=1.0)
+                try:
+                    want = reference.x_weight_commutator_plain(params, t, u0, gate=gate)
+                except BoundaryDecayError as err:
+                    with pytest.raises(BoundaryDecayError) as got:
+                        x_weight_commutator(params, t, u0, gate=gate)
+                    assert str(got.value) == str(err)
+                    raised += 1
+                    continue
+                got = x_weight_commutator(params, t, u0, gate=gate)
+                assert got.hex() == want.hex(), (j, t, label)
+        assert raised == (0 if gate is None else 6)
+
+    @pytest.mark.parametrize("tail", ["u0", "x*u0"])
+    def test_checks_raise_in_order(self, tail):
+        # the gate is 1e-6 of the peak: a box of length 7 cuts u0 at 4.8e-6,
+        # one of length 7.6 at 5.4e-7, where x u0 reads 4.8e-6 of its peak
+        g = make_grid(512, 7.0 if tail == "u0" else 7.6)
+        u0 = fields.gaussian(g, width=1.0)
+        with pytest.raises(BoundaryDecayError, match=rf"^{re.escape(tail)}: ") as got:
+            x_weight_commutator(DispersionParams(1), 0.1, u0)
+        with pytest.raises(BoundaryDecayError) as want:
+            reference.x_weight_commutator_plain(DispersionParams(1), 0.1, u0)
+        assert str(got.value) == str(want.value)
+
+    def test_peak_memory_is_four_arrays(self):
+        # the (2, 0.5) double box of the suite sets the lab's resident peak;
+        # the plain formula holds 7.0 arrays of 8n bytes at once, the in-place
+        # one 4.0 (the caller's u0 and the grid's cached nodes and xi excluded)
+        g = make_grid(2 ** 18, 26214.4)
+        u0 = fields.gaussian(g, width=1.0)
+        g.nodes, g.xi
+        tracemalloc.start()
+        try:
+            x_weight_commutator(DispersionParams(2), 0.5, u0, gate=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * g.n, peak / (8 * g.n)
+
     def test_time_zero_collapses(self):
         g = make_grid(512, 40.0)
         u0 = fields.gaussian(g, width=1.0)
@@ -203,6 +253,30 @@ class TestDecayProbe:
             assert _SLOPE_LO <= fit.slopes[env] <= _SLOPE_HI, fit.slopes
         assert fit.slope_shift < _MAX_SHIFT
         # envelopes (2, 4) give a shift of 0.0258, which fails the 0.02 bound
+
+    def test_the_rule_is_built_once_per_process(self, monkeypatch):
+        # the suite's two probes evaluate 56 contours of two panel sets each
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(deg):
+            calls.append(deg)
+            return leggauss(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        identities._rule.cache_clear()
+        try:
+            dispersive_decay_probe(1)
+            dispersive_decay_probe(2)
+        finally:
+            identities._rule.cache_clear()
+        assert calls == [identities._PANEL_NODES]
+
+    def test_the_rule_is_read_only(self):
+        z, w = identities._rule(identities._PANEL_NODES)
+        assert not z.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_memory_of_a_probe_call(self):
         # 240 contour nodes: a block of 64 window nodes is 0.25 MiB, the peak 0.4 MiB
