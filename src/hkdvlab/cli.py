@@ -19,7 +19,7 @@ import json
 import sys
 
 from .errors import ConfigError, HkdvError
-from .experiments import SUITES, emit_plots, list_suites, parse_config, run
+from .experiments import SUITES, default_config, emit_plots, list_suites, parse_config, run
 
 
 def main(argv=None) -> int:
@@ -58,14 +58,13 @@ def main(argv=None) -> int:
             print(path)
         return 0
 
-    # run: without a file the config names only the suite; the overrides
-    # are applied before the one validation
+    # run: the overrides are applied before the one validation
     try:
-        text = f"[experiment]\nname = {args.suite}\n"
         if args.config:
             with open(args.config) as fh:
-                text = fh.read()
-        cfg = parse_config(text, args.seed, args.output_dir)
+                cfg = parse_config(fh.read(), args.seed, args.output_dir)
+        else:
+            cfg = default_config(args.suite, args.seed, args.output_dir)
         if cfg.name != args.suite:
             raise ConfigError(
                 f"config names suite {cfg.name!r} but {args.suite!r} requested")

@@ -29,7 +29,7 @@ from .errors import ConfigError, HkdvError, SolverBlowup
 from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator)
 from .norms import CutoffFunction, WindowSpec, mixed_norm, window_energy, weighted_norm
-from .propagators import DispersionParams, Trajectory, evolve, linear_flow
+from .propagators import DispersionParams, Trajectory, _steps, evolve, linear_flow
 from .spectral import (DECAY_GATE, Grid, RealField, _fast_len, dealias_cutoff, frac_deriv,
                        make_grid, stein_deriv)
 
@@ -133,8 +133,8 @@ class Suite:
 @dataclass
 class ExperimentConfig:
     name: str
-    seed: int = 0
-    output_dir: str = "out"
+    seed: int
+    output_dir: str
     values: dict = field(default_factory=dict)   # (section, key) -> typed value
 
     def flat(self) -> dict:
@@ -152,7 +152,8 @@ def _suite(name: str) -> Suite:
     raise ConfigError(f"unknown suite {name!r}; valid: {', '.join(SUITES)}")
 
 
-def default_config(name: str, seed: int = 0, output_dir: str = "out") -> ExperimentConfig:
+def default_config(name: str, seed: int | None = None,
+                   output_dir: str | None = None) -> ExperimentConfig:
     return parse_config(f"[experiment]\nname = {name}\n", seed, output_dir)
 
 
@@ -186,6 +187,8 @@ def parse_config(text: str, seed: int | None = None,
             except ValueError as exc:
                 raise ConfigError(
                     f"{section}.{key}: cannot parse {raw!r} as {typ.__name__}") from exc
+            _need(typ is not float or math.isfinite(values[(section, key)]),
+                  f"{section}.{key}: {raw!r} is not a finite number")
     file_seed, file_outdir = values.pop(("run", "seed")), values.pop(("run", "output_dir"))
     cfg = ExperimentConfig(suite.name, file_seed if seed is None else seed,
                            file_outdir if output_dir is None else output_dir, values)
@@ -198,31 +201,31 @@ def _need(cond, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _owned(v: dict, build: Callable, *options: tuple[str, str]):
+    """``build`` on the values of ``options``; its ValueError becomes a ConfigError naming them."""
+    try:
+        return build(*(v[opt] for opt in options))
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(map('.'.join, options))}: {exc}") from exc
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    """Check every referenced parameter against module preconditions."""
+    """Check every referenced parameter against the preconditions of its owner."""
     v = cfg.values
     _need(isinstance(cfg.seed, int) and cfg.seed >= 0,
           "run.seed must be a nonnegative integer")
-    if ("grid", "n") in v:
-        n = v[("grid", "n")]
-        _need(n >= 16 and n % 2 == 0, "grid.n must be even and >= 16")
-    if ("grid", "L") in v:
-        _need(v[("grid", "L")] > 0, "grid.L must be positive")
-    if ("params", "j") in v:
-        _need(v[("params", "j")] >= 1, "params.j must be >= 1")
-    if ("params", "k") in v:
-        _need(v[("params", "k")] >= 1, "params.k must be >= 1")
+    for box in (("grid", "L"), ("suite", "L_k1"), ("suite", "L_k2")):
+        if box in v:
+            _owned(v, make_grid, ("grid", "n"), box)
+    params = [opt for opt in (("params", "j"), ("params", "k")) if opt in v]
+    if params:
+        _owned(v, DispersionParams, *params)
     if ("suite", "amplitude") in v:
         # a negative amplitude is a valid datum; zero leaves nothing to measure
         _need(v[("suite", "amplitude")] != 0, "suite.amplitude must be nonzero")
-    for key in ("dt", "dt_k1", "dt_k2"):
-        if ("suite", key) not in v:
-            continue
-        dt, T = v[("suite", key)], v[("suite", "T")]
-        _need(dt > 0 and T > 0, f"positive suite.{key} and suite.T required")
-        # the same test evolve() applies
-        _need(abs(round(T / dt) * dt - T) <= 1e-9 * max(1.0, T),
-              f"suite.{key} = {dt} does not divide suite.T = {T}")
+    for step in (("suite", "dt"), ("suite", "dt_k1"), ("suite", "dt_k2")):
+        if step in v:
+            _owned(v, _steps, ("suite", "T"), step)
     _suite(cfg.name).validate(v)
 
 
@@ -545,15 +548,13 @@ def _run_propagation(cfg: ExperimentConfig, outdir: str):
 
 
 def _check_blowup(v: dict) -> None:
-    qmax, pmax = v[("suite", "qmax")], v[("suite", "pmax")]
-    _need(qmax >= 1 and pmax >= 1, "truncation bounds must be >= 1")
-    _need(v[("suite", "scheme")] in ("paper", "normalized"),
-          "suite.scheme must be 'paper' or 'normalized'")
-    _need(pmax <= 0.4 * v[("grid", "L")],
+    spec = _owned(v, BlowupDatumSpec, *(("suite", key)
+                                        for key in ("qmax", "pmax", "scheme", "delta")))
+    _need(spec.pmax <= 0.4 * v[("grid", "L")],
           "suite.pmax must be <= 0.4 grid.L: every singular location p1/q1 "
           "stays in the profile's decay-safe region")
     for p, q in _excluded_times(v):
-        _need(not any(p * q2 == p2 * q for p2, q2 in coprime_pairs(pmax, qmax)),
+        _need(not any(p * q2 == p2 * q for p2, q2 in coprime_pairs(spec.pmax, spec.qmax)),
               f"suite.excluded_times: {p}/{q} is a manifest singular time")
 
 
@@ -611,8 +612,6 @@ def _run_blowup(cfg: ExperimentConfig, outdir: str):
 
 def _check_smoothing(v: dict) -> None:
     _need(v[("suite", "s")] >= 2, "suite.s must be >= j+1 = 2")
-    for key in ("L_k1", "L_k2"):
-        _need(v[("suite", key)] > 0, f"suite.{key} must be positive")
 
 
 #: lower bound of the Duhamel tail-exponent gain

@@ -29,7 +29,6 @@ MAX_COEFF_ORDER = 32
 class CoefficientVector:
     """Rational coefficients turning ``u^(2j+1) u`` into perfect derivatives."""
 
-    j: int
     c: tuple[Fraction, ...]
 
     def as_floats(self) -> np.ndarray:
@@ -54,7 +53,7 @@ def solve_coefficients(j: int) -> CoefficientVector:
         for ell in range(m + 1, j + 1):
             acc += c[ell] * math.comb(2 * ell + 1, ell - m)
         c[m] = -acc
-    vec = CoefficientVector(j, tuple(c))
+    vec = CoefficientVector(tuple(c))
     for m in range(j):
         row = sum(vec.c[ell] * math.comb(2 * ell + 1, ell - m)
                   for ell in range(m, j + 1))
@@ -140,7 +139,6 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
 class DecayFit:
     """Slope fit of the oscillatory-kernel sup against time, per envelope."""
 
-    j: int
     envelopes: tuple[float, ...]
     t_list: tuple[float, ...]
     sups: dict          # envelope -> list of sup|I_t|
@@ -277,7 +275,7 @@ def dispersive_decay_probe(j: int, t_list=(1, 2, 4, 8, 16, 32, 64),
         raise ValueError("t_list entries must be >= 1")
     if envelopes is None:
         envelopes = (4.0, 8.0) if j == 1 else (3.0, 6.0)
-    fit = DecayFit(j, tuple(envelopes), tuple(float(t) for t in t_list), {}, {}, {})
+    fit = DecayFit(tuple(envelopes), tuple(float(t) for t in t_list), {}, {}, {})
     for env in envelopes:
         sups, ns = zip(*(_kernel_sup(j, float(t), env) for t in t_list))
         fit.sups[env], fit.grid_sizes[env] = list(sups), list(ns)

@@ -163,6 +163,17 @@ def _nonlinear_rhs(params: DispersionParams, grid: Grid,
     return rhs, keep
 
 
+def _steps(T: float, dt: float) -> int:
+    """The number of steps of size ``dt`` that reach ``T``: at least one, and
+    ``T`` an integer multiple of ``dt`` within rounding."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    nsteps = int(round(T / dt))
+    if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
+    return nsteps
+
+
 def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
            stride: int = 1, xi_cut: float | None = None) -> Trajectory:
     """Integrate the full equation on [0, T] with integrating-factor RK4.
@@ -181,13 +192,9 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     ``E^2 uh + dt/6 (E^2 na + (2E)(nb + nc) + nd)`` in that order (a complex
     product's last bits depend on the operand order).
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    nsteps = _steps(T, dt)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    nsteps = int(round(T / dt))
-    if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     g = u0.grid
     rhs, keep = _nonlinear_rhs(params, g, xi_cut)
     E = _group(params, g, dt / 2.0)

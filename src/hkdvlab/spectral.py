@@ -110,17 +110,12 @@ class Grid:
         """Integer frequency indices q in numpy FFT order."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n)
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        """xi_q = 2*pi*q/L in numpy FFT order."""
-        return (2.0 * np.pi / self.L) * self.freq_index
-
     @functools.cached_property
     def xi(self) -> np.ndarray:
         """Frequencies of the ``n//2 + 1`` rfft bins, built once per grid and
         read-only."""
         # FFT order puts q = -n/2 in the last half-spectrum slot; rfft has +n/2
-        xi = np.abs(self.frequencies[: self.n // 2 + 1])
+        xi = np.abs((2.0 * np.pi / self.L) * self.freq_index[: self.n // 2 + 1])
         xi.flags.writeable = False
         return xi
 

@@ -35,9 +35,14 @@ def phase_signs(grid) -> np.ndarray:
     return signs
 
 
+def frequencies(grid) -> np.ndarray:
+    """``xi_q = 2*pi*q/L`` in numpy FFT order."""
+    return (2.0 * np.pi / grid.L) * grid.freq_index
+
+
 def odd_frequencies(grid) -> np.ndarray:
     """FFT-order frequencies with the Nyquist mode zeroed, for odd symbols."""
-    xi = grid.frequencies.copy()
+    xi = frequencies(grid)
     xi[grid.n // 2] = 0.0
     return xi
 

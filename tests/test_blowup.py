@@ -38,7 +38,7 @@ def _contrast(datum, t, x_star):
 
 def _top_octaves_tail(f):
     """``tail_exponent`` of ``f`` over the top two octaves of its grid."""
-    xi_hi = float(np.max(np.abs(f.grid.frequencies)))
+    xi_hi = float(np.max(np.abs(reference.frequencies(f.grid))))
     return tail_exponent(f.grid, rfft(f.samples), xi_hi / 4.0, xi_hi)
 
 

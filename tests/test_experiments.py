@@ -18,16 +18,23 @@ from hkdvlab.propagators import DispersionParams, evolve
 from hkdvlab.spectral import make_grid
 
 
-def _assert_unknown_option(tmp_path, suite, option, raw):
-    """Setting ``suite.<option>`` is an unknown option to the parser and exits 2
-    from the CLI, before the suite's output directory exists."""
-    text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
-    with pytest.raises(ConfigError, match=re.escape(f"unknown option suite.{option}")):
+def _assert_rejected(tmp_path, suite, body, message):
+    """The config ``body`` of ``suite`` is a ConfigError whose message contains
+    ``message``, and exits 2 from the CLI before the suite's output directory
+    exists."""
+    text = f"[experiment]\nname = {suite}\n{body}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text)
     path = tmp_path / "c.ini"
     path.write_text(text)
     assert main(["run", suite, "--config", str(path), "--output-dir", str(tmp_path)]) == 2
     assert not (tmp_path / suite).exists()
+
+
+def _assert_unknown_option(tmp_path, suite, option, raw):
+    """Setting ``suite.<option>`` is an unknown option to the parser."""
+    _assert_rejected(tmp_path, suite, f"[suite]\n{option} = {raw}\n",
+                     f"unknown option suite.{option}")
 
 
 class TestConfig:
@@ -102,14 +109,66 @@ dt = 0.004
         ("smoothing", "amplitude", "-0"),
     ])
     def test_malformed_value_is_config_error(self, tmp_path, suite, option, raw):
-        text = f"[experiment]\nname = {suite}\n[suite]\n{option} = {raw}\n"
-        with pytest.raises(ConfigError, match=re.escape(f"suite.{option}")):
-            parse_config(text)
-        path = tmp_path / "c.ini"
-        path.write_text(text)
-        assert main(["run", suite, "--config", str(path),
-                     "--output-dir", str(tmp_path)]) == 2
-        assert not (tmp_path / suite).exists()
+        _assert_rejected(tmp_path, suite, f"[suite]\n{option} = {raw}\n", f"suite.{option}")
+
+    @pytest.mark.parametrize("suite,option,raw", [
+        ("persistence", "grid.n", "15"),
+        ("persistence", "grid.L", "-1"),
+        ("persistence", "params.j", "0"),
+        ("propagation", "params.k", "0"),
+        ("blowup", "suite.qmax", "0"),
+        ("blowup", "suite.scheme", "foo"),
+    ])
+    def test_module_precondition_is_config_error(self, tmp_path, suite, option, raw):
+        # the grid, the equation and the datum spec check these themselves
+        section, key = option.split(".")
+        _assert_rejected(tmp_path, suite, f"[{section}]\n{key} = {raw}\n", option)
+
+    @pytest.mark.parametrize("suite,steps,raw", [("persistence", "dt", "1"),
+                                                 ("smoothing", "dt_k1,dt_k2", "0.5")])
+    def test_step_longer_than_the_run_is_config_error(self, tmp_path, suite, steps, raw):
+        # T / dt rounds to zero steps, which evolve() refuses; T is within
+        # rounding of that zero multiple, so only the step count catches it
+        keys = steps.split(",")
+        body = "".join(f"{key} = {raw}\n" for key in keys)
+        _assert_rejected(tmp_path, suite, f"[suite]\nT = 1e-10\n{body}",
+                         f"suite.T, suite.{keys[0]}: T=1e-10 is not an integer multiple")
+
+    @pytest.mark.parametrize("suite,option,raw", [
+        ("persistence", "suite.T", "inf"),
+        ("propagation", "suite.rough_band_hi", "inf"),
+        ("propagation", "suite.rough_band_lo", "nan"),
+        ("persistence", "grid.L", "inf"),
+        ("blowup", "grid.L", "inf"),
+        ("persistence", "suite.s", "inf"),
+        ("persistence", "suite.width", "inf"),
+        ("persistence", "suite.amplitude", "nan"),
+        ("propagation", "suite.amplitude", "nan"),
+        ("smoothing", "suite.amplitude", "inf"),
+        ("blowup", "suite.delta", "nan"),
+        ("smoothing", "suite.L_k1", "inf"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, suite, option, raw):
+        section, key = option.split(".")
+        _assert_rejected(tmp_path, suite, f"[{section}]\n{key} = {raw}\n",
+                         f"{option}: {raw!r} is not a finite number")
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_every_option_at_its_edge_values(self, suite):
+        # a config is either usable or a ConfigError, never a raw exception;
+        # no huge ints: the blowup check lists every pmax x qmax coprime pair
+        edges = {float: ("0", "-1", "nan", "inf", "-inf"), int: ("0", "-1")}
+        options = {("run", "seed"): 0, **default_config(suite).values}
+        raised = []
+        for (section, key), default in options.items():
+            for raw in edges.get(type(default), ()):
+                try:
+                    parse_config(f"[experiment]\nname = {suite}\n[{section}]\n{key} = {raw}\n")
+                except ConfigError:
+                    pass
+                except Exception as exc:
+                    raised.append(f"{section}.{key} = {raw}: {type(exc).__name__}: {exc}")
+        assert not raised
 
     @pytest.mark.parametrize("suite,option,raw", [
         ("decay", "slope_lo", "-0.55"),

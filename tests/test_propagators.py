@@ -296,7 +296,7 @@ class TestBandPinning:
 def _reference_ifrk4(params, u0, T, dt, xi_cut=None):
     """IF-RK4 on full complex spectra, written out apart from ``evolve``."""
     g = u0.grid
-    xi, xi_odd = g.frequencies, reference.odd_frequencies(g)
+    xi, xi_odd = reference.frequencies(g), reference.odd_frequencies(g)
     theta = (-1.0) ** (params.j + 1) * xi_odd ** (2 * params.j + 1)
     dj = (1j * (xi_odd if params.j % 2 else xi)) ** params.j
     keep = np.abs(g.freq_index) <= dealias_cutoff(g.n, params.k)
