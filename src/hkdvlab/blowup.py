@@ -27,6 +27,9 @@ from .spectral import (Grid, RealField, _bin_weights, _irfft, _rfft, dealias_cut
 _H_CELLS = (16, 8, 4, 2)
 #: log bins of a tail fit
 _TAIL_BINS = 10
+#: the largest ``pmax * qmax``: a datum sums ``|pairs|^2`` n-point terms over
+#: the coprime pairs ``p <= pmax``, ``q <= qmax``
+_MAX_PAIR_BOX = 256
 
 
 def singular_profile(grid: Grid, alpha: float, center: float) -> RealField:
@@ -68,6 +71,9 @@ class BlowupDatumSpec:
     def __post_init__(self):
         if self.qmax < 1 or self.pmax < 1:
             raise ValueError("truncation bounds must be >= 1")
+        if self.pmax * self.qmax > _MAX_PAIR_BOX:
+            raise ValueError(f"pmax * qmax must be <= {_MAX_PAIR_BOX}, got "
+                             f"{self.pmax} * {self.qmax}")
         if self.scheme not in ("paper", "normalized"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 

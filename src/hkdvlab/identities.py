@@ -161,7 +161,7 @@ _PANEL_NODES = 20
 _PANEL_PHASE = 16.0
 #: the ray ends where the integrand is below exp(-_RAY_DEPTH) of its start
 _RAY_DEPTH = 40.0
-#: window nodes per block of the running-product synthesis
+#: rows of the phase table ``e^(i r dx xi)``: window nodes per block of one seed
 _CHUNK = 64
 
 
@@ -195,8 +195,9 @@ def _panels(bound, top: float) -> tuple[np.ndarray, np.ndarray]:
     return (edges[:-1, None] + half * (1.0 + z)).ravel(), (half * w).ravel()
 
 
-def _kernel_window(j: int, t: float, env: float) -> tuple[float, np.ndarray]:
-    """The node spacing ``dx`` and the kernel on the window's ``2m+1`` nodes.
+def _contour(j: int, t: float, env: float) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """The window's node spacing ``dx`` and half-width ``m``, and the contour's
+    nodes ``xi`` and weights ``w``: ``K(x_k) = 2 Re sum w e^(i x_k xi)``.
 
     ``K(x) = 2 Re int_0^inf xi^(j-1/2) e^(i t theta(xi) + i x xi - (xi/env)^2)
     dxi`` (``theta`` odd, ``propagators._phase``) on ``x_k = k dx``, ``dx = pi
@@ -208,8 +209,7 @@ def _kernel_window(j: int, t: float, env: float) -> tuple[float, np.ndarray]:
     integrand decays.  Both parts use composite Gauss-Legendre panels sized
     from a bound on the exponent's change at the window's worst node, and the
     ray ends where that node's integrand is below ``e^(-_RAY_DEPTH)`` of its
-    start or of 1.  ``e^(i x_k xi)`` is built by a running product over blocks of 64
-    nodes and reduced by row sums.
+    start or of 1.
     """
     dx = math.pi / (3.2 * env)
     m = max(1, int(_WINDOW_REACH * t ** (1.0 / (2 * j + 1)) / dx))
@@ -231,16 +231,33 @@ def _kernel_window(j: int, t: float, env: float) -> tuple[float, np.ndarray]:
     xi = np.concatenate([u * u, r0 + s * ray])
     weight = np.concatenate([2.0 * u ** (2 * j) * wu, xi[u.size:] ** (j - 0.5) * (ws * ray)])
     weight *= np.exp(1j * _phase(xi, j, t) - (xi / env) ** 2)
-    step = np.exp((1j * dx) * xi)
-    kern = np.empty(2 * m + 1)
-    rows = np.empty((_CHUNK, xi.size), dtype=complex)
-    for k0 in range(0, kern.size, _CHUNK):
-        block = rows[:min(_CHUNK, kern.size - k0)]
-        np.multiply(np.exp((1j * (k0 - m) * dx) * xi), weight, out=block[0])
-        block[1:] = step
-        np.cumprod(block, axis=0, out=block)
-        kern[k0:k0 + block.shape[0]] = block.real.sum(axis=1)
-    return dx, 2.0 * kern
+    return dx, m, xi, weight
+
+
+def _kernel_window(j: int, t: float, env: float) -> tuple[float, np.ndarray]:
+    """The node spacing ``dx`` and the kernel on the window's ``2m+1`` nodes,
+    summed over the contour of ``_contour``.
+
+    The nodes fall into blocks of ``_CHUNK``; block ``b`` starts at ``x_b =
+    (b _CHUNK - m) dx``, so ``e^(i x_(b _CHUNK + r) xi) = e^(i x_b xi) e^(i r
+    dx xi)``.  One table ``powers[r] = e^(i r dx xi)``, ``r < _CHUNK``, is a
+    running product (one ``np.cumprod``), the seeds ``e^(i x_b xi) w`` are
+    exact exponentials, and ``Re(seeds powers^T)`` gives every node at once.
+    ``_CHUNK = 1`` is the direct-exponential sum.
+    """
+    dx, m, xi, weight = _contour(j, t, env)
+    count = 2 * m + 1
+    powers = np.empty((min(_CHUNK, count), xi.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = np.exp((1j * dx) * xi)
+    np.cumprod(powers, axis=0, out=powers)
+    starts = np.arange(0, count, _CHUNK)
+    seeds = np.exp((1j * dx * (starts - m))[:, None] * xi)
+    seeds *= weight
+    # unit-stride copies of the parts: einsum's inner products run faster on them
+    kern = np.einsum("bq,rq->br", seeds.real.copy(), powers.real.copy())
+    kern -= np.einsum("bq,rq->br", seeds.imag.copy(), powers.imag.copy())
+    return dx, 2.0 * kern.ravel()[:count]
 
 
 def _kernel_sup(j: int, t: float, env: float) -> tuple[float, int]:

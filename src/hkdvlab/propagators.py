@@ -168,8 +168,12 @@ def _steps(T: float, dt: float) -> int:
     ``T`` an integer multiple of ``dt`` within rounding."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if T <= 0:
+        raise ValueError(f"T must be positive, got T={T}")
     nsteps = int(round(T / dt))
-    if nsteps < 1 or abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
+    if nsteps < 1:
+        raise ValueError(f"dt={dt} is longer than T={T}")
+    if abs(nsteps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError(f"T={T} is not an integer multiple of dt={dt}")
     return nsteps
 

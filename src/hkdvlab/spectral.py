@@ -80,6 +80,10 @@ def _load_pocketfft():
 
 pypocketfft = _load_pocketfft()
 
+#: the most nodes a grid may have; the largest grid a suite builds is the
+#: 800,000-point commutator box
+_MAX_GRID_N = 2 ** 24
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -91,6 +95,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 16 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 16, got {self.n}")
+        if self.n > _MAX_GRID_N:
+            raise ValueError(f"n must be <= {_MAX_GRID_N}, got {self.n}")
         if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L}")
 
@@ -147,7 +153,7 @@ def _fast_len(n: int) -> int:
 
 
 def make_grid(n: int, L: float) -> Grid:
-    """Build a grid, rejecting odd or too-small ``n`` and nonpositive ``L``."""
+    """Build a grid, rejecting odd, too-small or too-large ``n`` and nonpositive ``L``."""
     return Grid(int(n), float(L))
 
 

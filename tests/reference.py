@@ -1,7 +1,8 @@
 """Full-complex spectral reference for the oracle tests, the plain
 allocating IF-RK4 loop that ``evolve`` must match bit for bit, the plain
 allocating commutator that ``x_weight_commutator`` must match bit for bit,
-and a brute-force quadrature of the decay probe's kernel.
+a brute-force quadrature of the decay probe's kernel, and the running-product
+synthesis that the probe's phase-table synthesis replaced.
 
 The package keeps one coefficient layout, the ``n//2 + 1`` bins of
 ``scipy.fft.rfft``.  This module keeps the independent layout the oracle
@@ -135,6 +136,23 @@ def kernel_trapezoid(j: int, t: float, env: float, x: np.ndarray, step: float,
         for a, xa in enumerate(x):
             out[a] += np.sum(amp * np.cos(phase + xa * xi))
     return 2.0 * step * out
+
+
+def kernel_window_running_product(dx: float, m: int, xi: np.ndarray, weight: np.ndarray,
+                                  chunk: int = 64) -> np.ndarray:
+    """``2 Re sum weight e^(i x_k xi)`` on ``x_k = (k - m) dx``, ``0 <= k <= 2m``,
+    the earlier way: per block of ``chunk`` nodes an exact seed ``e^(i x_k0
+    xi) weight``, then ``chunk - 1`` running-product rows, reduced by row sums."""
+    step = np.exp((1j * dx) * xi)
+    kern = np.empty(2 * m + 1)
+    rows = np.empty((chunk, xi.size), dtype=complex)
+    for k0 in range(0, kern.size, chunk):
+        block = rows[:min(chunk, kern.size - k0)]
+        np.multiply(np.exp((1j * (k0 - m) * dx) * xi), weight, out=block[0])
+        block[1:] = step
+        np.cumprod(block, axis=0, out=block)
+        kern[k0:k0 + block.shape[0]] = block.real.sum(axis=1)
+    return 2.0 * kern
 
 
 def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,

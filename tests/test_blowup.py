@@ -129,9 +129,10 @@ class TestDatumSpec:
         assert term.singular_location == 0.5
 
     def test_invalid_specs_rejected(self):
-        for kw in ({"qmax": 0}, {"pmax": 0}, {"scheme": "uniform"}):
+        for kw in ({"qmax": 0}, {"pmax": 0}, {"scheme": "uniform"}, {"pmax": 16, "qmax": 17}):
             with pytest.raises(ValueError):
                 BlowupDatumSpec(**kw)
+        assert BlowupDatumSpec(qmax=16, pmax=16).qmax == 16
         with pytest.raises(ValueError, match="alpha"):
             singular_profile(make_grid(256, 80.0), 0.0, 0.0)
         with pytest.raises(ValueError, match="center"):

@@ -124,6 +124,16 @@ dt = 0.004
         section, key = option.split(".")
         _assert_rejected(tmp_path, suite, f"[{section}]\n{key} = {raw}\n", option)
 
+    @pytest.mark.parametrize("suite,body,message", [
+        ("persistence", "[grid]\nn = 4611686018427387904\n",
+         "grid.n, grid.L: n must be <= 16777216, got 4611686018427387904"),
+        ("blowup", "[suite]\nqmax = 300\n", "pmax * qmax must be <= 256, got 2 * 300"),
+    ])
+    def test_absurd_size_is_config_error(self, tmp_path, suite, body, message):
+        # unchecked, numpy fails on the 2^62-point array inside the run, and the
+        # 2 x 300 pair box makes a datum of about 2e5 n-point terms
+        _assert_rejected(tmp_path, suite, body, message)
+
     @pytest.mark.parametrize("suite,steps,raw", [("persistence", "dt", "1"),
                                                  ("smoothing", "dt_k1,dt_k2", "0.5")])
     def test_step_longer_than_the_run_is_config_error(self, tmp_path, suite, steps, raw):
@@ -132,7 +142,13 @@ dt = 0.004
         keys = steps.split(",")
         body = "".join(f"{key} = {raw}\n" for key in keys)
         _assert_rejected(tmp_path, suite, f"[suite]\nT = 1e-10\n{body}",
-                         f"suite.T, suite.{keys[0]}: T=1e-10 is not an integer multiple")
+                         f"suite.T, suite.{keys[0]}: dt={float(raw)} is longer than T=1e-10")
+
+    @pytest.mark.parametrize("suite,step", [("persistence", "dt"), ("smoothing", "dt_k1")])
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_nonpositive_run_is_config_error(self, tmp_path, suite, step, raw):
+        _assert_rejected(tmp_path, suite, f"[suite]\nT = {raw}\n",
+                         f"suite.T, suite.{step}: T must be positive, got T={float(raw)}")
 
     @pytest.mark.parametrize("suite,option,raw", [
         ("persistence", "suite.T", "inf"),

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import tracemalloc
@@ -13,7 +14,7 @@ import hkdvlab.identities as identities
 from hkdvlab.experiments import (_COMMUTATOR_L, _MAX_SHIFT, _SLOPE_HI, _SLOPE_LO,
                                  _commutator_grid)
 from hkdvlab.errors import BandLimitError, BoundaryDecayError, KernelWindowError
-from hkdvlab.identities import (_kernel_sup, _kernel_window, dispersive_decay_probe,
+from hkdvlab.identities import (_contour, _kernel_sup, _kernel_window, dispersive_decay_probe,
                                 solve_coefficients, verify_reduction_identity,
                                 x_weight_commutator)
 from hkdvlab.propagators import DispersionParams
@@ -229,13 +230,46 @@ class TestDecayProbe:
         assert _kernel_sup(j, t, env)[0] == pytest.approx(base, rel=1e-8, abs=0.0)
 
     def test_running_product_matches_direct_exponentials(self, monkeypatch):
-        # blocks of one node build every e^(i x_k xi) by a direct exp
+        # a one-row phase table makes every node a seed, e^(i x_k xi) by a direct exp
         cases = [(1, 8.0, 64.0), (2, 6.0, 64.0), (3, 3.0, 8.0)]
         base = [_kernel_window(j, t, env)[1] for j, env, t in cases]
         monkeypatch.setattr(identities, "_CHUNK", 1)
         for (j, env, t), b in zip(cases, base):
             direct = _kernel_window(j, t, env)[1]
             assert np.max(np.abs(b - direct)) < 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("j, env, t", _SUITE_CASES + _J3_CASES)
+    def test_matches_the_block_running_product(self, j, env, t):
+        # the phase table reassociates the block loop's sums, and moves nothing
+        # beyond rounding
+        kern = _kernel_window(j, t, env)[1]
+        ref = reference.kernel_window_running_product(*_contour(j, t, env))
+        assert np.max(np.abs(kern - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("j, env, t", _SUITE_CASES)
+    def test_matches_the_direct_sum(self, j, env, t):
+        # 2 Re sum w e^(i x xi) over the same contour, one exact exponential per
+        # node and a correctly rounded sum, at the argmax, both edges and the centre
+        dx, m, xi, w = _contour(j, t, env)
+        kern = _kernel_window(j, t, env)[1]
+        for k in {0, m, 2 * m, int(np.argmax(np.abs(kern)))}:
+            x = (k - m) * dx
+            direct = 2.0 * math.fsum((wq * cmath.exp(1j * x * q)).real for wq, q in zip(w, xi))
+            assert abs(kern[k] - direct) <= 1e-14 * np.max(np.abs(kern)), k
+
+    def test_one_running_product_per_window(self, monkeypatch):
+        # the suite's two probes synthesize 28 windows, each from one phase table
+        calls = []
+        cumprod = np.cumprod
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return cumprod(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumprod", counted)
+        dispersive_decay_probe(1)
+        dispersive_decay_probe(2)
+        assert len(calls) == 28
 
     @pytest.mark.parametrize("j, env, step", [(1, 4.0, 2e-4), (2, 3.0, 2e-6), (3, 1.5, 3.3e-7)])
     def test_matches_the_trapezoid_reference(self, j, env, step):
@@ -279,7 +313,8 @@ class TestDecayProbe:
             w[0] = 0.0
 
     def test_memory_of_a_probe_call(self):
-        # 240 contour nodes: a block of 64 window nodes is 0.25 MiB, the peak 0.4 MiB
+        # 240 contour nodes and 673 window nodes: the 64-row phase table is
+        # 0.23 MiB, a unit-stride copy of its real part 0.12 MiB, the peak 0.43 MiB
         _kernel_sup(2, 64.0, 6.0)
         tracemalloc.start()
         try:

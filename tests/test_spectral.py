@@ -35,7 +35,8 @@ class TestGrid:
         g = make_grid(256, 100.0)
         assert np.allclose(np.diff(g.xi), 2 * math.pi / 100.0)
 
-    @pytest.mark.parametrize("n,L", [(15, 10.0), (14, 10.0), (64, 0.0), (64, -2.0)])
+    @pytest.mark.parametrize("n,L", [(15, 10.0), (14, 10.0), (64, 0.0), (64, -2.0),
+                                     (2 ** 24 + 2, 10.0), (2 ** 62, 10.0)])
     def test_rejects_bad_params(self, n, L):
         with pytest.raises(ValueError):
             make_grid(n, L)
