@@ -79,9 +79,14 @@ def main(argv=None) -> int:
         return 3
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        print(f"[{status}] {check.name}: {check.measured:.6g} (want {check.threshold})")
+        margin = "" if check.margin is None else f", margin {check.margin:+.3g}"
+        print(f"[{status}] {check.name}: {check.measured:.6g} (want {check.threshold}{margin})")
+    margins = [c for c in report.checks if c.margin is not None]
+    smallest = min(margins, key=lambda c: c.margin, default=None)
     print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'} "
-          f"({report.wall_clock:.1f}s)")
+          f"({report.wall_clock:.1f}s)"
+          + ("" if smallest is None else
+             f", smallest margin {smallest.margin:+.3g} ({smallest.name})"))
     return 0 if report.passed else 1
 
 

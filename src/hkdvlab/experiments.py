@@ -42,23 +42,34 @@ class Check:
     measured: float
     threshold: str
     passed: bool
+    #: signed distance of ``measured`` from its threshold, positive on the
+    #: passing side and relative to the threshold's scale (see ``_compare`` and
+    #: ``_in_range``); ``None`` for a check that is only true or false
+    margin: float | None = None
 
     def __post_init__(self):
         self.measured = float(self.measured)
         self.passed = bool(self.passed)
+        if self.margin is not None:
+            self.margin = float(self.margin)
 
 
 _OPS = {"<": operator.lt, ">": operator.gt, ">=": operator.ge}
 
 
 def _compare(name: str, value: float, op: str, bound: float) -> Check:
-    """The check ``value op bound``, whose threshold text is ``"op bound"``."""
-    return Check(name, value, f"{op} {bound}", _OPS[op](value, bound))
+    """The check ``value op bound``, whose threshold text is ``"op bound"``;
+    its margin is the signed distance to ``bound`` over ``|bound|`` (over 1
+    for a zero bound)."""
+    margin = (bound - value if op == "<" else value - bound) / (abs(bound) or 1.0)
+    return Check(name, value, f"{op} {bound}", _OPS[op](value, bound), margin)
 
 
 def _in_range(name: str, value: float, lo: float, hi: float) -> Check:
-    """The check ``lo <= value <= hi``."""
-    return Check(name, value, f"in [{lo}, {hi}]", lo <= value <= hi)
+    """The check ``lo <= value <= hi``; its margin is the signed distance to the
+    nearer end over ``hi - lo``."""
+    return Check(name, value, f"in [{lo}, {hi}]", lo <= value <= hi,
+                 min(value - lo, hi - value) / (hi - lo))
 
 
 @dataclass

@@ -163,6 +163,10 @@ _PANEL_PHASE = 16.0
 _RAY_DEPTH = 40.0
 #: rows of the phase table ``e^(i r dx xi)``: window nodes per block of one seed
 _CHUNK = 64
+#: the unit table ``k / 64``, ``k <= 64``, scaled per contour to place the panel
+#: edges and the ray's end
+_TABLE = np.arange(65) / 64.0
+_TABLE.flags.writeable = False
 
 
 @functools.cache
@@ -184,12 +188,22 @@ def _panels(bound, top: float) -> tuple[np.ndarray, np.ndarray]:
 
     ``bound(p)`` is increasing from ``bound(0) = 0`` and bounds the change of
     the integrand's exponent over ``[0, p]``; the panels split it into equal
-    parts of at most ``_PANEL_PHASE``, each carrying the ``_PANEL_NODES``-node
-    rule of ``_rule``, which a process builds once.
+    parts, each carrying the ``_PANEL_NODES``-node rule of ``_rule``, which a
+    process builds once.  The edges invert ``bound`` by linear interpolation
+    on ``_TABLE`` scaled to ``[0, top]``; where that misplaces an edge, one
+    more panel is added, until no panel's bound grows by more than
+    ``_PANEL_PHASE``.
     """
-    p = np.linspace(0.0, top, 4097)
+    p = top * _TABLE
     cum = bound(p)
-    edges = np.interp(np.linspace(0.0, cum[-1], math.ceil(cum[-1] / _PANEL_PHASE) + 1), cum, p)
+    edges = p[:1]
+    count = math.ceil(cum[-1] / _PANEL_PHASE)
+    while count:
+        # the last fraction is exactly 1, so the last edge is exactly top
+        edges = np.interp(np.arange(count + 1) / count * cum[-1], cum, p)
+        if np.diff(bound(edges)).max() <= _PANEL_PHASE:
+            break
+        count += 1
     z, w = _rule(_PANEL_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     return (edges[:-1, None] + half * (1.0 + z)).ravel(), (half * w).ravel()
@@ -208,8 +222,10 @@ def _contour(j: int, t: float, env: float) -> tuple[float, int, np.ndarray, np.n
     ``|e^(i t theta)|`` falls like ``e^(-t s^(2j+1))`` and every node's
     integrand decays.  Both parts use composite Gauss-Legendre panels sized
     from a bound on the exponent's change at the window's worst node, and the
-    ray ends where that node's integrand is below ``e^(-_RAY_DEPTH)`` of its
-    start or of 1.
+    ray ends at the first point where that node's integrand is below
+    ``e^(-_RAY_DEPTH)`` of its start or of 1, searched on ``_TABLE`` scaled to
+    where ``t s^(2j+1)`` alone reaches ``_RAY_DEPTH`` and refined on a second
+    copy across the step that crosses.
     """
     dx = math.pi / (3.2 * env)
     m = max(1, int(_WINDOW_REACH * t ** (1.0 / (2 * j + 1)) / dx))
@@ -218,13 +234,21 @@ def _contour(j: int, t: float, env: float) -> tuple[float, int, np.ndarray, np.n
     u, wu = _panels(lambda u: t * u ** (2 * p) + reach * u * u + u ** 4 / env ** 2,
                     math.sqrt(r0))
     ray = cmath.rect(1.0, (1 if j % 2 else -1) * math.pi / (2 * p))
-    # log of the worst node's integrand along the ray, up to where t s^(2j+1)
-    # alone reaches the depth
-    table = np.linspace(0.0, (_RAY_DEPTH / t) ** (1.0 / p), 4097)
-    z = r0 + table * ray
-    level = (-_phase(z, j, t).imag + reach * abs(ray.imag) * table - (z * z).real / env ** 2
-             + (j - 0.5) * np.log(np.abs(z)))
-    below = np.flatnonzero(level < max(level[0], 0.0) - _RAY_DEPTH)
+
+    def level(s):
+        """Log of the worst node's integrand at ``xi = r0 + s ray``."""
+        z = r0 + s * ray
+        return (-_phase(z, j, t).imag + reach * abs(ray.imag) * s - (z * z).real / env ** 2
+                + (j - 0.5) * np.log(np.abs(z)))
+
+    # the second table puts the end on the 4097-point grid of the whole span
+    table = (_RAY_DEPTH / t) ** (1.0 / p) * _TABLE
+    levels = level(table)
+    floor = max(levels[0], 0.0) - _RAY_DEPTH
+    below = np.flatnonzero(levels < floor)
+    if below.size and below[0]:
+        table = table[below[0] - 1] + table[1] * _TABLE
+        below = np.flatnonzero(level(table) < floor)
     s, ws = _panels(lambda s: t * ((r0 + s) ** p - r0 ** p) + reach * s
                     + ((r0 + s) ** 2 - r0 ** 2) / env ** 2,
                     table[below[0]] if below.size else table[-1])

@@ -1,8 +1,10 @@
 """Full-complex spectral reference for the oracle tests, the plain
 allocating IF-RK4 loop that ``evolve`` must match bit for bit, the plain
 allocating commutator that ``x_weight_commutator`` must match bit for bit,
-a brute-force quadrature of the decay probe's kernel, and the running-product
-synthesis that the probe's phase-table synthesis replaced.
+a brute-force quadrature of the decay probe's kernel, the running-product
+synthesis that the probe's phase-table synthesis replaced, the bounds that
+size the probe's contour panels, and the exact Talbot sum of the linear group
+at rational times.
 
 The package keeps one coefficient layout, the ``n//2 + 1`` bins of
 ``scipy.fft.rfft``.  This module keeps the independent layout the oracle
@@ -19,6 +21,7 @@ factor accounts for the node origin at ``x = -L/2``.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.fft import irfft, rfft
@@ -153,6 +156,74 @@ def kernel_window_running_product(dx: float, m: int, xi: np.ndarray, weight: np.
         np.cumprod(block, axis=0, out=block)
         kern[k0:k0 + block.shape[0]] = block.real.sum(axis=1)
     return 2.0 * kern
+
+
+def contour_bounds(j: int, t: float, env: float) -> SimpleNamespace:
+    """The decay contour's geometry and its panel bounds, written from the
+    formulas of ``identities._contour``'s docstring.
+
+    The window's worst node sits at ``|x| = reach = m dx``, with ``dx = pi /
+    (3.2 env)`` and ``m = int(24 t^(1/(2j+1)) / dx)``; the segment ``xi = u^2``
+    ends at ``r0 = 1.3 (reach / ((2j+1) t))^(1/(2j))``, where the ray ``xi = r0
+    + s e^(i phi)``, ``phi = (-1)^(j+1) pi / (2(2j+1))``, starts.  ``segment(u)``
+    and ``ray(s)`` bound the change of the exponent ``i t theta(xi) + i x xi -
+    (xi/env)^2`` over ``[0, u]`` and ``[0, s]``; ``level(s)`` is the log of the
+    worst node's integrand ``|xi^(j-1/2) e^(...)|`` on the ray.
+    """
+    p = 2 * j + 1
+    dx = math.pi / (3.2 * env)
+    reach = max(1, int(24.0 * t ** (1.0 / p) / dx)) * dx
+    r0 = 1.3 * (reach / (p * t)) ** (1.0 / (2 * j))
+    phi = (1 if j % 2 else -1) * math.pi / (2 * p)
+    sign = 1.0 if j % 2 else -1.0
+
+    def segment(u):
+        return t * u ** (2 * p) + reach * u ** 2 + u ** 4 / env ** 2
+
+    def ray(s):
+        return (t * ((r0 + s) ** p - r0 ** p) + reach * s
+                + ((r0 + s) ** 2 - r0 ** 2) / env ** 2)
+
+    def level(s):
+        z = r0 + np.asarray(s) * complex(math.cos(phi), math.sin(phi))
+        return (-sign * t * (z ** p).imag + reach * abs(math.sin(phi)) * np.asarray(s)
+                - (z ** 2).real / env ** 2 + (j - 0.5) * np.log(np.abs(z)))
+
+    return SimpleNamespace(phi=phi, segment=segment, ray=ray, level=level)
+
+
+def panel_ends(nodes: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ends ``a, b`` of each composite Gauss-Legendre panel, recovered from
+    its ``count`` nodes ``a + (b - a)(1 + z) / 2`` by the rule's first and last
+    node ``z``."""
+    z = np.polynomial.legendre.leggauss(count)[0]
+    blocks = np.asarray(nodes).reshape(-1, count)
+    half = (blocks[:, -1] - blocks[:, 0]) / (z[-1] - z[0])
+    a = blocks[:, 0] - half * (1.0 + z[0])
+    return a, a + 2.0 * half
+
+
+def talbot_flow(u0: RealField, j: int, P: int, Q: int) -> np.ndarray:
+    """``W(t) u0`` at ``t = 2 pi P / Q`` on a box of length ``2 pi``, exactly.
+
+    With ``L = 2 pi`` the frequencies are the integers ``q``, and ``e^(i t
+    theta(q))``, ``theta(q) = (-1)^(j+1) q^(2j+1)``, depends only on ``q mod
+    Q``.  So ``W(t) u0 = sum_(r<Q) c_r u0(x - 2 pi r / Q)`` with ``c_r = Q^-1
+    sum_(a<Q) e^(2 pi i ((-1)^(j+1) P a^(2j+1) + a r) / Q)``, whose residues
+    come from ``pow(a, 2j+1, Q)`` in exact integers.  ``c_r`` is real, since
+    ``theta`` is odd.  ``Q`` divides ``n``, so each translate is an exact
+    ``np.roll`` by ``r n / Q`` nodes.  Exact for data with a zero Nyquist bin.
+    """
+    g = u0.grid
+    if not math.isclose(g.L, 2.0 * math.pi, rel_tol=1e-15) or g.n % Q:
+        raise ValueError("talbot_flow needs L = 2 pi and Q dividing n")
+    sign = 1 if j % 2 else -1
+    out = np.zeros(g.n)
+    for r in range(Q):
+        residues = [(sign * P * pow(a, 2 * j + 1, Q) + a * r) % Q for a in range(Q)]
+        c = math.fsum(math.cos(2.0 * math.pi * m / Q) for m in residues) / Q
+        out += c * np.roll(u0.samples, r * (g.n // Q))
+    return out
 
 
 def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,

@@ -12,7 +12,7 @@ import pytest
 import hkdvlab.fields as fields
 from hkdvlab.cli import main
 from hkdvlab.errors import ConfigError, SolverBlowup
-from hkdvlab.experiments import (SUITES, default_config, emit_plots,
+from hkdvlab.experiments import (SUITES, _compare, _in_range, default_config, emit_plots,
                                  list_suites, parse_config, run)
 from hkdvlab.propagators import DispersionParams, evolve
 from hkdvlab.spectral import make_grid
@@ -259,6 +259,33 @@ class TestRunAndReport:
         assert payload["config"]["experiment.name"] == "persistence"
         assert all(os.path.exists(a) for a in payload["artifacts"])
 
+    def test_margins_are_signed_distances(self):
+        # positive on the passing side: over |bound| for a comparison (over 1
+        # for a zero bound), over the width for a range
+        assert _compare("a", 0.5, "<", 2.0).margin == 0.75
+        assert _compare("a", 3.0, "<", 2.0).margin == -0.5
+        assert _compare("a", 12.0, ">", 10.0).margin == pytest.approx(0.2, rel=1e-15)
+        assert _compare("a", 0.25, ">=", -1.0).margin == 1.25
+        assert _compare("a", 0.125, ">", 0).margin == 0.125
+        assert _in_range("a", -0.48, -0.55, -0.45).margin == pytest.approx(0.3, rel=1e-12)
+        assert _in_range("a", -0.6, -0.55, -0.45).margin == pytest.approx(-0.5, rel=1e-12)
+
+    def test_every_report_check_carries_a_margin(self, suite_runs):
+        # report.json only gains the key; it is null exactly for the checks
+        # that are true or false, and positive exactly for the passing others
+        flags = {"coefficients_j1", "coefficients_j2", "commutator_padding_monotone",
+                 "stein_eps_monotone", "all_components_finite", "spacetime_band_finite"}
+        seen = set()
+        for name in SUITES:
+            payload = json.loads((suite_runs.root / name / "report.json").read_text())
+            for check in payload["checks"]:
+                assert set(check) == {"name", "measured", "threshold", "passed", "margin"}
+                if check["margin"] is None:
+                    seen.add(check["name"])
+                else:
+                    assert (check["margin"] > 0) == check["passed"], check
+        assert seen == flags
+
     def test_repeat_runs_bitwise_identical(self, tmp_path):
         blobs = []
         for sub in ("a", "b"):
@@ -393,6 +420,17 @@ class TestCLI:
         rc = main(["run", "persistence", "--output-dir", str(tmp_path)])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_run_prints_each_margin_and_the_smallest(self, tmp_path, capsys):
+        assert main(["run", "decay", "--output-dir", str(tmp_path)]) == 0
+        *lines, summary = capsys.readouterr().out.splitlines()
+        checks = json.loads((tmp_path / "decay" / "report.json").read_text())["checks"]
+        assert len(lines) == len(checks)
+        for line, check in zip(lines, checks):
+            assert line.endswith(f", margin {check['margin']:+.3g})"), line
+        smallest = min(checks, key=lambda c: c["margin"])
+        assert summary.endswith(f", smallest margin {smallest['margin']:+.3g} "
+                                f"({smallest['name']})"), summary
 
     def test_unknown_suite_exit_two(self, capsys):
         assert main(["run", "fourier_circus"]) == 2

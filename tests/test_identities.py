@@ -246,7 +246,7 @@ class TestDecayProbe:
         ref = reference.kernel_window_running_product(*_contour(j, t, env))
         assert np.max(np.abs(kern - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("j, env, t", _SUITE_CASES)
+    @pytest.mark.parametrize("j, env, t", _SUITE_CASES + _J3_CASES)
     def test_matches_the_direct_sum(self, j, env, t):
         # 2 Re sum w e^(i x xi) over the same contour, one exact exponential per
         # node and a correctly rounded sum, at the argmax, both edges and the centre
@@ -287,6 +287,55 @@ class TestDecayProbe:
             assert _SLOPE_LO <= fit.slopes[env] <= _SLOPE_HI, fit.slopes
         assert fit.slope_shift < _MAX_SHIFT
         # envelopes (2, 4) give a shift of 0.0258, which fails the 0.02 bound
+
+    def test_j4_passes_the_suite_bounds(self):
+        fit = dispersive_decay_probe(4, envelopes=(3.0, 6.0))
+        for env in fit.envelopes:
+            assert _SLOPE_LO <= fit.slopes[env] <= _SLOPE_HI, fit.slopes
+        assert fit.slope_shift < _MAX_SHIFT
+
+    @pytest.mark.parametrize("j, env, t", _SUITE_CASES + _J3_CASES + [(3, 2.0, 1.0)])
+    def test_panels_keep_the_sizing_contract(self, j, env, t):
+        # each panel's bound grows by at most _PANEL_PHASE, and at the ray's far
+        # end, the last panel's outer edge, the worst node's integrand has fallen
+        # by _RAY_DEPTH; the panel ends come from the nodes, the bounds from
+        # reference.contour_bounds.  At (3, 2, 1) the segment's bound is 63.99,
+        # and four interpolated panels would let one grow past _PANEL_PHASE
+        xi = _contour(j, t, env)[2]
+        ref = reference.contour_bounds(j, t, env)
+        on_ray = xi.imag != 0.0
+        count = identities._PANEL_NODES
+        for bound, nodes in ((ref.segment, np.sqrt(xi[~on_ray].real)),
+                             (ref.ray, xi[on_ray].imag / math.sin(ref.phi))):
+            a, b = reference.panel_ends(nodes, count)
+            assert np.max(bound(b) - bound(a)) <= identities._PANEL_PHASE
+        far = reference.panel_ends(xi[on_ray].imag / math.sin(ref.phi), count)[1][-1]
+        floor = max(float(ref.level(0.0)), 0.0) - identities._RAY_DEPTH
+        assert float(ref.level(far)) <= floor
+
+    def test_contour_tables_have_at_most_65_points(self, monkeypatch):
+        # the panel edges and the ray's end come from tables of at most 65
+        # points and no np.linspace; the 28 windows hold at most 8400 nodes
+        sizes = {"linspace": [], "interp": [], "phase": [], "nodes": []}
+
+        def spy(name, fn, arg):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                sizes[name].append(np.size(out[2] if name == "nodes" else args[arg]))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(np, "linspace", spy("linspace", np.linspace, 0))
+        monkeypatch.setattr(np, "interp", spy("interp", np.interp, 1))
+        monkeypatch.setattr(identities, "_phase", spy("phase", identities._phase, 0))
+        monkeypatch.setattr(identities, "_contour", spy("nodes", identities._contour, 0))
+        dispersive_decay_probe(1)
+        dispersive_decay_probe(2)
+        assert sizes["linspace"] == []
+        assert len(sizes["interp"]) >= 56 and max(sizes["interp"]) <= 65
+        # the phase runs on the ray's tables and, once per window, on its nodes
+        assert sorted(n for n in sizes["phase"] if n > 65) == sorted(sizes["nodes"])
+        assert len(sizes["nodes"]) == 28 and sum(sizes["nodes"]) <= 8400
 
     def test_the_rule_is_built_once_per_process(self, monkeypatch):
         # the suite's two probes evaluate 56 contours of two panel sets each

@@ -72,6 +72,23 @@ class TestLinearFlow:
             b = linear_flow(p, 0.5, u0)
             assert np.max(np.abs(a.samples - b.samples)) < 1e-12 * u0.linf()
 
+    @pytest.mark.parametrize("j, n, P, Q", [(1, 256, 3, 8), (1, 1024, 5, 16), (2, 256, 3, 8),
+                                            (2, 1024, 1, 4), (3, 64, 3, 8)])
+    def test_matches_the_talbot_sum(self, rng, j, n, P, Q):
+        # at t = 2 pi P / Q on L = 2 pi the group is a finite sum of exact rolls;
+        # double phases lose about 1e-17 x the top phase t max|theta| (relative
+        # to max|u0|), so the bound C 1e-16 x top phase with C = 1 leaves a
+        # factor of about 5 for rounding
+        g = make_grid(n, 2 * math.pi)
+        u0 = fields.random_band_limited(g, rng, band=n // 2 - 1)
+        params, t = DispersionParams(j), 2 * math.pi * P / Q
+        want = reference.talbot_flow(u0, j, P, Q)
+        got = linear_flow(params, t, u0).samples
+        top = t * float(np.max(np.abs(dispersion_phase(params, g))))
+        assert np.max(np.abs(want - u0.samples)) > 0.1 * u0.linf()
+        C = 1.0
+        assert np.max(np.abs(got - want)) <= C * 1e-16 * top * u0.linf()
+
 
 class TestConjugatedFlow:
     @pytest.fixture
