@@ -232,7 +232,7 @@ def smoothing_gain(traj: Trajectory, u0: RealField) -> SmoothingGainReport:
     if (params.j, params.k) == (1, 2):
         drift = -T * float(np.mean(traj.slices[0].samples ** 2))
     zh = uh - np.exp(1j * drift * g.xi) * wh
-    cut_xi = 2 * math.pi * dealias_cutoff(g.n, params.k) / g.L
+    cut_xi = g.xi[dealias_cutoff(g.n, params.k)]
     tw = tail_exponent(g, wh, cut_xi / 4.0, cut_xi)
     tz = tail_exponent(g, zh, cut_xi / 4.0, cut_xi)
     return SmoothingGainReport(tz - tw, tw, tz, drift)

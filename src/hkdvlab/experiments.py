@@ -510,14 +510,14 @@ def _run_propagation(cfg: ExperimentConfig, outdir: str):
     wspec = WindowSpec(x0=0.0, eps=_WINDOW_EPS, R=_WINDOW_R, v=_WINDOW_V, m=m)
     mirror = WindowSpec(x0=_MIRROR_X0, eps=_WINDOW_EPS, R=_WINDOW_R, v=_WINDOW_V, m=m)
 
-    xi_cut = 2 * math.pi * dealias_cutoff(n, k) / L   # base-grid band, held fixed
+    band = dealias_cutoff(n, k)   # base-grid band, held fixed (same L, so same xi)
 
     def run(nn, ddt):
         g = make_grid(nn, L)
         rng = np.random.default_rng(cfg.seed)
         u0 = _propagation_datum(g, rng, _rough_band(v), v[("suite", "amplitude")])
         sstride = max(1, int(round(_STRIDE * dt / ddt)))
-        traj = evolve(params, u0, T, ddt, stride=sstride, xi_cut=xi_cut)
+        traj = evolve(params, u0, T, ddt, stride=sstride, band=band)
         return (traj, *window_energy(traj, wspec))
 
     ((traj, right, spacetime), (_, _, st_dt), (_, _, st_n)), drifts = _refine(

@@ -41,7 +41,9 @@ def _phase(xi: np.ndarray, j: int, t: float) -> np.ndarray:
 def dispersion_phase(params: DispersionParams, grid: Grid) -> np.ndarray:
     """Phase ``theta = (-1)^(j+1) xi^(2j+1)`` of the linear part
     ``-(i xi)^(2j+1) = i theta`` on the rfft bins, Nyquist zeroed."""
-    return _phase(np.append(grid.xi[:-1], 0.0), params.j, 1.0)
+    theta = _phase(grid.xi, params.j, 1.0)
+    theta[-1] = 0.0
+    return theta
 
 
 def _group(params: DispersionParams, grid: Grid, t: float) -> np.ndarray:
@@ -109,17 +111,17 @@ class Trajectory:
         return self.slices[-1]
 
 
-def _nonlinear_rhs(params: DispersionParams, grid: Grid,
-                   xi_cut: float | None = None):
+def _nonlinear_rhs(params: DispersionParams, grid: Grid, band: int | None = None):
     """Half-spectrum evaluator of ``- F[u^k * d^j u]``, dealiased.
 
     States are ``rfft`` half spectra.  One real multiplier applies the
     dealias mask and the minus sign.  For (j, k) = (1, 1) the product is
     taken in conservative form, ``- F[(u^2)_x] / 2``, which needs one inverse
-    transform instead of two.  ``xi_cut`` optionally pins the retained
-    band below the degree-dependent dealias rule, so grid-refinement studies
-    compare the same truncated system.  Returns the evaluator and the
-    boolean mask of retained bins.
+    transform instead of two.  ``band``, the largest retained ``|q|``,
+    optionally pins the retained bins below the degree-dependent dealias
+    rule, so grid-refinement studies on a fixed ``L`` compare the same
+    truncated system; a band above the rule changes nothing.  Returns the
+    evaluator and the boolean mask of retained bins.
 
     The evaluator ``rhs(uh, out)`` writes the result for the half spectrum
     ``uh`` into the caller's ``out`` and returns it; its real work buffers
@@ -127,9 +129,12 @@ def _nonlinear_rhs(params: DispersionParams, grid: Grid,
     """
     n, k = grid.n, params.k
     dj = deriv_symbol(grid, params.j)
-    keep = np.arange(n // 2 + 1) <= dealias_cutoff(n, k)
-    if xi_cut is not None:
-        keep &= grid.xi <= xi_cut
+    top = dealias_cutoff(n, k)
+    if band is not None:
+        if band < 0:
+            raise ValueError(f"band must be >= 0, got {band}")
+        top = min(band, top)
+    keep = np.arange(n // 2 + 1) <= top
     neg_keep = np.where(keep, -1.0, 0.0)
     if (params.j, k) == (1, 1):
         # conservative form u u_x = (u^2)_x / 2: one inverse transform
@@ -179,14 +184,14 @@ def _steps(T: float, dt: float) -> int:
 
 
 def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
-           stride: int = 1, xi_cut: float | None = None) -> Trajectory:
+           stride: int = 1, band: int | None = None) -> Trajectory:
     """Integrate the full equation on [0, T] with integrating-factor RK4.
 
     ``T`` must be an integer multiple of ``dt`` (within rounding).  One slice
     is stored every ``stride`` steps, always including t=0 and t=T.  Raises
     :class:`SolverBlowup` carrying the surviving slices, and the step, time
     and max|u| of the last finite step, when the state stops being finite.
-    ``xi_cut`` pins the retained nonlinear band (see ``_nonlinear_rhs``); the
+    ``band`` pins the largest retained ``|q|`` (see ``_nonlinear_rhs``); the
     default follows the grid's dealias rule.
 
     The state is the dealiased ``rfft`` half spectrum; the phase factors, the
@@ -200,7 +205,7 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     g = u0.grid
-    rhs, keep = _nonlinear_rhs(params, g, xi_cut)
+    rhs, keep = _nonlinear_rhs(params, g, band)
     E = _group(params, g, dt / 2.0)
     E2 = E * E
     dtE = dt * E

@@ -32,7 +32,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -54,13 +53,11 @@ def _load_pocketfft():
     ``import scipy.fft`` and ``import scipy.special`` each cost about 0.3 s
     on a 2-core x86_64 box, most of a cold start, and the package uses
     neither module's Python layer.  The extension file is loaded from
-    scipy's directory and registered under scipy's own name, so a later
-    ``import scipy.fft`` reuses this module object instead of initializing
-    the extension a second time; a module already imported by scipy is
-    reused here the same way.
+    scipy's directory and left unregistered: ``import scipy.fft`` loads it
+    again under its own name, binds it to its parent package, and gets the
+    same module object, since the interpreter initializes an extension once
+    per process.
     """
-    if _POCKETFFT in sys.modules:
-        return sys.modules[_POCKETFFT]
     scipy_spec = importlib.util.find_spec("scipy")
     if scipy_spec is None:
         raise ModuleNotFoundError("hkdvlab needs scipy's pocketfft extension, "
@@ -73,7 +70,6 @@ def _load_pocketfft():
                           f"(pypocketfft) in {where}, where hkdvlab loads its FFT kernel from",
                           name=_POCKETFFT, path=where)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[_POCKETFFT] = module
     spec.loader.exec_module(module)
     return module
 

@@ -227,7 +227,7 @@ def talbot_flow(u0: RealField, j: int, P: int, Q: int) -> np.ndarray:
 
 
 def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,
-                xi_cut: float | None = None) -> tuple[list[float], list[np.ndarray]]:
+                band: int | None = None) -> tuple[list[float], list[np.ndarray]]:
     """``evolve`` written the plain way: public ``scipy.fft`` calls, a fresh
     array for every intermediate, the same expressions in the same operand
     order.  Returns the stored times and samples."""
@@ -235,8 +235,8 @@ def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,
     n, k = g.n, params.k
     dj = deriv_symbol(g, params.j)
     keep = np.arange(n // 2 + 1) <= dealias_cutoff(n, k)
-    if xi_cut is not None:
-        keep &= g.xi <= xi_cut
+    if band is not None:
+        keep &= np.arange(n // 2 + 1) <= band
     neg_keep = np.where(keep, -1.0, 0.0)
     mult = 0.5 * neg_keep * dj
 

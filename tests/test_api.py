@@ -1,6 +1,6 @@
 """The package ships only what the program itself uses, runs no reduction
-on BLAS, binds the real FFT in one module, and keeps the hooks the
-benchmark's traced runs install."""
+on BLAS, binds the real FFT in one module, turns no dealias cutoff into a
+frequency by hand, and keeps the hooks the benchmark's traced runs install."""
 
 import ast
 import subprocess
@@ -274,6 +274,52 @@ def test_real_fft_guard_passes_the_helpers_and_complex_transforms():
         '"""Transforms through spectral\'s binding of the pocketfft kernel."""\n'
         "from scipy.fft import ifft, next_fast_len\n"
         "from .spectral import _fast_len, _irfft, _rfft\n_irfft(_rfft(x), n); ifft(y)")
+
+
+def _is_cutoff_call(node) -> bool:
+    return isinstance(node, ast.Call) and "dealias_cutoff" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _cutoff_arithmetic(source: str) -> list[str]:
+    """Each arithmetic operation in ``source`` on the result of a
+    ``dealias_cutoff(...)`` call: the call itself as an operand, or a name
+    that an assignment anywhere in ``source`` binds to such a call."""
+    tree = ast.parse(source)
+    bound = {t.id for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and _is_cutoff_call(node.value)
+             for t in node.targets if isinstance(t, ast.Name)}
+
+    def cutoff(node) -> bool:
+        return _is_cutoff_call(node) or (isinstance(node, ast.Name) and node.id in bound)
+
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if (isinstance(node, ast.BinOp) and (cutoff(node.left) or cutoff(node.right)))
+            or (isinstance(node, ast.AugAssign) and (cutoff(node.target) or cutoff(node.value)))]
+
+
+def test_no_module_does_arithmetic_on_the_dealias_cutoff():
+    # Every band is a mode index: a module that needs the cutoff's frequency
+    # reads grid.xi at it, and a pinned band is compared with the index, so
+    # no rounding of 2 pi c / L decides whether mode c is kept
+    uses = {p.name: _cutoff_arithmetic(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert not {k: v for k, v in uses.items() if v}
+
+
+@pytest.mark.parametrize("source", [
+    "xi_cut = 2 * math.pi * dealias_cutoff(n, k) / L",
+    "cut = spectral.dealias_cutoff(g.n, 2) + 1",
+    "c = dealias_cutoff(n, k)\nxi = c * dxi",
+    "c = dealias_cutoff(n, k)\nc //= 2",
+])
+def test_cutoff_guard_flags(source):
+    assert _cutoff_arithmetic(source)
+
+
+def test_cutoff_guard_passes_index_uses():
+    assert not _cutoff_arithmetic(
+        "top = dealias_cutoff(n, k)\ntop = min(band, top)\n"
+        "keep = np.arange(n // 2 + 1) <= top\ncut = g.xi[dealias_cutoff(g.n, k)]")
 
 
 _IMPORT_WEIGHT = """

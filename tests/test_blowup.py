@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.fft import rfft
 from scipy.integrate import quad
 
+import hkdvlab.blowup as blowup
 import hkdvlab.fields as fields
 import reference
 from hkdvlab.blowup import (BlowupDatumSpec, DatumTerm, _quotient, build_blowup_datum,
@@ -13,8 +14,8 @@ from hkdvlab.blowup import (BlowupDatumSpec, DatumTerm, _quotient, build_blowup_
                             singular_profile, smoothing_gain, tail_exponent)
 from hkdvlab.errors import TailFitError
 from hkdvlab.experiments import default_config
-from hkdvlab.propagators import DispersionParams, evolve, linear_flow
-from hkdvlab.spectral import deriv_symbol, make_grid
+from hkdvlab.propagators import DispersionParams, Trajectory, evolve, linear_flow
+from hkdvlab.spectral import dealias_cutoff, deriv_symbol, make_grid
 
 J2 = DispersionParams(2, 1)
 
@@ -251,6 +252,22 @@ class TestSmoothingGain:
         rep = smoothing_gain(traj, u0)
         assert rep.gain is None
         assert rep.tail_linear is None and rep.tail_duhamel is None
+
+    @pytest.mark.parametrize("n,L,k", [(512, 60.0, 1), (4096, 160.0, 1), (4096, 320.0, 2)])
+    def test_fit_window_tops_out_below_the_dealias_cut(self, monkeypatch, n, L, k):
+        # both fits end at mode c - 1 however xi_c rounds; the window is
+        # tail_exponent's xi_lo < xi < xi_hi
+        windows = []
+
+        def spy(grid, coeffs, xi_lo, xi_hi):
+            windows.append(np.flatnonzero((grid.xi > xi_lo) & (grid.xi < xi_hi)))
+            return 0.0
+
+        monkeypatch.setattr(blowup, "tail_exponent", spy)
+        g = make_grid(n, L)
+        u0, uT = fields.gaussian(g), fields.gaussian(g, center=1.0)
+        smoothing_gain(Trajectory(g, [0.0, 0.1], [u0, uT], DispersionParams(1, k)), u0)
+        assert [w.max() for w in windows] == [dealias_cutoff(n, k) - 1] * 2
 
     def test_gain_invariant_under_amplitude_scaling(self, rng):
         # tail exponents are scale-free: halving the amplitude moves the

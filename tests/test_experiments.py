@@ -7,15 +7,17 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
+import hkdvlab.experiments as experiments
 import hkdvlab.fields as fields
 from hkdvlab.cli import main
 from hkdvlab.errors import ConfigError, SolverBlowup
 from hkdvlab.experiments import (SUITES, _compare, _in_range, default_config, emit_plots,
                                  list_suites, parse_config, run)
-from hkdvlab.propagators import DispersionParams, evolve
-from hkdvlab.spectral import make_grid
+from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve
+from hkdvlab.spectral import dealias_cutoff, make_grid
 
 
 def _assert_rejected(tmp_path, suite, body, message):
@@ -322,6 +324,31 @@ class TestRunAndReport:
             if bad:
                 failed[seed] = bad
         assert not failed
+
+
+class _BaseRun(Exception):
+    """Stops a suite at its first integration, carrying the grid and the
+    bins that integration retains."""
+
+
+class TestPropagationBand:
+    """The propagation suite's base run, its ``dt/2`` run and its ``2n`` run
+    integrate one truncated system, pinned at the base grid's dealias band."""
+
+    @pytest.mark.parametrize("k,n", [(1, 2048), (2, 2048), (1, 4096)])
+    def test_base_run_retains_the_dealias_band(self, monkeypatch, tmp_path, k, n):
+        def spy(params, u0, T, dt, stride=1, **pin):
+            # evolve hands its band pin on to _nonlinear_rhs under the same name
+            raise _BaseRun(u0.grid, _nonlinear_rhs(params, u0.grid, **pin)[1])
+
+        monkeypatch.setattr(experiments, "evolve", spy)
+        cfg = parse_config(f"[experiment]\nname = propagation\n[params]\nk = {k}\n"
+                           f"[grid]\nn = {n}\n", output_dir=str(tmp_path))
+        with pytest.raises(_BaseRun) as stop:
+            run(cfg)
+        grid, keep = stop.value.args
+        assert grid.n == n
+        assert np.array_equal(np.flatnonzero(keep), np.arange(dealias_cutoff(n, k) + 1))
 
 
 class TestCatalogue:

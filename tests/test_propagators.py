@@ -293,8 +293,16 @@ class TestTrajectory:
         assert traj.final() is h
 
 
+def _assert_keeps_former_cut(params, g, band, xi_cut):
+    """``band`` retains exactly the bins that the float pin ``xi <= xi_cut``
+    it replaces retained below the dealias rule."""
+    _, keep = _nonlinear_rhs(params, g, band)
+    former = np.arange(g.n // 2 + 1) <= dealias_cutoff(g.n, params.k)
+    assert np.array_equal(keep, former & (g.xi <= xi_cut))
+
+
 class TestBandPinning:
-    def test_xi_cut_freezes_truncation_across_grids(self):
+    def test_band_freezes_truncation_across_grids(self):
         # same retained band on n and 2n gives matching Galerkin dynamics
         L, T, dt = 60.0, 0.2, 1e-3
         finals = {}
@@ -302,23 +310,36 @@ class TestBandPinning:
             g = make_grid(n, L)
             x = g.nodes
             u0 = RealField(g, 0.8 * np.exp(-((x + 3.0) / 2.0) ** 2))
-            xi_cut = 2 * np.pi * (128 // 3) / L
-            traj = evolve(KDV, u0, T, dt, stride=10 ** 9, xi_cut=xi_cut)
+            band = 128 // 3
+            _assert_keeps_former_cut(KDV, g, band, 2 * np.pi * (128 // 3) / L)
+            traj = evolve(KDV, u0, T, dt, stride=10 ** 9, band=band)
             finals[n] = traj.final()
         coarse = finals[128].samples
         fine = finals[256].samples[::2]
         assert np.linalg.norm(fine - coarse) < 1e-9 * np.linalg.norm(coarse)
 
+    def test_band_above_the_rule_changes_nothing(self):
+        g = make_grid(256, 60.0)
+        _, rule = _nonlinear_rhs(KDV, g)
+        for band in (dealias_cutoff(g.n, 1), g.n):
+            assert np.array_equal(_nonlinear_rhs(KDV, g, band)[1], rule)
 
-def _reference_ifrk4(params, u0, T, dt, xi_cut=None):
+    def test_band_zero_keeps_the_mean_and_negative_raises(self):
+        g = make_grid(64, 10.0)
+        assert np.flatnonzero(_nonlinear_rhs(KDV, g, 0)[1]).tolist() == [0]
+        with pytest.raises(ValueError, match="band must be >= 0"):
+            _nonlinear_rhs(KDV, g, -1)
+
+
+def _reference_ifrk4(params, u0, T, dt, band=None):
     """IF-RK4 on full complex spectra, written out apart from ``evolve``."""
     g = u0.grid
     xi, xi_odd = reference.frequencies(g), reference.odd_frequencies(g)
     theta = (-1.0) ** (params.j + 1) * xi_odd ** (2 * params.j + 1)
     dj = (1j * (xi_odd if params.j % 2 else xi)) ** params.j
     keep = np.abs(g.freq_index) <= dealias_cutoff(g.n, params.k)
-    if xi_cut is not None:
-        keep &= np.abs(xi) <= xi_cut
+    if band is not None:
+        keep &= np.abs(g.freq_index) <= band
 
     def rhs(uh):
         u = np.fft.ifft(uh).real
@@ -339,17 +360,19 @@ def _reference_ifrk4(params, u0, T, dt, xi_cut=None):
 class TestAgainstComplexReference:
     """``evolve`` on rfft half spectra against the full complex-FFT scheme."""
 
-    @pytest.mark.parametrize("j,k,xi_cut", [(1, 1, None), (1, 2, None),
-                                            (2, 1, None), (1, 1, 2.0)])
-    def test_matches_reference(self, j, k, xi_cut):
+    @pytest.mark.parametrize("j,k,band", [(1, 1, None), (1, 2, None),
+                                          (2, 1, None), (1, 1, 19)])
+    def test_matches_reference(self, j, k, band):
         g = make_grid(256, 60.0)
         x = g.nodes
         u0 = RealField(g, np.exp(-(x / 2.0) ** 2)
                        + 0.5 * np.sin(x) * np.exp(-(x / 4.0) ** 2))
         p = DispersionParams(j, k)
         T, dt = 0.05, 1e-3
-        traj = evolve(p, u0, T, dt, stride=10, xi_cut=xi_cut)
-        ref = _reference_ifrk4(p, u0, T, dt, xi_cut)
+        if band is not None:
+            _assert_keeps_former_cut(p, g, band, 2.0)
+        traj = evolve(p, u0, T, dt, stride=10, band=band)
+        ref = _reference_ifrk4(p, u0, T, dt, band)
         got = traj.final().samples
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         # the nonlinear part is far above the tolerance
@@ -370,17 +393,19 @@ class TestMatchesPlainLoop:
     calls and a fresh array for every intermediate.  The arithmetic is the
     same, so every stored slice is equal bit for bit."""
 
-    @pytest.mark.parametrize("j,k,stride,xi_cut", [(1, 1, 7, None), (1, 2, 25, 4.0),
-                                                   (2, 1, 10, None)])
-    def test_bitwise_equal(self, j, k, stride, xi_cut):
+    @pytest.mark.parametrize("j,k,stride,band", [(1, 1, 7, None), (1, 2, 25, 38),
+                                                 (2, 1, 10, None)])
+    def test_bitwise_equal(self, j, k, stride, band):
         g = make_grid(256, 60.0)
         x = g.nodes
         u0 = RealField(g, np.exp(-(x / 2.0) ** 2)
                        + 0.5 * np.sin(x) * np.exp(-(x / 4.0) ** 2))
         p = DispersionParams(j, k)
         T, dt = 0.3, 1e-3
-        traj = evolve(p, u0, T, dt, stride=stride, xi_cut=xi_cut)
-        times, slices = reference.plain_ifrk4(p, u0, T, dt, stride, xi_cut)
+        if band is not None:
+            _assert_keeps_former_cut(p, g, band, 4.0)
+        traj = evolve(p, u0, T, dt, stride=stride, band=band)
+        times, slices = reference.plain_ifrk4(p, u0, T, dt, stride, band)
         assert len(traj) == len(slices) > 2
         assert np.array_equal(traj.times, times)
         for got, want in zip(traj.slices, slices):
@@ -401,14 +426,15 @@ class TestConservativeRHS:
         ux = irfft(1j * xi * uh, g.n)
         return np.where(keep, -rfft(u * ux), 0.0)
 
-    @pytest.mark.parametrize("xi_cut", [None, 20.0])
-    def test_matches_product_form(self, rng, xi_cut):
+    @pytest.mark.parametrize("band", [None, 509])
+    def test_matches_product_form(self, rng, band):
         g = make_grid(4096, 160.0)
-        rhs, keep = _nonlinear_rhs(KDV, g, xi_cut)
+        rhs, keep = _nonlinear_rhs(KDV, g, band)
         q = np.arange(g.n // 2 + 1)
         want = q <= dealias_cutoff(g.n, 1)
-        if xi_cut is not None:
-            want &= 2.0 * np.pi * q / g.L <= xi_cut
+        if band is not None:
+            want &= q <= band
+            _assert_keeps_former_cut(KDV, g, band, 20.0)
         assert np.array_equal(keep, want)
         uh = rfft(rng.standard_normal(g.n))
         uh[~keep] = 0.0

@@ -147,6 +147,8 @@ else:
 import numpy as np
 from scipy.fft._pocketfft import basic, pypocketfft
 assert spectral.pypocketfft is pypocketfft is basic.pfft
+import scipy.fft._pocketfft as parent
+assert parent.pypocketfft is pypocketfft
 for n in (256, 4096):
     for shape in ((), (2,)):
         r = np.random.default_rng(n)
@@ -162,10 +164,10 @@ assert not bad, bad[:10]
 
     @pytest.mark.parametrize("first", ["hkdvlab", "scipy"])
     def test_either_import_order_shares_scipys_kernel(self, first):
-        # spectral loads the extension file itself, so the order in which a
-        # process imports it and scipy.fft decides which of them initializes
-        # it; the test modules import scipy.fft first, so a fresh process runs
-        # both orders
+        # spectral loads the extension file itself and leaves scipy.fft to
+        # load and bind it on its own; either order must end with one module
+        # object, reachable as an attribute of scipy.fft._pocketfft.  The test
+        # modules import scipy.fft first, so a fresh process runs both orders
         proc = subprocess.run([sys.executable, "-c", self._IMPORT_ORDER, str(SRC), first],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -177,7 +179,7 @@ assert not bad, bad[:10]
         stub.mkdir()
         (stub / "__init__.py").write_text('__version__ = "0.0.stub"\n')
         code = ("import sys\nsys.path[:0] = sys.argv[1:3]\n"
-                "try:\n    import hkdvlab\n"
+                "try:\n    import hkdvlab.spectral\n"
                 "except ImportError as e:\n    print(type(e).__name__, e.path, e)\n")
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(SRC)],
                               capture_output=True, text=True, timeout=120)
@@ -189,7 +191,7 @@ assert not bad, bad[:10]
 
     def test_missing_scipy_raises_module_not_found(self):
         code = ("import sys\nsys.path.insert(0, sys.argv[1])\nsys.modules['scipy'] = None\n"
-                "try:\n    import hkdvlab\n"
+                "try:\n    import hkdvlab.spectral\n"
                 "except ModuleNotFoundError as e:\n    print(e.name)\n")
         proc = subprocess.run([sys.executable, "-c", code, str(SRC)],
                               capture_output=True, text=True, timeout=120)
