@@ -23,6 +23,15 @@ accounts for the node origin at ``x = -L/2``.
 Odd-order symbols (``i*xi``, ``xi**(2j+1)``) are evaluated with the Nyquist
 frequency zeroed: that mode has no well-defined sign under an odd symbol on an
 even grid.
+
+The in-place pair ``_hc_forward``/``_hc_inverse`` stores the same bins,
+bit for bit, privately as ``n`` reals in FFTPACK's halfcomplex order
+``[r0, r1, i1, r2, i2, ..., r_{n/2}]``: the real parts of bins 0 to ``n/2``
+at indices 0, 1, 3, ..., ``n - 1``, the imaginary parts of bins 1 to
+``n/2 - 1`` at indices 2, 4, ..., ``n - 2``.  A transform may overwrite its
+input, so a spectrum costs no array beyond the field's own.  Only this
+module indexes that order: ``_hc_add_scaled`` and ``_hc_multiply`` apply
+symbols, given on the rfft bins, to it.
 """
 
 from __future__ import annotations
@@ -126,7 +135,7 @@ def _rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``scipy.fft.rfft(x)`` along the last axis, bit for bit, written into
     ``out`` when given.
 
-    This module is the package's one binding of the real transform pair: it
+    This module is the package's one binding of the real transforms: it
     calls scipy's pocketfft kernel directly (see ``_load_pocketfft``), with
     scipy's default normalization, and skips the public function's per-call
     dispatch and argument checks, which cost about as much as the kernel at
@@ -140,6 +149,45 @@ def _irfft(X: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     into ``out`` when given; ``X`` must be a complex ndarray of exactly
     ``n//2 + 1`` bins on that axis."""
     return pypocketfft.c2r(X, (-1,), n, False, 2, out, 1)
+
+
+def _hc_forward(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_rfft(a)`` of a real 1-D ``a`` of even length ``n``, stored as ``n``
+    reals in FFTPACK's halfcomplex order ``[r0, r1, i1, ..., r_{n/2}]``
+    (module docstring), written into ``out`` when given.
+
+    ``out`` may be ``a`` itself: a contiguous in-place call needs no buffer
+    beyond the transform's plan, where ``_rfft`` allocates the complex
+    output and a real work copy.  Equal to ``_rfft`` bit for bit after
+    reordering.
+    """
+    return pypocketfft.r2r_fftpack(a, (-1,), True, True, 0, out, 1)
+
+
+def _hc_inverse(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_irfft(X, n)`` of the halfcomplex spectrum ``a`` of ``_hc_forward``,
+    written into ``out`` when given, which may be ``a`` itself; equal to
+    ``_irfft`` bit for bit."""
+    return pypocketfft.r2r_fftpack(a, (-1,), False, False, 2, out, 1)
+
+
+def _hc_add_scaled(acc: np.ndarray, sym: np.ndarray, a: np.ndarray) -> None:
+    """``acc += sym * a`` in place on halfcomplex spectra, for a real symbol
+    ``sym`` on the ``n//2 + 1`` rfft bins: each part of bin ``q`` is scaled
+    by ``sym[q]``, as the complex product scales them."""
+    acc[0] += sym[0] * a[0]
+    acc[1::2] += sym[1:] * a[1::2]
+    acc[2::2] += sym[1:-1] * a[2::2]
+
+
+def _hc_multiply(a: np.ndarray, sym: np.ndarray) -> None:
+    """``a *= sym`` in place on a halfcomplex spectrum, for a complex symbol
+    ``sym`` on the ``n//2 + 1`` rfft bins; bins 1 to ``n/2 - 1`` multiply
+    through a complex view of ``a``.  Bins 0 and ``n/2`` hold real values,
+    so the real part of the product there is ``sym.real * a``."""
+    a[[0, -1]] *= sym[[0, -1]].real
+    inner = a[1:-1].view(complex)
+    np.multiply(sym[1:-1], inner, out=inner)
 
 
 def _fast_len(n: int) -> int:

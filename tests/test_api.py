@@ -223,8 +223,10 @@ def test_blas_guard_passes_thread_local_reductions():
 
 def _real_fft_bindings(source: str) -> list[str]:
     """Each import of ``rfft`` or ``irfft`` from ``scipy.fft``, each
-    ``.rfft``/``.irfft`` attribute, and each import, attribute or string
-    constant that names scipy's private pocketfft module in ``source``.
+    ``.rfft``/``.irfft`` attribute, and each import, attribute, name or
+    string constant that names scipy's private pocketfft module in
+    ``source``: a module that reaches the kernel through any of them can
+    call its entry points (``r2c``, ``c2r``, ``r2r_fftpack``) directly.
 
     Strings count because a loader names the extension only in strings
     (``PathFinder.find_spec("pypocketfft", [p])``); docstrings, which bind
@@ -242,6 +244,8 @@ def _real_fft_bindings(source: str) -> list[str]:
         elif isinstance(node, ast.Attribute) and (
                 node.attr in ("rfft", "irfft") or "pocketfft" in node.attr):
             out.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and "pocketfft" in node.id:
+            out.append(node.id)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and "pocketfft" in node.value and id(node) not in docs):
             out.append(ast.unparse(node))
@@ -264,6 +268,8 @@ def test_only_spectral_binds_the_real_fft():
     "import scipy.fft._pocketfft.pypocketfft as p", "scipy.fft._pocketfft.pypocketfft.r2c(x)",
     'PathFinder.find_spec("pypocketfft", [p])',
     'importlib.import_module("scipy.fft._pocketfft.pypocketfft")',
+    "pypocketfft.r2r_fftpack(a, (-1,), True, True, 0, a, 1)",
+    "spectral.pypocketfft.r2r_fftpack(a, (-1,), False, False, 2, a, 1)",
 ])
 def test_real_fft_guard_flags(source):
     assert _real_fft_bindings(source)

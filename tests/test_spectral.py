@@ -13,7 +13,8 @@ import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
 from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve, linear_flow
-from hkdvlab.spectral import (RealField, _bin_weights, _hurwitz_zeta, _irfft, _rfft,
+from hkdvlab.spectral import (RealField, _bin_weights, _hc_add_scaled, _hc_forward,
+                              _hc_inverse, _hc_multiply, _hurwitz_zeta, _irfft, _rfft,
                               _stein_truncated, band_limit_check, dealias_cutoff,
                               deriv_symbol, derivative, frac_deriv, make_grid, require_decay,
                               stein_constant, stein_deriv, synthesize_at)
@@ -113,6 +114,14 @@ class TestTransforms:
         assert np.max(np.abs(approx - expect)) < 1e-12
 
 
+def _halfcomplex(X: np.ndarray) -> np.ndarray:
+    """The ``n//2 + 1`` bins ``X`` of an even ``n`` in FFTPACK's halfcomplex
+    order ``[r0, r1, i1, ..., r_{n/2}]``."""
+    hc = np.empty(2 * X.size - 2)
+    hc[0], hc[1::2], hc[2::2] = X[0].real, X[1:].real, X[1:-1].imag
+    return hc
+
+
 class TestTransformBinding:
     """``_rfft``/``_irfft`` call scipy's private ``pypocketfft`` kernel; they
     must stay bit for bit equal to the public ``scipy.fft`` pair, so a scipy
@@ -134,6 +143,38 @@ class TestTransformBinding:
         for got, want in ((got_f, want_f), (out_f, want_f), (got_i, want_i), (out_i, want_i)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [64, 510, 1024, 4096])
+    def test_halfcomplex_pair_equals_public_pair(self, n):
+        # the in-place pair stores the rfft bins in FFTPACK's halfcomplex
+        # order; rfft's bins 0 and n/2 have zero imaginary parts, and irfft
+        # disregards them, so reordering loses nothing either way
+        r = np.random.default_rng(n)
+        x = r.standard_normal(n)
+        X = rfft(x) + 1e-3 * (r.standard_normal(n // 2 + 1) + 1j * r.standard_normal(n // 2 + 1))
+        want_f, want_i = rfft(x), irfft(X, n)
+        assert not np.any(want_f.imag[[0, -1]])
+        got_f, got_i = x.copy(), _halfcomplex(X)
+        assert _hc_forward(got_f, out=got_f) is got_f
+        assert _hc_inverse(got_i, out=got_i) is got_i
+        for got, want in ((got_f, _halfcomplex(want_f)), (got_i, want_i)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [64, 510])
+    def test_halfcomplex_symbols_equal_complex_products(self, n):
+        # the in-place symbol products give the bits of the complex products
+        # on the rfft bins; a Hermitian symbol is real at bins 0 and n/2
+        r = np.random.default_rng(n)
+        a, b = rfft(r.standard_normal(n)), rfft(r.standard_normal(n))
+        real = r.standard_normal(n // 2 + 1)
+        group = np.exp(1j * r.standard_normal(n // 2 + 1))
+        group[[0, -1]] = group[[0, -1]].real
+        acc, hb = _halfcomplex(a), _halfcomplex(b)
+        _hc_add_scaled(acc, real, hb)
+        _hc_multiply(acc, group)
+        want = _halfcomplex(group * (a + real * b))
+        assert np.array_equal(acc.view(np.int64), want.view(np.int64))
 
     _IMPORT_ORDER = """
 import sys
