@@ -103,29 +103,31 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
     correction share one inverse transform, ``irfft(E (rfft(x u0) + (2j+1) t
     (i xi)^(2j) rfft(u0)))``: four transforms in all.  They run in place on
     two buffers, ``x*u0`` and a copy of ``u0``, through ``spectral``'s
-    halfcomplex pair.  At the suite's largest call (n = 800,000, on top of
-    its inputs) tracemalloc peaks at 3.52 arrays of ``8n`` bytes, while the
-    group is built, and the resident set of a fresh process grows by 2.57
-    such arrays, about one of them the kernel's plan for length ``n``.
+    halfcomplex pair.  At the suite's largest call (n = 800,000, the inputs
+    already built) tracemalloc peaks at 3.52 arrays of ``8n`` bytes, while
+    the group is built.  In a fresh process the resident peak rises 2.57
+    such arrays above its pre-call high-water mark, which still counts the
+    freed temporaries that built the inputs, and 4.05 above the pre-call
+    resident set; about one array is the kernel's plan for length ``n``.
     """
     g = u0.grid
     x = g.nodes
     require_decay(u0, rel=gate, what="u0")
     xu0 = weighted(u0, x)
     require_decay(xu0, rel=gate, what="x*u0")
-    rhs = _hc_forward(xu0.samples, out=xu0.samples)
+    rhs = _hc_forward(xu0.samples)
     del xu0
     u0h = u0.samples.copy()
-    _hc_forward(u0h, out=u0h)
+    _hc_forward(u0h)
     _hc_add_scaled(rhs, (2 * params.j + 1) * t * deriv_symbol(g, 2 * params.j), u0h)
     group = _group(params, g, t)
     _hc_multiply(u0h, group)
     _hc_multiply(rhs, group)
     del group
-    wu0 = _hc_inverse(u0h, out=u0h)
+    wu0 = _hc_inverse(u0h)
     xwu0 = RealField(g, np.multiply(x, wu0, out=wu0))
     require_decay(xwu0, rel=gate, what="x*W(t)u0")
-    resid = _hc_inverse(rhs, out=rhs)
+    resid = _hc_inverse(rhs)
     resid -= xwu0.samples
     resid *= resid
     den = xwu0.l2()

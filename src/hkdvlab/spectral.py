@@ -28,7 +28,7 @@ The in-place pair ``_hc_forward``/``_hc_inverse`` stores the same bins,
 bit for bit, privately as ``n`` reals in FFTPACK's halfcomplex order
 ``[r0, r1, i1, r2, i2, ..., r_{n/2}]``: the real parts of bins 0 to ``n/2``
 at indices 0, 1, 3, ..., ``n - 1``, the imaginary parts of bins 1 to
-``n/2 - 1`` at indices 2, 4, ..., ``n - 2``.  A transform may overwrite its
+``n/2 - 1`` at indices 2, 4, ..., ``n - 2``.  A transform overwrites its
 input, so a spectrum costs no array beyond the field's own.  Only this
 module indexes that order: ``_hc_add_scaled`` and ``_hc_multiply`` apply
 symbols, given on the rfft bins, to it.
@@ -151,24 +151,22 @@ def _irfft(X: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     return pypocketfft.c2r(X, (-1,), n, False, 2, out, 1)
 
 
-def _hc_forward(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``_rfft(a)`` of a real 1-D ``a`` of even length ``n``, stored as ``n``
-    reals in FFTPACK's halfcomplex order ``[r0, r1, i1, ..., r_{n/2}]``
-    (module docstring), written into ``out`` when given.
+def _hc_forward(a: np.ndarray) -> np.ndarray:
+    """``_rfft(a)`` of a real contiguous 1-D ``a`` of even length ``n``,
+    written over ``a`` as ``n`` reals in FFTPACK's halfcomplex order
+    ``[r0, r1, i1, ..., r_{n/2}]`` (module docstring); returns ``a``.
 
-    ``out`` may be ``a`` itself: a contiguous in-place call needs no buffer
-    beyond the transform's plan, where ``_rfft`` allocates the complex
-    output and a real work copy.  Equal to ``_rfft`` bit for bit after
-    reordering.
+    The call needs no buffer beyond the transform's plan, where ``_rfft``
+    allocates the complex output and a real work copy.  Equal to ``_rfft``
+    bit for bit after reordering.
     """
-    return pypocketfft.r2r_fftpack(a, (-1,), True, True, 0, out, 1)
+    return pypocketfft.r2r_fftpack(a, (-1,), True, True, 0, a, 1)
 
 
-def _hc_inverse(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _hc_inverse(a: np.ndarray) -> np.ndarray:
     """``_irfft(X, n)`` of the halfcomplex spectrum ``a`` of ``_hc_forward``,
-    written into ``out`` when given, which may be ``a`` itself; equal to
-    ``_irfft`` bit for bit."""
-    return pypocketfft.r2r_fftpack(a, (-1,), False, False, 2, out, 1)
+    written over ``a``, which it returns; equal to ``_irfft`` bit for bit."""
+    return pypocketfft.r2r_fftpack(a, (-1,), False, False, 2, a, 1)
 
 
 def _hc_add_scaled(acc: np.ndarray, sym: np.ndarray, a: np.ndarray) -> None:

@@ -191,33 +191,37 @@ from hkdvlab.experiments import _commutator_grid
 from hkdvlab.identities import x_weight_commutator
 from hkdvlab.propagators import DispersionParams
 
-def peak_rss():
+def status(key):
     with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+        return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
 
 g = _commutator_grid(80000.0)
 u0 = fields.gaussian(g, width=1.0)
 g.nodes, g.xi
-before = peak_rss()
+hwm, rss = status("VmHWM"), status("VmRSS")
 x_weight_commutator(DispersionParams(2), 0.5, u0, gate=None)
-print(g.n, (peak_rss() - before) * 1024 / (8 * g.n))
+peak = status("VmHWM")
+print(g.n, (peak - hwm) * 1024 / (8 * g.n), (peak - rss) * 1024 / (8 * g.n))
 """
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_resident_peak_of_the_largest_suite_call(self):
         # tracemalloc misses the transform kernel's own buffers and plans; the
         # resident peak counts them.  A fresh process holds no plan and no
-        # freed heap from earlier calls.  The in-place rfft buffers grew it by
-        # 5.07 arrays of 8n bytes, the halfcomplex pair by 2.57.  The peak is
-        # read as VmHWM, the process's own high-water mark: Linux starts a
-        # child's ru_maxrss at its parent's peak, which in a test session can
-        # exceed the whole call's
+        # freed heap from earlier calls.  The peak is read as VmHWM, the
+        # process's own high-water mark: Linux starts a child's ru_maxrss at
+        # its parent's peak, which in a test session can exceed the whole
+        # call's.  The bound is on the growth above the pre-call high-water
+        # mark, which still counts the temporaries that built u0 and xi: the
+        # in-place rfft buffers grew it by 5.07 arrays of 8n bytes, the
+        # halfcomplex pair by 2.57.  Above the pre-call resident set the
+        # same calls read 6.56 and 4.05; that figure is reported, not bounded
         proc = subprocess.run([sys.executable, "-c", self._RESIDENT_PEAK, str(SRC)],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        n, growth = proc.stdout.split()
+        n, above_peak, above_resident = proc.stdout.split()
         assert int(n) == 800_000
-        assert float(growth) <= 3.5, growth
+        assert float(above_peak) <= 3.5, (above_peak, above_resident)
 
     def test_time_zero_collapses(self):
         g = make_grid(512, 40.0)

@@ -155,8 +155,8 @@ class TestTransformBinding:
         want_f, want_i = rfft(x), irfft(X, n)
         assert not np.any(want_f.imag[[0, -1]])
         got_f, got_i = x.copy(), _halfcomplex(X)
-        assert _hc_forward(got_f, out=got_f) is got_f
-        assert _hc_inverse(got_i, out=got_i) is got_i
+        assert _hc_forward(got_f) is got_f
+        assert _hc_inverse(got_i) is got_i
         for got, want in ((got_f, _halfcomplex(want_f)), (got_i, want_i)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
