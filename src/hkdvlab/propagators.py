@@ -4,8 +4,11 @@ The equation family is ``u_t + u^(2j+1)_x + u^k u^(j)_x = 0``.  Its linear
 part is solved exactly by the unitary multiplier
 ``exp(i t (-1)^(j+1) xi^(2j+1))``; the full flow uses an integrating-factor
 classical RK4 with the nonlinear product dealiased by the degree-dependent
-rule.  Every operator here runs on real half-spectra, the ``n//2 + 1`` bins
-of ``scipy.fft.rfft``; the solver's state is such a half spectrum.
+rule.  The linear operators run on real half spectra, the ``n//2 + 1`` bins
+of ``scipy.fft.rfft``.  The solver's state is the retained band of such a
+half spectrum, the bins ``0..top`` below the dealias cut; its right-hand
+side transforms each stage in place in one preallocated buffer, in the
+halfcomplex order that ``spectral._hc_band`` gives views of.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverBlowup, UnstableConjugation
-from .spectral import (Grid, RealField, _apply_half, _irfft, _power, _rfft, dealias_cutoff,
-                       deriv_symbol)
+from .spectral import (Grid, RealField, _apply_half, _hc_band, _hc_forward, _hc_inverse, _power,
+                       dealias_cutoff, deriv_symbol)
 
 
 @dataclass(frozen=True)
@@ -111,61 +114,107 @@ class Trajectory:
         return self.slices[-1]
 
 
-def _nonlinear_rhs(params: DispersionParams, grid: Grid, band: int | None = None):
-    """Half-spectrum evaluator of ``- F[u^k * d^j u]``, dealiased.
+def _band_spectrum(samples: np.ndarray, top: int) -> np.ndarray:
+    """Bins ``0..top`` of ``rfft(samples)``, as a new band spectrum."""
+    zero, inner, _ = _hc_band(_hc_forward(samples.copy()), top)
+    return np.concatenate((zero, inner))
 
-    States are ``rfft`` half spectra.  One real multiplier applies the
-    dealias mask and the minus sign.  For (j, k) = (1, 1) the product is
-    taken in conservative form, ``- F[(u^2)_x] / 2``, which needs one inverse
-    transform instead of two.  ``band``, the largest retained ``|q|``,
-    optionally pins the retained bins below the degree-dependent dealias
-    rule, so grid-refinement studies on a fixed ``L`` compare the same
-    truncated system; a band above the rule changes nothing.  Returns the
-    evaluator and the boolean mask of retained bins.
 
-    The evaluator ``rhs(uh, out)`` writes the result for the half spectrum
-    ``uh`` into the caller's ``out`` and returns it; its real work buffers
-    are its own, allocated here once.
+def _band_samples(spec: np.ndarray, n: int) -> np.ndarray:
+    """``irfft`` on ``n`` points of the band spectrum ``spec``, bins ``0..top``
+    with every bin above them zero, as a new array."""
+    a = np.empty(n)
+    zero, inner, tail = _hc_band(a, spec.size - 1)
+    zero[0] = spec[0].real
+    inner[...] = spec[1:]
+    tail[...] = 0.0
+    return _hc_inverse(a)
+
+
+class _BandRHS:
+    """Evaluator of ``- F[u^k * d^j u]``, dealiased, on the retained band.
+
+    The retained band is the bins ``0..top`` with ``top = dealias_cutoff(n,
+    k)``, always below Nyquist; a band spectrum holds those ``top + 1`` rfft
+    bins, every bin above them being zero.  ``band``, the largest retained
+    ``|q|``, optionally pins ``top`` below the degree-dependent rule, so
+    grid-refinement studies on a fixed ``L`` compare the same truncated
+    system; a band above the rule changes nothing.
+
+    The evaluator owns one buffer of ``n`` reals per transformed row, in
+    halfcomplex order; ``spectral._hc_band`` gives its bin-0 slot, its complex
+    view of bins ``1..top`` and its tail.  A call writes the stage into the
+    buffer and zeroes the tail, inverts the buffer in place, forms the
+    product there, transforms it forward in place and applies the multiplier
+    on the band alone, writing bins ``bins = lo..top`` into the caller's
+    ``out``.  ``load(uh)`` makes a band spectrum the stage; a caller may
+    instead write bins ``lo..top`` of a stage straight into ``stage``.
+
+    For (j, k) = (1, 1) the product is taken in conservative form, ``-
+    F[(u^2)_x] / 2``, which needs one inverse transform instead of two.  Its
+    multiplier ``-(i xi)/2`` is exactly zero at ``xi = 0``, so bin 0 of a
+    state is a constant, held from the last ``load``, and ``lo = 1``:
+    ``stage`` is the buffer's own complex view of bins ``1..top``, where a
+    stage is transformed as it lies.  Otherwise bin 0 moves (for j = 2, ``int
+    u u_xx != 0``) and ``lo = 0``: ``stage`` is a band array that a call
+    copies into row 0 of a 2-row buffer, with ``d^j u`` in row 1, and one
+    transform inverts both rows.  ``dj`` and the minus sign multiply in the
+    operand order of the rfft-bin products they replace, so the bits match.
     """
-    n, k = grid.n, params.k
-    dj = deriv_symbol(grid, params.j)
-    top = dealias_cutoff(n, k)
-    if band is not None:
-        if band < 0:
+
+    def __init__(self, params: DispersionParams, grid: Grid, band: int | None = None):
+        n, k = grid.n, params.k
+        if band is not None and band < 0:
             raise ValueError(f"band must be >= 0, got {band}")
-        top = min(band, top)
-    keep = np.arange(n // 2 + 1) <= top
-    neg_keep = np.where(keep, -1.0, 0.0)
-    if (params.j, k) == (1, 1):
-        # conservative form u u_x = (u^2)_x / 2: one inverse transform
-        mult = 0.5 * neg_keep * dj
-        u = np.empty(n)
+        self.top = dealias_cutoff(n, k) if band is None else min(band, dealias_cutoff(n, k))
+        self.lo = int((params.j, k) == (1, 1))
+        self.bins = slice(self.lo, self.top + 1)
+        self._k = k
+        self._bin0 = 0.0
+        dj = deriv_symbol(grid, params.j)[self.bins]
+        if self.lo:
+            self._buf = np.empty(n)
+            self._zero, self.stage, self._tail = _hc_band(self._buf, self.top)
+            # 0.5 * (-1) * (i xi): the dealias mask and the minus sign
+            self._mult = -0.5 * dj
+        else:
+            self._buf = np.empty((2, n))
+            self._zero, (self._row0, self._row1), self._tail = _hc_band(self._buf, self.top)
+            self._dj = dj[1:]
+            self.stage = np.empty(self.top + 1, dtype=complex)
+            self._stage_inner = self.stage[1:]
 
-        def rhs(uh: np.ndarray, out: np.ndarray) -> np.ndarray:
-            _irfft(uh, n, out=u)
-            np.multiply(u, u, out=u)
-            _rfft(u, out=out)
-            return np.multiply(mult, out, out=out)
+    def load(self, uh: np.ndarray) -> None:
+        """Make the band spectrum ``uh`` the stage."""
+        self._bin0 = uh[0].real
+        np.copyto(self.stage, uh[self.bins])
 
-        return rhs, keep
-    # u and d^j u come back from one batched inverse transform
-    pair = np.empty((2, dj.size), dtype=complex)
-    real = np.empty((2, n))
-    u, du = real
-
-    def rhs(uh: np.ndarray, out: np.ndarray) -> np.ndarray:
-        pair[0] = uh
-        np.multiply(dj, uh, out=pair[1])
-        _irfft(pair, n, out=real)
-        if k == 2:      # np.power's bits at about a quarter of its cost
+    def __call__(self, out: np.ndarray) -> np.ndarray:
+        """Write bins ``lo..top`` of the stage's right-hand side into ``out``
+        and return it."""
+        buf, zero = self._buf, self._zero
+        self._tail.fill(0.0)
+        if self.lo:
+            zero[0] = self._bin0
+            _hc_inverse(buf)
+            np.multiply(buf, buf, out=buf)
+            _hc_forward(buf)
+            return np.multiply(self._mult, self.stage, out=out)
+        zero[0] = self.stage[0].real
+        zero[1] = 0.0       # d^j u has no mean
+        np.copyto(self._row0, self._stage_inner)
+        np.multiply(self._dj, self._stage_inner, out=self._row1)
+        _hc_inverse(buf)
+        u, du = buf
+        if self._k == 2:      # np.power's bits at about a quarter of its cost
             np.square(u, out=u)
-        elif k > 1:
-            np.power(u, k, out=u)
+        elif self._k > 1:
+            np.power(u, self._k, out=u)
         np.multiply(u, du, out=u)
-        _rfft(u, out=out)
-        return np.multiply(neg_keep, out, out=out)
-
-    return rhs, keep
+        _hc_forward(u)
+        out[0] = -zero[0, 0]
+        np.multiply(-1.0, self._row0, out=out[1:])
+        return out
 
 
 def _steps(T: float, dt: float) -> int:
@@ -191,32 +240,40 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     is stored every ``stride`` steps, always including t=0 and t=T.  Raises
     :class:`SolverBlowup` carrying the surviving slices, and the step, time
     and max|u| of the last finite step, when the state stops being finite.
-    ``band`` pins the largest retained ``|q|`` (see ``_nonlinear_rhs``); the
+    ``band`` pins the largest retained ``|q|`` (see ``_BandRHS``); the
     default follows the grid's dealias rule.
 
-    The state is the dealiased ``rfft`` half spectrum; the phase factors, the
-    right-hand side's symbols and every stage buffer are built once, before
-    the step loop, and each stage is formed in place with the operands of
-    ``E (uh + dt/2 na)``, ``E uh + dt/2 nb``, ``E^2 uh + (dt E) nc`` and
-    ``E^2 uh + dt/6 (E^2 na + (2E)(nb + nc) + nd)`` in that order (a complex
-    product's last bits depend on the operand order).
+    The state is the retained band of the datum's ``rfft`` half spectrum,
+    bins ``0..top``; every slice, and the last finite state of an aborted
+    run, is synthesized from it.  The phase factors, the right-hand side's
+    symbols and every stage buffer are built once, on the bins ``lo..top``
+    that a stage carries, before the step loop.  Stages b, c and d are formed
+    in place in the right-hand side's ``stage``, with the operands of ``E (uh
+    + dt/2 na)``, ``E uh + dt/2 nb``, ``E^2 uh + (dt E) nc`` and ``E^2 uh +
+    dt/6 (E^2 na + (2E)(nb + nc) + nd)`` in that order (a complex product's
+    last bits depend on the operand order).  A step runs 8 in-place real
+    transforms.
     """
     nsteps = _steps(T, dt)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     g = u0.grid
-    rhs, keep = _nonlinear_rhs(params, g, band)
-    E = _group(params, g, dt / 2.0)
+    rhs = _BandRHS(params, g, band)
+    E = _group(params, g, dt / 2.0)[rhs.bins]
     E2 = E * E
     dtE = dt * E
     twoE = 2.0 * E
     half, sixth = dt / 2.0, dt / 6.0
-    uh = _rfft(u0.samples)
-    uh[~keep] = 0.0
-    na, nb, nc, nd, stage, tmp, E2uh = (np.empty_like(uh) for _ in range(7))
+    # two band states, each with a view of the bins a step updates; bin 0 of
+    # a conservative run is never written, so both start as the datum
+    uh = _band_spectrum(u0.samples, rhs.top)
+    nxt = uh.copy()
+    cur, new = uh[rhs.bins], nxt[rhs.bins]
+    na, nb, nc, nd, tmp, E2uh = (np.empty_like(cur) for _ in range(6))
+    stage = rhs.stage
 
-    def snapshot(coeffs: np.ndarray) -> RealField:
-        return RealField(g, _irfft(coeffs, g.n))
+    def snapshot(spec: np.ndarray) -> RealField:
+        return RealField(g, _band_samples(spec, g.n))
 
     times = [0.0]
     slices = [snapshot(uh)]
@@ -224,22 +281,23 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
     # below raises with the surviving slices
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
-            rhs(uh, na)
+            rhs.load(uh)
+            rhs(na)
             # b = E (uh + dt/2 na)
             np.multiply(half, na, out=stage)
-            np.add(uh, stage, out=stage)
+            np.add(cur, stage, out=stage)
             np.multiply(E, stage, out=stage)
-            rhs(stage, nb)
+            rhs(nb)
             # c = E uh + dt/2 nb
-            np.multiply(E, uh, out=stage)
+            np.multiply(E, cur, out=stage)
             np.multiply(half, nb, out=tmp)
             stage += tmp
-            rhs(stage, nc)
+            rhs(nc)
             # d = E^2 uh + (dt E) nc
-            np.multiply(E2, uh, out=E2uh)
+            np.multiply(E2, cur, out=E2uh)
             np.multiply(dtE, nc, out=stage)
             np.add(E2uh, stage, out=stage)
-            rhs(stage, nd)
+            rhs(nd)
             # uh = E^2 uh + dt/6 (E^2 na + (2E)(nb + nc) + nd)
             nb += nc
             np.multiply(twoE, nb, out=nb)
@@ -247,16 +305,16 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
             na += nb
             na += nd
             np.multiply(sixth, na, out=na)
-            # into the free stage buffer: the last finite state survives a failure
-            np.add(E2uh, na, out=stage)
-            if not np.all(np.isfinite(stage.view(float))):
+            # into the other state: the last finite state survives a failure
+            np.add(E2uh, na, out=new)
+            if not np.isfinite(new.view(float)).all():
                 t, max_abs = step * dt, snapshot(uh).linf()
                 raise SolverBlowup(
                     f"state became non-finite at step {step} (t={t:.6g}); "
                     f"max|u| before failure {max_abs:.3e}",
                     Trajectory(g, np.array(times), slices, params, dt),
                     step=step, t=t, max_abs=max_abs)
-            uh, stage = stage, uh
+            uh, nxt, cur, new = nxt, uh, new, cur
             if step % stride == 0 or step == nsteps:
                 times.append(step * dt)
                 slices.append(snapshot(uh))
@@ -289,14 +347,15 @@ def duhamel_quadrature(traj: Trajectory) -> RealField:
     if not np.allclose(hsteps, h, rtol=1e-8):
         raise ValueError("stored times must be uniformly spaced")
     g = traj.grid
-    rhs, _ = _nonlinear_rhs(params, g)
+    rhs = _BandRHS(params, g)
     T = float(traj.times[-1])
-    acc = np.zeros(g.n // 2 + 1, dtype=complex)
-    nh = np.empty_like(acc)
+    # a conservative right-hand side leaves bin 0 at zero
+    acc = np.zeros(rhs.top + 1, dtype=complex)
+    nh = np.empty_like(acc[rhs.bins])
     for i, (t, s) in enumerate(zip(traj.times, traj.slices)):
         w = 1.0 if i in (0, m) else (4.0 if i % 2 == 1 else 2.0)
-        rhs(_rfft(s.samples), nh)
-        acc += w * _group(params, g, T - t) * nh
+        rhs.load(_band_spectrum(s.samples, rhs.top))
+        rhs(nh)
+        acc[rhs.bins] += w * _group(params, g, T - t)[rhs.bins] * nh
     acc *= h / 3.0
-    return RealField(g, _irfft(acc, g.n))
-
+    return RealField(g, _band_samples(acc, g.n))

@@ -6,8 +6,8 @@ The grid covers ``[-L/2, L/2)`` with ``n`` evenly spaced nodes
 ``x_m = -L/2 + m*dx`` and carries the frequencies ``xi_q = 2*pi*q/L``.
 
 Spectral coefficients are the ``n//2 + 1`` bins ``q = 0, ..., n/2`` of
-``scipy.fft.rfft`` of the samples, in its raw normalization: the half
-spectrum the solver holds.  Every operator multiplies it by a symbol's
+``scipy.fft.rfft`` of the samples, in its raw normalization; the solver
+holds the retained band of it, bins ``0..top`` below Nyquist.  Every operator multiplies it by a symbol's
 values on the non-negative frequencies and returns ``irfft(..., n)``; real
 fields have Hermitian spectra, so the half spectrum determines the field.
 A grid caches its ``nodes`` and ``xi``, read-only; ``_bin_weights`` forms
@@ -31,7 +31,11 @@ at indices 0, 1, 3, ..., ``n - 1``, the imaginary parts of bins 1 to
 ``n/2 - 1`` at indices 2, 4, ..., ``n - 2``.  A transform overwrites its
 input, so a spectrum costs no array beyond the field's own.  Only this
 module indexes that order: ``_hc_add_scaled`` and ``_hc_multiply`` apply
-symbols, given on the rfft bins, to it.
+symbols, given on the rfft bins, to it, and ``_hc_band`` splits it, for a
+band of bins ``0..top`` below Nyquist, into bin 0's real slot, a complex
+view of bins 1 to ``top`` (their real and imaginary parts lie in pairs) and
+the tail; the solver's right-hand side writes its stages through those
+views.
 """
 
 from __future__ import annotations
@@ -131,9 +135,8 @@ class Grid:
         return xi
 
 
-def _rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``scipy.fft.rfft(x)`` along the last axis, bit for bit, written into
-    ``out`` when given.
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """``scipy.fft.rfft(x)`` along the last axis, bit for bit.
 
     This module is the package's one binding of the real transforms: it
     calls scipy's pocketfft kernel directly (see ``_load_pocketfft``), with
@@ -141,14 +144,13 @@ def _rfft(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     dispatch and argument checks, which cost about as much as the kernel at
     solver sizes.  ``x`` must be a real ndarray.
     """
-    return pypocketfft.r2c(x, (-1,), True, 0, out, 1)
+    return pypocketfft.r2c(x, (-1,), True, 0, None, 1)
 
 
-def _irfft(X: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """``scipy.fft.irfft(X, n)`` along the last axis, bit for bit, written
-    into ``out`` when given; ``X`` must be a complex ndarray of exactly
-    ``n//2 + 1`` bins on that axis."""
-    return pypocketfft.c2r(X, (-1,), n, False, 2, out, 1)
+def _irfft(X: np.ndarray, n: int) -> np.ndarray:
+    """``scipy.fft.irfft(X, n)`` along the last axis, bit for bit; ``X``
+    must be a complex ndarray of exactly ``n//2 + 1`` bins on that axis."""
+    return pypocketfft.c2r(X, (-1,), n, False, 2, None, 1)
 
 
 def _hc_forward(a: np.ndarray) -> np.ndarray:
@@ -164,9 +166,20 @@ def _hc_forward(a: np.ndarray) -> np.ndarray:
 
 
 def _hc_inverse(a: np.ndarray) -> np.ndarray:
-    """``_irfft(X, n)`` of the halfcomplex spectrum ``a`` of ``_hc_forward``,
-    written over ``a``, which it returns; equal to ``_irfft`` bit for bit."""
+    """``_irfft(X, n)`` of the halfcomplex spectra ``a`` of ``_hc_forward``
+    along the last axis, written over ``a``, which it returns; equal to
+    ``_irfft`` bit for bit, and one call over several rows to one call per
+    row."""
     return pypocketfft.r2r_fftpack(a, (-1,), False, False, 2, a, 1)
+
+
+def _hc_band(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the halfcomplex spectra along the last axis of ``a`` for a
+    band of bins ``0..top`` below Nyquist: bin 0's real slot (``a[..., :1]``),
+    the complex view of bins 1 to ``top`` (shape ``(..., top)``, ``r_q + i
+    i_q`` in place), and the tail above the band, which holds no retained
+    bin."""
+    return a[..., :1], a[..., 1:2 * top + 1].view(complex), a[..., 2 * top + 1:]
 
 
 def _hc_add_scaled(acc: np.ndarray, sym: np.ndarray, a: np.ndarray) -> None:

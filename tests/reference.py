@@ -1,7 +1,8 @@
 """Full-complex spectral reference for the oracle tests, the plain
 allocating IF-RK4 loop that ``evolve`` must match bit for bit, the plain
 allocating commutator that ``x_weight_commutator`` must match bit for bit,
-a brute-force quadrature of the decay probe's kernel, the running-product
+the solver's right-hand side read out as a rfft half spectrum, a
+brute-force quadrature of the decay probe's kernel, the running-product
 synthesis that the probe's phase-table synthesis replaced, the bounds that
 size the probe's contour panels, and the exact Talbot sum of the linear group
 at rational times.
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.fft import irfft, rfft
 
 from hkdvlab.fields import weighted
-from hkdvlab.propagators import dispersion_phase, linear_flow
+from hkdvlab.propagators import _BandRHS, dispersion_phase, linear_flow
 from hkdvlab.spectral import (DECAY_GATE, RealField, dealias_cutoff, deriv_symbol, derivative,
                               require_decay)
 
@@ -115,6 +116,24 @@ def x_weight_commutator_plain(params, t: float, u0: RealField,
     den = xwu0.l2()
     num = math.sqrt(g.dx * float(np.sum(resid ** 2)))
     return num / den if den > 0 else num
+
+
+def retained_bins(params, grid, band=None) -> np.ndarray:
+    """The mask of the ``n//2 + 1`` rfft bins that ``evolve`` retains: the
+    band ``0..top`` of its right-hand side."""
+    return np.arange(grid.n // 2 + 1) <= _BandRHS(params, grid, band).top
+
+
+def band_rhs(params, grid, uh: np.ndarray, band=None) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's right-hand side at the rfft half spectrum ``uh`` as a
+    half spectrum, zero above the retained band, and the mask of retained
+    bins; ``uh``'s bins above the band are not read."""
+    rhs = _BandRHS(params, grid, band)
+    keep = np.arange(grid.n // 2 + 1) <= rhs.top
+    out = np.zeros(grid.n // 2 + 1, dtype=complex)
+    rhs.load(uh[keep])
+    rhs(out[rhs.bins])
+    return out, keep
 
 
 def kernel_trapezoid(j: int, t: float, env: float, x: np.ndarray, step: float,

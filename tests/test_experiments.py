@@ -12,11 +12,12 @@ import pytest
 
 import hkdvlab.experiments as experiments
 import hkdvlab.fields as fields
+import reference
 from hkdvlab.cli import main
 from hkdvlab.errors import ConfigError, SolverBlowup
 from hkdvlab.experiments import (SUITES, _compare, _in_range, default_config, emit_plots,
                                  list_suites, parse_config, run)
-from hkdvlab.propagators import DispersionParams, _nonlinear_rhs, evolve
+from hkdvlab.propagators import DispersionParams, evolve
 from hkdvlab.spectral import dealias_cutoff, make_grid
 
 
@@ -338,8 +339,8 @@ class TestPropagationBand:
     @pytest.mark.parametrize("k,n", [(1, 2048), (2, 2048), (1, 4096)])
     def test_base_run_retains_the_dealias_band(self, monkeypatch, tmp_path, k, n):
         def spy(params, u0, T, dt, stride=1, **pin):
-            # evolve hands its band pin on to _nonlinear_rhs under the same name
-            raise _BaseRun(u0.grid, _nonlinear_rhs(params, u0.grid, **pin)[1])
+            # evolve hands its band pin on to _BandRHS under the same name
+            raise _BaseRun(u0.grid, reference.retained_bins(params, u0.grid, **pin))
 
         monkeypatch.setattr(experiments, "evolve", spy)
         cfg = parse_config(f"[experiment]\nname = propagation\n[params]\nk = {k}\n"

@@ -5,11 +5,13 @@ import pytest
 from scipy.fft import irfft, rfft
 
 import hkdvlab.fields as fields
+import hkdvlab.spectral as spectral
 import reference
 from hkdvlab.errors import SolverBlowup, UnstableConjugation
-from hkdvlab.propagators import (DispersionParams, Trajectory, _nonlinear_rhs,
-                                 conjugated_flow, dispersion_phase, duhamel_quadrature,
-                                 duhamel_split, evolve, linear_flow)
+from hkdvlab.experiments import default_config
+from hkdvlab.propagators import (DispersionParams, Trajectory, conjugated_flow,
+                                 dispersion_phase, duhamel_quadrature, duhamel_split, evolve,
+                                 linear_flow)
 from hkdvlab.spectral import RealField, dealias_cutoff, derivative, make_grid
 
 KDV = DispersionParams(1, 1)
@@ -200,6 +202,22 @@ class TestEvolve:
         assert exc.value.partial is not None
         assert len(exc.value.partial) >= 1
 
+    def test_blowup_reports_the_last_finite_state(self):
+        # the record is synthesized from the band state of the step before
+        # the failure; the plain loop's slice there has the same max|u|
+        g = make_grid(128, 10.0)
+        u0 = fields.gaussian(g, width=1.0, amplitude=50.0)
+        dt = 0.05
+        with pytest.raises(SolverBlowup) as exc:
+            evolve(KDV, u0, 2.0, dt, stride=1)
+        err = exc.value
+        assert err.step >= 2 and err.t == err.step * dt
+        times, slices = reference.plain_ifrk4(KDV, u0, (err.step - 1) * dt, dt)
+        assert err.max_abs == np.max(np.abs(slices[-1]))
+        assert np.array_equal(err.partial.times, times)
+        for got, want in zip(err.partial.slices, slices):
+            assert np.array_equal(got.samples, want)
+
     def test_dt_must_divide(self):
         g = make_grid(64, 20.0)
         with pytest.raises(ValueError, match="multiple"):
@@ -296,7 +314,7 @@ class TestTrajectory:
 def _assert_keeps_former_cut(params, g, band, xi_cut):
     """``band`` retains exactly the bins that the float pin ``xi <= xi_cut``
     it replaces retained below the dealias rule."""
-    _, keep = _nonlinear_rhs(params, g, band)
+    keep = reference.retained_bins(params, g, band)
     former = np.arange(g.n // 2 + 1) <= dealias_cutoff(g.n, params.k)
     assert np.array_equal(keep, former & (g.xi <= xi_cut))
 
@@ -320,15 +338,15 @@ class TestBandPinning:
 
     def test_band_above_the_rule_changes_nothing(self):
         g = make_grid(256, 60.0)
-        _, rule = _nonlinear_rhs(KDV, g)
+        rule = reference.retained_bins(KDV, g)
         for band in (dealias_cutoff(g.n, 1), g.n):
-            assert np.array_equal(_nonlinear_rhs(KDV, g, band)[1], rule)
+            assert np.array_equal(reference.retained_bins(KDV, g, band), rule)
 
     def test_band_zero_keeps_the_mean_and_negative_raises(self):
         g = make_grid(64, 10.0)
-        assert np.flatnonzero(_nonlinear_rhs(KDV, g, 0)[1]).tolist() == [0]
+        assert np.flatnonzero(reference.retained_bins(KDV, g, 0)).tolist() == [0]
         with pytest.raises(ValueError, match="band must be >= 0"):
-            _nonlinear_rhs(KDV, g, -1)
+            reference.retained_bins(KDV, g, -1)
 
 
 def _reference_ifrk4(params, u0, T, dt, band=None):
@@ -387,14 +405,17 @@ class TestAgainstComplexReference:
 
 
 class TestMatchesPlainLoop:
-    """``evolve`` forms every stage in place, in buffers allocated once, and
-    transforms through the package's own binding of the pocketfft kernel;
-    ``reference.plain_ifrk4`` is the same scheme with public ``scipy.fft``
-    calls and a fresh array for every intermediate.  The arithmetic is the
-    same, so every stored slice is equal bit for bit."""
+    """``evolve`` steps the retained band, forms every stage in place, in
+    buffers allocated once, and transforms in place in halfcomplex order;
+    ``reference.plain_ifrk4`` is the same scheme on whole rfft half spectra,
+    with public ``scipy.fft`` calls and a fresh array for every intermediate.
+    The arithmetic on every retained bin is the same, so every stored slice
+    is equal bit for bit."""
 
-    @pytest.mark.parametrize("j,k,stride,band", [(1, 1, 7, None), (1, 2, 25, 38),
-                                                 (2, 1, 10, None)])
+    @pytest.mark.parametrize("j,k,stride,band", [
+        (1, 1, 7, None), (1, 2, 25, 38), (2, 1, 10, None), (3, 1, 10, None), (1, 3, 10, None),
+        # band 0 keeps bin 0 alone: the (1, 1) stage is then empty
+        (1, 1, 7, 0), (1, 2, 25, 0)])
     def test_bitwise_equal(self, j, k, stride, band):
         g = make_grid(256, 60.0)
         x = g.nodes
@@ -403,7 +424,7 @@ class TestMatchesPlainLoop:
         p = DispersionParams(j, k)
         T, dt = 0.3, 1e-3
         if band is not None:
-            _assert_keeps_former_cut(p, g, band, 4.0)
+            _assert_keeps_former_cut(p, g, band, {38: 4.0, 0: 0.1}[band])
         traj = evolve(p, u0, T, dt, stride=stride, band=band)
         times, slices = reference.plain_ifrk4(p, u0, T, dt, stride, band)
         assert len(traj) == len(slices) > 2
@@ -413,6 +434,23 @@ class TestMatchesPlainLoop:
         # the nonlinear part is far above rounding
         lin = linear_flow(p, T, u0).samples
         assert np.max(np.abs(traj.final().samples - lin)) > 1e-3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_smoothing_datum_bitwise_equal(self, k):
+        # 500 steps of the smoothing suite's seed-0 run: for k = 1 the
+        # conservative right-hand side holds bin 0 fixed instead of stepping it
+        v = default_config("smoothing").values
+        g = make_grid(v[("grid", "n")], v[("suite", f"L_k{k}")])
+        u0 = fields.rough_spectrum_field(g, np.random.default_rng(0), s=v[("suite", "s")],
+                                         amplitude=v[("suite", "amplitude")])
+        p, dt = DispersionParams(1, k), v[("suite", f"dt_k{k}")]
+        traj = evolve(p, u0, 500 * dt, dt, stride=100)
+        times, slices = reference.plain_ifrk4(p, u0, 500 * dt, dt, stride=100)
+        assert len(traj) == len(slices) == 6
+        assert np.array_equal(traj.times, times)
+        for got, want in zip(traj.slices, slices):
+            assert np.array_equal(got.samples, want)
+        assert np.max(np.abs(traj.final().samples - u0.samples)) > 1e-3
 
 
 class TestConservativeRHS:
@@ -429,7 +467,7 @@ class TestConservativeRHS:
     @pytest.mark.parametrize("band", [None, 509])
     def test_matches_product_form(self, rng, band):
         g = make_grid(4096, 160.0)
-        rhs, keep = _nonlinear_rhs(KDV, g, band)
+        keep = reference.retained_bins(KDV, g, band)
         q = np.arange(g.n // 2 + 1)
         want = q <= dealias_cutoff(g.n, 1)
         if band is not None:
@@ -438,7 +476,7 @@ class TestConservativeRHS:
         assert np.array_equal(keep, want)
         uh = rfft(rng.standard_normal(g.n))
         uh[~keep] = 0.0
-        got, ref = rhs(uh, np.empty_like(uh)), self._product_rhs(g, uh, keep)
+        got, ref = reference.band_rhs(KDV, g, uh, band)[0], self._product_rhs(g, uh, keep)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_evolve_conserves_mean_and_mass(self, rng):
@@ -453,3 +491,53 @@ class TestConservativeRHS:
             assert abs(s.samples.sum() - mean0) <= 1e-12 * abs(mean0)
             assert abs(s.l2() - mass0) <= 1e-12 * mass0
         assert np.max(np.abs(traj.final().samples - u0.samples)) > 1e-3
+
+
+class _CountingKernel:
+    """Stands in for ``spectral.pypocketfft``: forwards every call to the
+    kernel and records each transform as ``(entry point, rows, direction)``."""
+
+    def __init__(self, kernel):
+        self._kernel = kernel
+        self.calls = []
+
+    def __getattr__(self, name):
+        entry = getattr(self._kernel, name)
+
+        def counted(a, axes, *args):
+            rows = a.size // a.shape[-1]
+            # r2r_fftpack's third argument is its direction; r2c and c2r
+            # have theirs in their names
+            way = ("forward" if args[1] else "inverse") if name == "r2r_fftpack" else ""
+            self.calls.append((name, rows, way))
+            return entry(a, axes, *args)
+
+        return counted
+
+
+class TestTransformCount:
+    """Each step runs 8 in-place halfcomplex transforms and no complex
+    ``c2r``/``r2c``: per right-hand side, one inverse (of ``u`` alone for
+    (1, 1), of ``u`` and ``d^j u`` in one 2-row call otherwise) and one
+    forward of the product."""
+
+    @pytest.mark.parametrize("k,inverse_rows", [(1, 1), (2, 2)])
+    def test_step_loop_transforms(self, monkeypatch, k, inverse_rows):
+        g = make_grid(4096, 160.0)
+        u0 = fields.gaussian(g, width=4.0, amplitude=0.5)
+        params, dt, N = DispersionParams(1, k), 1e-5, 6
+
+        def calls(nsteps):
+            kernel = _CountingKernel(spectral.pypocketfft)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "pypocketfft", kernel)
+                evolve(params, u0, nsteps * dt, dt, stride=10 ** 9)
+            return kernel.calls
+
+        short, long = calls(N), calls(2 * N)
+        # the run with N more steps shows the step loop's share
+        loop = {key: long.count(key) - short.count(key) for key in set(long)}
+        want = {("r2r_fftpack", inverse_rows, "inverse"): 4 * N,
+                ("r2r_fftpack", 1, "forward"): 4 * N}
+        assert {key: v for key, v in loop.items() if v} == want
+        assert not [c for c in long if c[0] in ("c2r", "r2c")]
