@@ -146,9 +146,10 @@ class _BandRHS:
     view of bins ``1..top`` and its tail.  A call writes the stage into the
     buffer and zeroes the tail, inverts the buffer in place, forms the
     product there, transforms it forward in place and applies the multiplier
-    on the band alone, writing bins ``bins = lo..top`` into the caller's
-    ``out``.  ``load(uh)`` makes a band spectrum the stage; a caller may
-    instead write bins ``lo..top`` of a stage straight into ``stage``.
+    on the band alone, writing bins ``lo..top`` (the slice ``bins`` of a band
+    spectrum) into the caller's ``out``.  ``load(uh)`` makes a band spectrum
+    the stage; a caller may instead write bins ``lo..top`` of a stage
+    straight into ``stage``.
 
     For (j, k) = (1, 1) the product is taken in conservative form, ``-
     F[(u^2)_x] / 2``, which needs one inverse transform instead of two.  Its
@@ -175,7 +176,7 @@ class _BandRHS:
         if self.lo:
             self._buf = np.empty(n)
             self._zero, self.stage, self._tail = _hc_band(self._buf, self.top)
-            # 0.5 * (-1) * (i xi): the dealias mask and the minus sign
+            # the 1/2 of (u^2)_x / 2 and the minus sign, times i xi
             self._mult = -0.5 * dj
         else:
             self._buf = np.empty((2, n))

@@ -7,9 +7,10 @@ The grid covers ``[-L/2, L/2)`` with ``n`` evenly spaced nodes
 
 Spectral coefficients are the ``n//2 + 1`` bins ``q = 0, ..., n/2`` of
 ``scipy.fft.rfft`` of the samples, in its raw normalization; the solver
-holds the retained band of it, bins ``0..top`` below Nyquist.  Every operator multiplies it by a symbol's
-values on the non-negative frequencies and returns ``irfft(..., n)``; real
-fields have Hermitian spectra, so the half spectrum determines the field.
+holds the retained band of it, bins ``0..top`` below Nyquist.  Every
+operator multiplies it by a symbol's values on the non-negative frequencies
+and returns ``irfft(..., n)``; real fields have Hermitian spectra, so the
+half spectrum determines the field.
 A grid caches its ``nodes`` and ``xi``, read-only; ``_bin_weights`` forms
 the weights ``w`` below.
 
