@@ -6,10 +6,11 @@ Subcommands::
     hkdvlab list [--json]
     hkdvlab plots <report.json>
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error,
-3 the run aborted with a typed error (``HkdvError``) before its verdicts; its
-``report.json`` records the error.  ``--seed`` and ``--output-dir`` replace
-the config's values before validation.
+Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error
+or a report ``plots`` cannot read, 3 the run aborted with a typed error
+(``HkdvError``) before its verdicts; its ``report.json`` records the error.
+``--seed`` and ``--output-dir`` replace the config's values before
+validation.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def main(argv=None) -> int:
     if args.command == "plots":
         try:
             written = emit_plots(args.report)
-        except FileNotFoundError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         for path in written:

@@ -9,10 +9,6 @@ class BoundaryDecayError(HkdvError):
     """A field violates the decay gate at the edges of the periodic box."""
 
 
-class UnstableConjugation(HkdvError):
-    """Exponentially conjugated propagator called with a growing symbol."""
-
-
 class SolverBlowup(HkdvError):
     """Time integration produced non-finite values.
 

@@ -1,4 +1,4 @@
-"""Linear group, conjugated smoothing semigroup, and the nonlinear integrator.
+"""Linear group and the nonlinear integrator.
 
 The equation family is ``u_t + u^(2j+1)_x + u^k u^(j)_x = 0``.  Its linear
 part is solved exactly by the unitary multiplier
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverBlowup, UnstableConjugation
+from .errors import SolverBlowup
 from .spectral import (Grid, RealField, _apply_half, _hc_band, _hc_forward, _hc_inverse, _power,
                        dealias_cutoff, deriv_symbol)
 
@@ -58,33 +58,6 @@ def _group(params: DispersionParams, grid: Grid, t: float) -> np.ndarray:
 def linear_flow(params: DispersionParams, t: float, u0: RealField) -> RealField:
     """Apply the unitary group at time ``t``."""
     return _apply_half(u0, _group(params, u0.grid, t))
-
-
-def conjugated_flow(params: DispersionParams, sigma: int, t: float,
-                    w0: RealField) -> RealField:
-    """Exponentially conjugated semigroup ``exp(-t (i xi - sigma)^(2j+1))``.
-
-    The exponent's real part, ``-t Re (i xi - sigma)^(2j+1)``, leads with
-    ``(-1)^j (2j+1) sigma t xi^(2j)``, so the symbol is bounded exactly when
-    ``(-1)^(j+1) t sigma > 0``; its sup is then ``exp(c_j |t|)``, with
-    ``c_j`` = 1, 4 and 64 for ``j`` = 1, 2 and 3.  Any other pairing of
-    weight orientation and time direction raises
-    :class:`UnstableConjugation`, which reports the growth the symbol
-    reaches on the grid.
-    """
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be +1 or -1")
-    if t == 0.0:
-        return RealField(w0.grid, w0.samples.copy())
-    z = (1j * w0.grid.xi - sigma) ** (2 * params.j + 1)
-    if (-1) ** (params.j + 1) * t * sigma < 0:
-        growth = float((-t * z.real).max())
-        raise UnstableConjugation(
-            f"symbol magnitude reaches exp({growth:.3g}) on this grid and grows "
-            f"without bound in xi; sigma={sigma:+d} with t={t} is unstable "
-            f"for j={params.j}")
-    # irfft reads only the real part of the Nyquist bin
-    return _apply_half(w0, np.exp(-t * z))
 
 
 @dataclass
@@ -321,42 +294,3 @@ def evolve(params: DispersionParams, u0: RealField, T: float, dt: float,
                 slices.append(snapshot(uh))
     return Trajectory(g, np.array(times), slices, params, dt)
 
-
-def duhamel_split(traj: Trajectory, u0: RealField) -> Trajectory:
-    """Nonlinear part ``z(t) = u(t) - W(t) u0`` at every stored time."""
-    params = traj.params
-    if u0.grid != traj.grid:
-        raise ValueError("datum grid differs from trajectory grid")
-    slices = [RealField(traj.grid, s.samples - linear_flow(params, t, u0).samples)
-              for t, s in zip(traj.times, traj.slices)]
-    return Trajectory(traj.grid, traj.times.copy(), slices, params, traj.dt)
-
-
-def duhamel_quadrature(traj: Trajectory) -> RealField:
-    """Composite-Simpson evaluation of the Duhamel integral at the final time.
-
-    Independent cross-check of :func:`duhamel_split`: integrates
-    ``W(T - t') N(u(t'))`` over the stored slices.  Needs an even number of
-    uniformly spaced intervals.
-    """
-    params = traj.params
-    m = len(traj) - 1
-    if m < 2 or m % 2 != 0:
-        raise ValueError("Simpson quadrature needs an even interval count")
-    hsteps = np.diff(traj.times)
-    h = float(hsteps[0])
-    if not np.allclose(hsteps, h, rtol=1e-8):
-        raise ValueError("stored times must be uniformly spaced")
-    g = traj.grid
-    rhs = _BandRHS(params, g)
-    T = float(traj.times[-1])
-    # a conservative right-hand side leaves bin 0 at zero
-    acc = np.zeros(rhs.top + 1, dtype=complex)
-    nh = np.empty_like(acc[rhs.bins])
-    for i, (t, s) in enumerate(zip(traj.times, traj.slices)):
-        w = 1.0 if i in (0, m) else (4.0 if i % 2 == 1 else 2.0)
-        rhs.load(_band_spectrum(s.samples, rhs.top))
-        rhs(nh)
-        acc[rhs.bins] += w * _group(params, g, T - t)[rhs.bins] * nh
-    acc *= h / 3.0
-    return RealField(g, _band_samples(acc, g.n))

@@ -1,5 +1,7 @@
 """Full-complex spectral reference for the oracle tests, the plain
-allocating IF-RK4 loop that ``evolve`` must match bit for bit, the plain
+allocating IF-RK4 loop that ``evolve`` must match bit for bit and its
+right-hand side ``plain_rhs``, the Duhamel split and its Simpson quadrature
+over ``plain_rhs``, the conjugated semigroup ``conjugated_flow``, the plain
 allocating commutator that ``x_weight_commutator`` must match bit for bit,
 the solver's right-hand side read out as a rfft half spectrum, a
 brute-force quadrature of the decay probe's kernel, the running-product
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.fft import irfft, rfft
 
 from hkdvlab.fields import weighted
-from hkdvlab.propagators import _BandRHS, dispersion_phase, linear_flow
+from hkdvlab.propagators import _BandRHS, Trajectory, dispersion_phase, linear_flow
 from hkdvlab.spectral import (DECAY_GATE, RealField, dealias_cutoff, deriv_symbol, derivative,
                               require_decay)
 
@@ -245,14 +247,12 @@ def talbot_flow(u0: RealField, j: int, P: int, Q: int) -> np.ndarray:
     return out
 
 
-def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,
-                band: int | None = None) -> tuple[list[float], list[np.ndarray]]:
-    """``evolve`` written the plain way: public ``scipy.fft`` calls, a fresh
-    array for every intermediate, the same expressions in the same operand
-    order.  Returns the stored times and samples."""
-    g = u0.grid
-    n, k = g.n, params.k
-    dj = deriv_symbol(g, params.j)
+def plain_rhs(params, grid, band: int | None = None):
+    """The solver's right-hand side on rfft half spectra, written the plain
+    way like ``plain_ifrk4``, and the mask of retained bins, off which the
+    right-hand side is zero."""
+    n, k = grid.n, params.k
+    dj = deriv_symbol(grid, params.j)
     keep = np.arange(n // 2 + 1) <= dealias_cutoff(n, k)
     if band is not None:
         keep &= np.arange(n // 2 + 1) <= band
@@ -266,6 +266,17 @@ def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,
         u, du = irfft(np.stack([uh, dj * uh]), n)
         return neg_keep * rfft((u ** k) * du)
 
+    return rhs, keep
+
+
+def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,
+                band: int | None = None) -> tuple[list[float], list[np.ndarray]]:
+    """``evolve`` written the plain way: public ``scipy.fft`` calls, a fresh
+    array for every intermediate, the same expressions in the same operand
+    order.  Returns the stored times and samples."""
+    g = u0.grid
+    n = g.n
+    rhs, keep = plain_rhs(params, g, band)
     E = np.exp(1j * dispersion_phase(params, g) * (dt / 2.0))
     E2 = E * E
     uh = rfft(u0.samples)
@@ -286,3 +297,62 @@ def plain_ifrk4(params, u0: RealField, T: float, dt: float, stride: int = 1,
             times.append(step * dt)
             slices.append(irfft(uh, n))
     return times, slices
+
+
+def duhamel_split(traj: Trajectory, u0: RealField) -> Trajectory:
+    """Nonlinear part ``z(t) = u(t) - W(t) u0`` at every stored time."""
+    if u0.grid != traj.grid:
+        raise ValueError("datum grid differs from trajectory grid")
+    slices = [RealField(traj.grid, s.samples - linear_flow(traj.params, t, u0).samples)
+              for t, s in zip(traj.times, traj.slices)]
+    return Trajectory(traj.grid, traj.times.copy(), slices, traj.params, traj.dt)
+
+
+def duhamel_quadrature(traj: Trajectory) -> RealField:
+    """Composite-Simpson Duhamel integral ``int W(T - t') N(u(t')) dt'`` over
+    the stored slices, each cut to the retained band, with ``plain_rhs``: the
+    cross-check of :func:`duhamel_split`.  Needs an even number of uniformly
+    spaced intervals."""
+    params, g = traj.params, traj.grid
+    m = len(traj) - 1
+    if m < 2 or m % 2 != 0:
+        raise ValueError("Simpson quadrature needs an even interval count")
+    hsteps = np.diff(traj.times)
+    h = float(hsteps[0])
+    if not np.allclose(hsteps, h, rtol=1e-8):
+        raise ValueError("stored times must be uniformly spaced")
+    rhs, keep = plain_rhs(params, g)
+    theta, T = dispersion_phase(params, g), float(traj.times[-1])
+    acc = np.zeros(g.n // 2 + 1, dtype=complex)
+    for i, (t, s) in enumerate(zip(traj.times, traj.slices)):
+        w = 1.0 if i in (0, m) else (4.0 if i % 2 == 1 else 2.0)
+        acc += w * np.exp(1j * (T - t) * theta) * rhs(np.where(keep, rfft(s.samples), 0.0))
+    return RealField(g, irfft(acc * (h / 3.0), g.n))
+
+
+class UnstableConjugation(Exception):
+    """``conjugated_flow`` called with a growing symbol."""
+
+
+def conjugated_flow(params, sigma: int, t: float, w0: RealField) -> RealField:
+    """Exponentially conjugated semigroup ``exp(-t (i xi - sigma)^(2j+1))``.
+
+    The exponent's real part leads with ``(-1)^j (2j+1) sigma t xi^(2j)``,
+    so the symbol is bounded exactly when ``(-1)^(j+1) t sigma > 0``; its sup
+    is then ``exp(c_j |t|)``, with ``c_j`` = 1, 4 and 64 for ``j`` = 1, 2 and
+    3.  Any other pairing raises :class:`UnstableConjugation`, which reports
+    the growth the symbol reaches on the grid.
+    """
+    if sigma not in (-1, 1):
+        raise ValueError("sigma must be +1 or -1")
+    if t == 0.0:
+        return RealField(w0.grid, w0.samples.copy())
+    z = (1j * w0.grid.xi - sigma) ** (2 * params.j + 1)
+    if (-1) ** (params.j + 1) * t * sigma < 0:
+        growth = float((-t * z.real).max())
+        raise UnstableConjugation(
+            f"symbol magnitude reaches exp({growth:.3g}) on this grid and grows "
+            f"without bound in xi; sigma={sigma:+d} with t={t} is unstable "
+            f"for j={params.j}")
+    # irfft reads only the real part of the Nyquist bin
+    return RealField(w0.grid, irfft(np.exp(-t * z) * rfft(w0.samples), w0.grid.n))

@@ -16,9 +16,9 @@ import hkdvlab.fields as fields
 from hkdvlab.experiments import default_config, run
 from hkdvlab.identities import solve_coefficients, verify_reduction_identity
 from hkdvlab.norms import CutoffFunction
-from hkdvlab.propagators import (DispersionParams, conjugated_flow, duhamel_quadrature,
-                                 duhamel_split, evolve, linear_flow)
+from hkdvlab.propagators import DispersionParams, evolve, linear_flow
 from hkdvlab.spectral import RealField, derivative, frac_deriv, make_grid, stein_deriv
+from reference import conjugated_flow, duhamel_quadrature, duhamel_split
 
 
 def _verdict(num, ok, detail):

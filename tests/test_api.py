@@ -44,15 +44,16 @@ def test_every_definition_has_a_caller():
     # any caller reads the same identifier, e.g. a method named ``stack``
     # would pass through ``np.stack``, or one named ``scale`` through a local
     # variable of that name.  It catches code that no identifier reaches.
+    # Tests do not count as callers: a witness only tests call lives in
+    # tests/reference.py, not in the package.
     modules = sorted(PACKAGE.glob("*.py"))
     callers = [p for p in modules if p.name != "__init__.py"]
-    callers += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+    callers += sorted((ROOT / "bench").glob("*.py"))
     used = set().union(*(_referenced_names(p) for p in callers))
     defined = [name for p in modules for name in _defined_names(p)]
     uncalled = sorted(name for name in defined if name.rsplit(".", 1)[1] not in used)
     assert not uncalled, (
-        f"defined but referenced nowhere in src/hkdvlab, tests/test_acceptance.py "
-        f"or bench/: {', '.join(uncalled)}")
+        f"defined but referenced nowhere in src/hkdvlab or bench/: {', '.join(uncalled)}")
 
 
 def _dataclass_fields(path: Path) -> dict[str, list[str]]:

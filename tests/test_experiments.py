@@ -517,3 +517,14 @@ class TestCLI:
         main(["run", "persistence", "--output-dir", str(tmp_path)])
         rc = main(["plots", str(tmp_path / "persistence" / "report.json")])
         assert rc == 0
+
+    @pytest.mark.parametrize("kind", ["not_json", "directory"])
+    def test_plots_unreadable_report_exit_two(self, tmp_path, capsys, kind):
+        report = tmp_path / "report.json"
+        if kind == "directory":
+            report.mkdir()
+        else:
+            report.write_text("pass = true\n")
+        assert main(["plots", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

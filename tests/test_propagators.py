@@ -7,12 +7,12 @@ from scipy.fft import irfft, rfft
 import hkdvlab.fields as fields
 import hkdvlab.spectral as spectral
 import reference
-from hkdvlab.errors import SolverBlowup, UnstableConjugation
+from hkdvlab.errors import SolverBlowup
 from hkdvlab.experiments import default_config
-from hkdvlab.propagators import (DispersionParams, Trajectory, conjugated_flow,
-                                 dispersion_phase, duhamel_quadrature, duhamel_split, evolve,
+from hkdvlab.propagators import (DispersionParams, Trajectory, dispersion_phase, evolve,
                                  linear_flow)
 from hkdvlab.spectral import RealField, dealias_cutoff, derivative, make_grid
+from reference import UnstableConjugation, conjugated_flow, duhamel_quadrature, duhamel_split
 
 KDV = DispersionParams(1, 1)
 
@@ -242,11 +242,13 @@ class TestEvolve:
 
 
 class TestDuhamel:
-    @pytest.fixture
-    def setup(self):
+    # k = 2 runs the solver's two-row right-hand side, k = 1 its
+    # conservative one
+    @pytest.fixture(params=[1, 2])
+    def setup(self, request):
         g = make_grid(256, 60.0)
         u0 = fields.gaussian(g, width=2.0, amplitude=1.0)
-        traj = evolve(KDV, u0, 0.5, 1e-3, stride=5)
+        traj = evolve(DispersionParams(1, request.param), u0, 0.5, 1e-3, stride=5)
         return g, u0, traj
 
     def test_zero_at_time_zero(self, setup):
