@@ -6,9 +6,10 @@ Subcommands::
     hkdvlab list [--json]
     hkdvlab plots <report.json>
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error
-or a report ``plots`` cannot read, 3 the run aborted with a typed error
-(``HkdvError``) before its verdicts; its ``report.json`` records the error.
+Exit codes: 0 all checks passed, 1 some check failed, 2 configuration error,
+or for ``plots`` a report it cannot read or a file that is not a report, 3
+the run aborted with a typed error (``HkdvError``) before its verdicts; its
+``report.json`` records the error.
 ``--seed`` and ``--output-dir`` replace the config's values before
 validation.
 """

@@ -26,7 +26,7 @@ from . import fields
 from .blowup import (BlowupDatumSpec, build_blowup_datum, coprime_pairs, irrationality_gap,
                      jump_quotients, smoothing_gain)
 from .errors import ConfigError, HkdvError, SolverBlowup
-from .identities import (MAX_COEFF_ORDER, dispersive_decay_probe, solve_coefficients,
+from .identities import (dispersive_decay_probe, solve_coefficients,
                          verify_reduction_identity, x_weight_commutator)
 from .norms import CutoffFunction, WindowSpec, mixed_norm, window_energy, weighted_norm
 from .propagators import DispersionParams, Trajectory, _steps, evolve, linear_flow
@@ -76,7 +76,6 @@ def _in_range(name: str, value: float, lo: float, hi: float) -> Check:
 class ExperimentReport:
     suite: str
     config: dict
-    rng: str
     checks: list[Check] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
     wall_clock: float = 0.0
@@ -89,17 +88,8 @@ class ExperimentReport:
         return self.error is None and all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "suite": self.suite,
-            "config": self.config,
-            "rng": self.rng,
-            "checks": [asdict(c) for c in self.checks],
-            "artifacts": self.artifacts,
-            "error": self.error,
-            "pass": self.passed,
-            "wall_clock": self.wall_clock,
-        }
-        return json.dumps(payload, indent=1, sort_keys=True)
+        return json.dumps({**asdict(self), "pass": self.passed, "rng": RNG_ALGORITHM},
+                          indent=1, sort_keys=True)
 
 
 def _write_csv(outdir: str, name: str, header: list[str], rows: list[tuple]) -> str:
@@ -281,8 +271,7 @@ def _run_decay(cfg: ExperimentConfig, outdir: str):
 
 
 def _check_identities(v: dict) -> None:
-    _need(1 <= v[("suite", "reduction_j_max")] <= MAX_COEFF_ORDER,
-          f"suite.reduction_j_max must lie in [1, {MAX_COEFF_ORDER}]")
+    _owned(v, solve_coefficients, ("suite", "reduction_j_max"))
 
 
 #: bounds of the reduction, linear-flow algebra, commutator and Richardson errors
@@ -832,7 +821,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
         record = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SolverBlowup):
             record.update(step=exc.step, t=exc.t, max_abs=exc.max_abs)
-    report = ExperimentReport(cfg.name, cfg.flat(), RNG_ALGORITHM, checks, artifacts,
+    report = ExperimentReport(cfg.name, cfg.flat(), checks, artifacts,
                               time.perf_counter() - t0, record)
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.to_json())
@@ -850,14 +839,21 @@ def emit_plots(report_path: str) -> list[str]:
     """Write one renderer-agnostic plot script per plottable CSV artifact.
 
     Each script carries the report's flat config as ``CONFIG``; the contrast
-    script draws the frozen bound its verdict is checked against.
+    script draws the frozen bound its verdict is checked against.  Raises
+    ValueError for a file that is not JSON or not a report.
     """
     with open(report_path) as fh:
         report = json.load(fh)
+    if not isinstance(report, dict):
+        raise ValueError(f"{report_path} is not a report: not a JSON object")
+    config, artifacts = report.get("config", {}), report.get("artifacts", [])
+    if not isinstance(config, dict):
+        raise ValueError(f"{report_path} is not a report: its config is not an object")
+    if not (isinstance(artifacts, list) and all(isinstance(a, str) for a in artifacts)):
+        raise ValueError(f"{report_path} is not a report: its artifacts are not a list of paths")
     outdir = os.path.dirname(os.path.abspath(report_path))
-    config = report.get("config", {})
     written = []
-    for art in report.get("artifacts", []):
+    for art in artifacts:
         base = os.path.basename(art)
         if base not in _PLOT_BODIES:
             continue

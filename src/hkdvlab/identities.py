@@ -22,7 +22,7 @@ from .propagators import DispersionParams, _group, _phase
 from .spectral import (DECAY_GATE, RealField, _hc_add_scaled, _hc_forward, _hc_inverse,
                        _hc_multiply, band_limit_check, deriv_symbol, derivative, require_decay)
 
-MAX_COEFF_ORDER = 32
+_MAX_COEFF_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ def solve_coefficients(j: int) -> CoefficientVector:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    if j > MAX_COEFF_ORDER:
-        raise ValueError(f"j > {MAX_COEFF_ORDER} not supported")
+    if j > _MAX_COEFF_ORDER:
+        raise ValueError(f"j > {_MAX_COEFF_ORDER} not supported")
     c: list[Fraction | None] = [None] * j + [Fraction(1)]
     for m in range(j - 1, -1, -1):
         acc = Fraction(0)

@@ -86,9 +86,8 @@ class CutoffFunction:
     normalized integral of the standard bump, rescaled to [eps, b].
 
     ``chi(x) = (1/Z) * integral of exp(-1/(s(1-s)))`` over the rescaled
-    coordinate; derivatives up to order three are evaluated in closed form
-    from the bump, never by differencing.  Values and derivatives accept
-    scalar or array arguments.
+    coordinate, tabulated by the trapezoid rule on ``_QUAD_POINTS`` nodes and
+    interpolated.  Accepts scalar or array arguments.
     """
 
     _QUAD_POINTS = 20001
@@ -101,45 +100,17 @@ class CutoffFunction:
         self._eps = eps
         self._h = b - eps
         s = np.linspace(0.0, 1.0, self._QUAD_POINTS)
-        rho = self._bump(s, 0)
+        rho = np.zeros_like(s)
+        inner = s[1:-1]
+        rho[1:-1] = np.exp(-1.0 / (inner * (1.0 - inner)))
         cdf = np.concatenate(([0.0], np.cumsum((rho[1:] + rho[:-1]) * 0.5 * np.diff(s))))
-        self._Z = float(cdf[-1])
         self._sgrid = s
-        self._cdf = cdf / self._Z
-
-    @staticmethod
-    def _bump(s, order: int):
-        """Derivative of order 0, 1 or 2 of the bump ``exp(-1/(s(1-s)))`` on
-        (0, 1), zero outside."""
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        inside = (s > 0.0) & (s < 1.0)
-        si = s[inside]
-        p = si * (1.0 - si)
-        rho = np.exp(-1.0 / p)
-        if order:
-            gp = (2.0 * si - 1.0) / p ** 2
-            if order == 1:
-                rho = -gp * rho
-            else:
-                gpp = 2.0 / p ** 2 + 2.0 * (2.0 * si - 1.0) ** 2 / p ** 3
-                rho = (gp * gp - gpp) * rho
-        out[inside] = rho
-        return out
-
-    def _to_unit(self, x):
-        return (np.asarray(x, dtype=float) - self._eps) / self._h
+        self._cdf = cdf / cdf[-1]
 
     def __call__(self, x):
-        s = np.clip(self._to_unit(x), 0.0, 1.0)
+        s = np.clip((np.asarray(x, dtype=float) - self._eps) / self._h, 0.0, 1.0)
         vals = np.interp(s, self._sgrid, self._cdf)
         return vals if vals.ndim else float(vals)
-
-    def derivative(self, x, order: int = 1):
-        if order not in (1, 2, 3):
-            raise ValueError("derivative orders 1..3 supported")
-        vals = self._bump(self._to_unit(x), order - 1) / (self._Z * self._h ** order)
-        return vals if np.ndim(vals) else float(vals)
 
 
 @dataclass(frozen=True)

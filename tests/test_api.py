@@ -13,47 +13,87 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hkdvlab"
 
 
-def _referenced_names(path: Path) -> set[str]:
-    """Names read as an AST ``Name`` or ``Attribute``; strings and comments
-    do not count, and neither do import statements or definitions."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+def _referenced_names(source: str) -> tuple[set[str], set[str]]:
+    """The identifiers ``source`` reads as an AST ``Name`` and those it reads
+    as an ``Attribute`` (``obj.name``); strings and comments do not count,
+    and neither do import statements or definitions."""
+    names, attributes = set(), set()
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+    return names, attributes
 
 
-def _defined_names(path: Path) -> list[str]:
-    """``module.name`` of every module-level function and class, and
-    ``module.Class.method`` of every public method or property."""
-    mod = path.stem
+def _uncalled(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.name`` of every module-level function and class in
+    ``modules`` (module name to source) whose name no caller reads, as a name
+    or as an attribute, and ``module.Class.method`` of every public method or
+    property whose name no caller reads as an attribute."""
+    names, attributes = set(), set()
+    for source in callers:
+        read, read_as_attribute = _referenced_names(source)
+        names |= read
+        attributes |= read_as_attribute
     out = []
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append(f"{mod}.{node.name}")
-        if isinstance(node, ast.ClassDef):
-            out += [f"{mod}.{node.name}.{item.name}" for item in node.body
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
-    return out
+    for mod, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                    node.name not in names | attributes):
+                out.append(f"{mod}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{mod}.{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                        and item.name not in attributes]
+    return sorted(out)
 
 
 def test_every_definition_has_a_caller():
     # The rule matches names, not bindings: a definition counts as called when
     # any caller reads the same identifier, e.g. a method named ``stack``
-    # would pass through ``np.stack``, or one named ``scale`` through a local
-    # variable of that name.  It catches code that no identifier reaches.
-    # Tests do not count as callers: a witness only tests call lives in
-    # tests/reference.py, not in the package.
+    # would pass through ``np.stack``.  A method counts only through an
+    # attribute read, so ``spectral.derivative(s, 1)`` reaches a method named
+    # ``derivative`` but ``derivative(s, 1)`` or a local variable of that name
+    # does not.  It catches code that no identifier reaches.  Tests do not
+    # count as callers: a witness only tests call lives in tests/reference.py,
+    # not in the package.
     modules = sorted(PACKAGE.glob("*.py"))
     callers = [p for p in modules if p.name != "__init__.py"]
     callers += sorted((ROOT / "bench").glob("*.py"))
-    used = set().union(*(_referenced_names(p) for p in callers))
-    defined = [name for p in modules for name in _defined_names(p)]
-    uncalled = sorted(name for name in defined if name.rsplit(".", 1)[1] not in used)
+    uncalled = _uncalled({p.stem: p.read_text() for p in modules},
+                         [p.read_text() for p in callers])
     assert not uncalled, (
         f"defined but referenced nowhere in src/hkdvlab or bench/: {', '.join(uncalled)}")
+
+
+_RAMP = """
+def ramp(x):
+    pass
+
+
+class Ramp:
+    def derivative(self, x, order):
+        pass
+"""
+
+
+@pytest.mark.parametrize("caller", [
+    "Ramp(1)(ramp(x))\nderivative(s, 1)",
+    "from .spectral import derivative\nchi = Ramp(1)\nderivative(chi(ramp(x)), 1)",
+    "derivative = ramp(Ramp)",
+])
+def test_caller_guard_flags_a_method_read_only_as_a_name(caller):
+    assert _uncalled({"norms": _RAMP}, [caller]) == ["norms.Ramp.derivative"]
+
+
+@pytest.mark.parametrize("caller", [
+    "chi = Ramp(1)\nchi.derivative(ramp(x), 1)",
+    "norms.ramp(norms.Ramp(1).derivative(x, 1))",
+    "d = Ramp.derivative\nr = ramp",
+])
+def test_caller_guard_passes_attribute_reads(caller):
+    assert not _uncalled({"norms": _RAMP}, [caller])
 
 
 def _dataclass_fields(path: Path) -> dict[str, list[str]]:

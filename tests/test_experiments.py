@@ -518,13 +518,17 @@ class TestCLI:
         rc = main(["plots", str(tmp_path / "persistence" / "report.json")])
         assert rc == 0
 
-    @pytest.mark.parametrize("kind", ["not_json", "directory"])
+    @pytest.mark.parametrize("kind", ["not_json", "directory", "list", "artifacts_int",
+                                      "artifact_int", "config_list"])
     def test_plots_unreadable_report_exit_two(self, tmp_path, capsys, kind):
         report = tmp_path / "report.json"
         if kind == "directory":
             report.mkdir()
         else:
-            report.write_text("pass = true\n")
+            report.write_text({"not_json": "pass = true\n", "list": "[]",
+                               "artifacts_int": '{"artifacts": 5}',
+                               "artifact_int": '{"artifacts": [5]}',
+                               "config_list": '{"config": []}'}[kind])
         assert main(["plots", str(report)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
