@@ -475,8 +475,11 @@ def _propagation_datum(g, rng, band, amplitude):
 
 def _check_propagation(v: dict) -> None:
     # the n-refinement doubles n, so the base grid is the one that must hold the band
+    # and the window energies' 2j+1 derivatives, which window_energy keeps within n/8
+    n, n_min = v[("grid", "n")], 8 * (2 * v[("params", "j")] + 1)
+    _need(n >= n_min, f"grid.n, params.j: n must be >= 8 (2j+1) = {n_min}, got {n}")
     q_lo, q_hi = _rough_band(v)
-    _need(1 <= q_lo <= q_hi < v[("grid", "n")] // 2, "suite.rough_band_lo and "
+    _need(1 <= q_lo <= q_hi < n // 2, "suite.rough_band_lo and "
           f"suite.rough_band_hi give q_lo = {q_lo}, q_hi = {q_hi}; need 1 <= q_lo <= q_hi < n/2")
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import KernelWindowError
 from .fields import weighted
 from .propagators import DispersionParams, _group, _phase
-from .spectral import (DECAY_GATE, RealField, _hc_add_scaled, _hc_forward, _hc_inverse,
-                       _hc_multiply, band_limit_check, deriv_symbol, derivative, require_decay)
+from .spectral import (DECAY_GATE, RealField, _hc_band, _hc_forward, _hc_inverse,
+                       band_limit_check, deriv_symbol, derivative, require_decay)
 
 _MAX_COEFF_ORDER = 32
 
@@ -103,12 +103,13 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
     correction share one inverse transform, ``irfft(E (rfft(x u0) + (2j+1) t
     (i xi)^(2j) rfft(u0)))``: four transforms in all.  They run in place on
     two buffers, ``x*u0`` and a copy of ``u0``, through ``spectral``'s
-    halfcomplex pair.  At the suite's largest call (n = 800,000, the inputs
-    already built) tracemalloc peaks at 3.52 arrays of ``8n`` bytes, while
-    the group is built.  In a fresh process the resident peak rises 2.57
-    such arrays above its pre-call high-water mark, which still counts the
-    freed temporaries that built the inputs, and 4.05 above the pre-call
-    resident set; about one array is the kernel's plan for length ``n``.
+    halfcomplex pair, and both symbols act through ``spectral._hc_band``'s
+    views of the whole spectrum.  At the suite's largest call (n = 800,000,
+    the inputs already built) tracemalloc peaks at 3.52 arrays of ``8n``
+    bytes, while the group is built.  In a fresh process the resident peak
+    rises 2.57 such arrays above its pre-call high-water mark, which still
+    counts the freed temporaries that built the inputs, and 4.05 above the
+    pre-call resident set; about one array is the kernel's length-n plan.
     """
     g = u0.grid
     x = g.nodes
@@ -117,12 +118,20 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
     require_decay(xu0, rel=gate, what="x*u0")
     rhs = _hc_forward(xu0.samples)
     del xu0
-    u0h = u0.samples.copy()
-    _hc_forward(u0h)
-    _hc_add_scaled(rhs, (2 * params.j + 1) * t * deriv_symbol(g, 2 * params.j), u0h)
+    u0h = _hc_forward(u0.samples.copy())
+    top = g.n // 2 - 1
+    bands = (r0, r_in, r_nyq), (u_0, u_in, u_nyq) = _hc_band(rhs, top), _hc_band(u0h, top)
+    c = (2 * params.j + 1) * t * deriv_symbol(g, 2 * params.j)
+    r0 += c[0] * u_0
+    r_in.real += c[1:-1] * u_in.real
+    r_in.imag += c[1:-1] * u_in.imag
+    r_nyq += c[-1] * u_nyq
+    del c
     group = _group(params, g, t)
-    _hc_multiply(u0h, group)
-    _hc_multiply(rhs, group)
+    for zero, inner, nyquist in bands:
+        zero *= group[0].real
+        np.multiply(group[1:-1], inner, out=inner)
+        nyquist *= group[-1].real
     del group
     wu0 = _hc_inverse(u0h)
     xwu0 = RealField(g, np.multiply(x, wu0, out=wu0))

@@ -31,12 +31,12 @@ bit for bit, privately as ``n`` reals in FFTPACK's halfcomplex order
 at indices 0, 1, 3, ..., ``n - 1``, the imaginary parts of bins 1 to
 ``n/2 - 1`` at indices 2, 4, ..., ``n - 2``.  A transform overwrites its
 input, so a spectrum costs no array beyond the field's own.  Only this
-module indexes that order: ``_hc_add_scaled`` and ``_hc_multiply`` apply
-symbols, given on the rfft bins, to it, and ``_hc_band`` splits it, for a
-band of bins ``0..top`` below Nyquist, into bin 0's real slot, a complex
-view of bins 1 to ``top`` (their real and imaginary parts lie in pairs) and
-the tail; the solver's right-hand side writes its stages through those
-views.
+module indexes that order: ``_hc_band`` splits it, for a band of bins
+``0..top`` below Nyquist, into bin 0's real slot, a complex view of bins 1
+to ``top`` (their real and imaginary parts lie in pairs) and the tail.
+Callers apply symbols, given on the rfft bins, through those views: the
+solver's right-hand side writes its stages through them, and the
+commutator identity takes ``top = n/2 - 1``, whose tail is the Nyquist slot.
 """
 
 from __future__ import annotations
@@ -179,27 +179,9 @@ def _hc_band(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     band of bins ``0..top`` below Nyquist: bin 0's real slot (``a[..., :1]``),
     the complex view of bins 1 to ``top`` (shape ``(..., top)``, ``r_q + i
     i_q`` in place), and the tail above the band, which holds no retained
-    bin."""
+    bin.  ``top`` may be ``n/2 - 1``; the tail is then the Nyquist slot
+    ``a[..., -1:]``, and the three views cover the whole spectrum."""
     return a[..., :1], a[..., 1:2 * top + 1].view(complex), a[..., 2 * top + 1:]
-
-
-def _hc_add_scaled(acc: np.ndarray, sym: np.ndarray, a: np.ndarray) -> None:
-    """``acc += sym * a`` in place on halfcomplex spectra, for a real symbol
-    ``sym`` on the ``n//2 + 1`` rfft bins: each part of bin ``q`` is scaled
-    by ``sym[q]``, as the complex product scales them."""
-    acc[0] += sym[0] * a[0]
-    acc[1::2] += sym[1:] * a[1::2]
-    acc[2::2] += sym[1:-1] * a[2::2]
-
-
-def _hc_multiply(a: np.ndarray, sym: np.ndarray) -> None:
-    """``a *= sym`` in place on a halfcomplex spectrum, for a complex symbol
-    ``sym`` on the ``n//2 + 1`` rfft bins; bins 1 to ``n/2 - 1`` multiply
-    through a complex view of ``a``.  Bins 0 and ``n/2`` hold real values,
-    so the real part of the product there is ``sym.real * a``."""
-    a[[0, -1]] *= sym[[0, -1]].real
-    inner = a[1:-1].view(complex)
-    np.multiply(sym[1:-1], inner, out=inner)
 
 
 def _fast_len(n: int) -> int:

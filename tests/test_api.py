@@ -1,12 +1,14 @@
 """The package ships only what the program itself uses, runs no reduction
-on BLAS, binds the real FFT in one module, turns no dealias cutoff into a
-frequency by hand, and keeps the hooks the benchmark's traced runs install."""
+on BLAS, binds the real FFT in one module, views a spectrum as complex in
+one function, turns no dealias cutoff into a frequency by hand, and keeps
+the hooks the benchmark's traced runs install."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -321,6 +323,67 @@ def test_real_fft_guard_passes_the_helpers_and_complex_transforms():
         '"""Transforms through spectral\'s binding of the pocketfft kernel."""\n'
         "from scipy.fft import ifft, next_fast_len\n"
         "from .spectral import _fast_len, _irfft, _rfft\n_irfft(_rfft(x), n); ifft(y)")
+
+
+def _spells_complex(node) -> bool:
+    """Whether the dtype that ``node`` spells is complex, in any spelling
+    numpy reads (``complex``, ``np.complex128``, ``"c16"``, ``"D"``,
+    ``np.dtype(complex)``), or is not spelled out in the source at all."""
+    if isinstance(node, ast.Call) and node.args:
+        node = node.args[0]
+    spelled = next((getattr(node, key) for key in ("id", "attr", "value") if hasattr(node, key)),
+                   None)
+    try:
+        return not isinstance(spelled, str) or np.dtype(spelled).kind == "c"
+    except TypeError:
+        return True
+
+
+def _complex_views(source: str) -> list[str]:
+    """``scope: call`` for each ``.view(dtype)`` call in ``source`` whose
+    dtype ``_spells_complex``, with the dotted name of the innermost function
+    or class around it (``<module>`` at module level)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "view":
+                dtype = [*child.args[:1], *(k.value for k in child.keywords if k.arg == "dtype")]
+                if dtype and _spells_complex(dtype[0]):
+                    out.append(f"{scope or '<module>'}: {ast.unparse(child)}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_only_hc_band_views_a_spectrum_as_complex():
+    # a complex view of a halfcomplex buffer pairs its slots into bins, so it
+    # is the index map of FFTPACK's order; spectral._hc_band holds that map
+    # alone, and every caller applies its symbols through the band's views
+    uses = [f"{p.stem}.{use}" for p in sorted(PACKAGE.glob("*.py"))
+            for use in _complex_views(p.read_text())]
+    assert uses and all(use.startswith("spectral._hc_band: ") for use in uses), uses
+
+
+@pytest.mark.parametrize("source,use", [
+    *((f"def f(a):\n    return a[1:-1].view({dtype})", f"f: a[1:-1].view({dtype})")
+      for dtype in ("complex", "np.complex128", "numpy.cdouble", "'c16'", "'D'",
+                    "np.dtype(complex)", "dtype=complex", "spectrum_dtype")),
+    ("class Band:\n    def split(self, a):\n        return a.view(complex)\n",
+     "Band.split: a.view(complex)"),
+])
+def test_complex_view_guard_flags(source, use):
+    assert _complex_views(source) == [use]
+
+
+def test_complex_view_guard_passes_real_views():
+    assert not _complex_views(
+        "def step(new):\n    if not np.isfinite(new.view(float)).all():\n        raise E\n"
+        "    return a.view(np.int64), a.view(), a.view(type=np.ndarray)")
 
 
 def _is_cutoff_call(node) -> bool:

@@ -131,10 +131,14 @@ dt = 0.004
         ("persistence", "[grid]\nn = 4611686018427387904\n",
          "grid.n, grid.L: n must be <= 16777216, got 4611686018427387904"),
         ("blowup", "[suite]\nqmax = 300\n", "pmax * qmax must be <= 256, got 2 * 300"),
+        *(("propagation", f"[grid]\nn = {n}\n[params]\nj = {j}\n[suite]\nrough_band_lo = 0.02\n"
+           "rough_band_hi = 0.05\n", f"grid.n, params.j: n must be >= 8 (2j+1) = {n_min}, got {n}")
+          for n, j, n_min in ((16, 1, 24), (22, 1, 24), (32, 2, 40), (38, 2, 40))),
     ])
     def test_absurd_size_is_config_error(self, tmp_path, suite, body, message):
-        # unchecked, numpy fails on the 2^62-point array inside the run, and the
-        # 2 x 300 pair box makes a datum of about 2e5 n-point terms
+        # unchecked, numpy fails on the 2^62-point array inside the run, the
+        # 2 x 300 pair box makes a datum of about 2e5 n-point terms, and a
+        # propagation grid below 8 (2j+1) points fails in the window energies
         _assert_rejected(tmp_path, suite, body, message)
 
     @pytest.mark.parametrize("suite,steps,raw", [("persistence", "dt", "1"),

@@ -13,8 +13,8 @@ import hkdvlab.fields as fields
 import reference
 from hkdvlab.errors import BandLimitError, BoundaryDecayError
 from hkdvlab.propagators import DispersionParams, evolve, linear_flow
-from hkdvlab.spectral import (RealField, _bin_weights, _hc_add_scaled, _hc_forward,
-                              _hc_inverse, _hc_multiply, _hurwitz_zeta, _irfft, _rfft,
+from hkdvlab.spectral import (RealField, _bin_weights, _hc_band, _hc_forward,
+                              _hc_inverse, _hurwitz_zeta, _irfft, _rfft,
                               _stein_truncated, band_limit_check, dealias_cutoff,
                               deriv_symbol, derivative, frac_deriv, make_grid, require_decay,
                               stein_constant, stein_deriv, synthesize_at)
@@ -168,17 +168,43 @@ class TestTransformBinding:
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
     @pytest.mark.parametrize("n", [64, 510])
+    @pytest.mark.parametrize("below", [1, 0])
+    def test_band_views_are_the_rfft_bins(self, n, below):
+        # bins 0..top of a band up to n/2 - 1 (below = 1) or about n/4,
+        # bit for bit, and views of the buffer they were split from
+        x = np.random.default_rng(n).standard_normal(n)
+        want, top = rfft(x), n // 2 - 1 if below else n // 4
+        a = _hc_forward(x.copy())
+        zero, inner, tail = _hc_band(a, top)
+        for got, ref in ((zero, want[:1].real), (inner, want[1:top + 1]),
+                         (tail, _halfcomplex(want)[2 * top + 1:])):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        if below:
+            assert np.array_equal(tail.view(np.int64), want[-1:].real.view(np.int64))
+        zero[0], inner[-1], tail[-1] = 3.0, 5.0 + 7.0j, 9.0
+        assert (a[0], a[2 * top - 1], a[2 * top], a[-1]) == (3.0, 5.0, 7.0, 9.0)
+
+    @pytest.mark.parametrize("n", [64, 510])
     def test_halfcomplex_symbols_equal_complex_products(self, n):
-        # the in-place symbol products give the bits of the complex products
-        # on the rfft bins; a Hermitian symbol is real at bins 0 and n/2
+        # a real symbol added by parts and a complex one multiplied through
+        # the band views of the whole spectrum give the bits of the complex
+        # products on the rfft bins; a Hermitian symbol is real at bins 0 and n/2
         r = np.random.default_rng(n)
         a, b = rfft(r.standard_normal(n)), rfft(r.standard_normal(n))
         real = r.standard_normal(n // 2 + 1)
         group = np.exp(1j * r.standard_normal(n // 2 + 1))
         group[[0, -1]] = group[[0, -1]].real
         acc, hb = _halfcomplex(a), _halfcomplex(b)
-        _hc_add_scaled(acc, real, hb)
-        _hc_multiply(acc, group)
+        top = n // 2 - 1
+        (a0, a_in, a_nyq), (b0, b_in, b_nyq) = _hc_band(acc, top), _hc_band(hb, top)
+        a0 += real[0] * b0
+        a_in.real += real[1:-1] * b_in.real
+        a_in.imag += real[1:-1] * b_in.imag
+        a_nyq += real[-1] * b_nyq
+        a0 *= group[0].real
+        np.multiply(group[1:-1], a_in, out=a_in)
+        a_nyq *= group[-1].real
         want = _halfcomplex(group * (a + real * b))
         assert np.array_equal(acc.view(np.int64), want.view(np.int64))
 
