@@ -346,19 +346,21 @@ def _run_identities(cfg: ExperimentConfig, outdir: str):
     checks.append(_compare("unitarity_max", worst_u, "<", _ALGEBRA_TOL))
     checks.append(_compare("group_law_max", worst_g, "<", _ALGEBRA_TOL))
 
-    # first-moment commutator with padding study
-    rows = []
+    # first-moment commutator with padding study.  The cases run from the
+    # largest box down, each field and grid freed before the next is built:
+    # the 800,000-point case then meets a heap that no earlier case has grown
+    cases = [(j, t, label, LL, gate) for (j, t), L in sorted(_COMMUTATOR_L.items())
+             for label, LL, gate in (("half", L / 2, None), ("base", L, DECAY_GATE),
+                                     ("double", 2 * L, None))]
+    errs = {}
+    for j, t, label, LL, gate in sorted(cases, key=lambda case: -case[3]):
+        errs[j, t, label] = x_weight_commutator(
+            DispersionParams(j), t, fields.gaussian(_commutator_grid(LL), width=1.0), gate=gate)
+    rows = [(j, t, label, LL, errs[j, t, label]) for j, t, label, LL, _ in cases]
     worst_c, mono_ok = 0.0, True
-    for (j, t), L in sorted(_COMMUTATOR_L.items()):
-        params = DispersionParams(j)
-        errs = {}
-        for label, LL, gate in (("half", L / 2, None), ("base", L, DECAY_GATE),
-                                ("double", 2 * L, None)):
-            u0 = fields.gaussian(_commutator_grid(LL), width=1.0)
-            errs[label] = x_weight_commutator(params, t, u0, gate=gate)
-            rows.append((j, t, label, LL, errs[label]))
-        worst_c = max(worst_c, errs["base"])
-        mono_ok = mono_ok and errs["half"] > errs["base"] > errs["double"]
+    for j, t in sorted(_COMMUTATOR_L):
+        worst_c = max(worst_c, errs[j, t, "base"])
+        mono_ok = mono_ok and errs[j, t, "half"] > errs[j, t, "base"] > errs[j, t, "double"]
     artifacts.append(_write_csv(outdir, "commutator.csv",
                                 ["j", "t", "padding", "L", "relative_error"], rows))
     checks.append(_compare("commutator_max", worst_c, "<", _COMMUTATOR_TOL))

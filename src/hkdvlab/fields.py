@@ -10,8 +10,13 @@ from .spectral import Grid, RealField, _irfft
 
 def gaussian(grid: Grid, center: float = 0.0, width: float = 1.0,
              amplitude: float = 1.0) -> RealField:
-    x = grid.nodes
-    return RealField(grid, amplitude * np.exp(-((x - center) / width) ** 2))
+    # amplitude * exp(-((x - center) / width)**2), in place on one array
+    y = grid.nodes - center
+    y /= width
+    y *= y
+    np.exp(np.negative(y, out=y), out=y)
+    y *= amplitude
+    return RealField(grid, y)
 
 
 def random_band_limited(grid: Grid, rng: np.random.Generator, band: int,

@@ -18,11 +18,13 @@ import numpy as np
 
 from .errors import KernelWindowError
 from .fields import weighted
-from .propagators import DispersionParams, _group, _phase
-from .spectral import (DECAY_GATE, RealField, _hc_band, _hc_forward, _hc_inverse,
-                       band_limit_check, deriv_symbol, derivative, require_decay)
+from .propagators import DispersionParams, _phase
+from .spectral import (DECAY_GATE, RealField, _hc_band, _hc_forward, _hc_inverse, _power,
+                       band_limit_check, derivative, require_decay)
 
 _MAX_COEFF_ORDER = 32
+#: rfft bins per block in which the commutator builds its symbols
+_SYMBOL_BINS = 4096
 
 
 @dataclass(frozen=True)
@@ -99,17 +101,19 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
     ``x - 3t d^2`` commuting vector field).  The multiplication by ``x`` uses
     node coordinates, so validity is gated by boundary decay of ``u0``,
     ``x*u0``, and ``x*W(t)u0``, checked in that order (``gate=None`` skips
-    it).  The group symbol ``E`` is built once, and ``W(t)(x u0)`` and the
-    correction share one inverse transform, ``irfft(E (rfft(x u0) + (2j+1) t
-    (i xi)^(2j) rfft(u0)))``: four transforms in all.  They run in place on
-    two buffers, ``x*u0`` and a copy of ``u0``, through ``spectral``'s
-    halfcomplex pair, and both symbols act through ``spectral._hc_band``'s
-    views of the whole spectrum.  At the suite's largest call (n = 800,000,
-    the inputs already built) tracemalloc peaks at 3.52 arrays of ``8n``
-    bytes, while the group is built.  In a fresh process the resident peak
-    rises 2.57 such arrays above its pre-call high-water mark, which still
-    counts the freed temporaries that built the inputs, and 4.05 above the
-    pre-call resident set; about one array is the kernel's length-n plan.
+    it).  ``W(t)(x u0)`` and the correction share one inverse transform,
+    ``irfft(E (rfft(x u0) + (2j+1) t (i xi)^(2j) rfft(u0)))`` with the group
+    symbol ``E``: four transforms in all.  They run in place on two buffers,
+    ``x*u0`` and a copy of ``u0``, through ``spectral``'s halfcomplex pair.
+    Both symbols are built ``_SYMBOL_BINS`` bins at a time and act through
+    slices of ``spectral._hc_band``'s views, so no full-length symbol is
+    held.  At the suite's largest call (n = 800,000, the inputs already
+    built) tracemalloc peaks at 2.13 arrays of ``8n`` bytes: the two buffers
+    and a finiteness mask.  In a fresh process the resident peak rises 3.19
+    such arrays above its pre-call high-water mark, which still counts the
+    freed ``freq_index`` that built ``xi``, and 4.18 above the pre-call
+    resident set, during the second forward transform: the two buffers, the
+    kernel's length-n plan and its work copy.
     """
     g = u0.grid
     x = g.nodes
@@ -120,19 +124,32 @@ def x_weight_commutator(params: DispersionParams, t: float, u0: RealField,
     del xu0
     u0h = _hc_forward(u0.samples.copy())
     top = g.n // 2 - 1
-    bands = (r0, r_in, r_nyq), (u_0, u_in, u_nyq) = _hc_band(rhs, top), _hc_band(u0h, top)
-    c = (2 * params.j + 1) * t * deriv_symbol(g, 2 * params.j)
-    r0 += c[0] * u_0
-    r_in.real += c[1:-1] * u_in.real
-    r_in.imag += c[1:-1] * u_in.imag
-    r_nyq += c[-1] * u_nyq
-    del c
-    group = _group(params, g, t)
-    for zero, inner, nyquist in bands:
-        zero *= group[0].real
-        np.multiply(group[1:-1], inner, out=inner)
-        nyquist *= group[-1].real
-    del group
+    (r0, r_in, r_nyq), (u_0, u_in, u_nyq) = _hc_band(rhs, top), _hc_band(u0h, top)
+    scale, sign = (2 * params.j + 1) * t, (1.0, -1.0)[params.j % 2]
+
+    def symbols(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        # bins lo..hi-1 of scale * deriv_symbol(g, 2j) and _group(params, g, t)
+        xi = g.xi[lo:hi]
+        c = scale * (sign * _power(xi, 2 * params.j))
+        theta = _phase(xi, params.j, 1.0)
+        if hi == top + 2:
+            theta[-1] = 0.0
+        group = 1j * t * theta
+        return c, np.exp(group, out=group)
+
+    for lo in range(1, top + 1, _SYMBOL_BINS):
+        hi = min(lo + _SYMBOL_BINS, top + 1)
+        c, group = symbols(lo, hi)
+        r, u = r_in[lo - 1:hi - 1], u_in[lo - 1:hi - 1]
+        r.real += c * u.real
+        r.imag += c * u.imag
+        for inner in r, u:
+            np.multiply(group, inner, out=inner)
+    for r, u, q in (r0, u_0, 0), (r_nyq, u_nyq, top + 1):
+        c, group = symbols(q, q + 1)
+        r += c * u
+        for slot in r, u:
+            slot *= group.real
     wu0 = _hc_inverse(u0h)
     xwu0 = RealField(g, np.multiply(x, wu0, out=wu0))
     require_decay(xwu0, rel=gate, what="x*W(t)u0")

@@ -116,22 +116,30 @@ class Grid:
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
-        """``x_m = -L/2 + m*dx``, built once per grid and read-only."""
-        x = -self.L / 2 + self.dx * np.arange(self.n)
+        """``x_m = -L/2 + m*dx``, built once per grid, in place on its own
+        array, and read-only."""
+        x = np.arange(self.n, dtype=float)
+        x *= self.dx
+        x += -self.L / 2
         x.flags.writeable = False
         return x
 
     @property
     def freq_index(self) -> np.ndarray:
-        """Integer frequency indices q in numpy FFT order."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
+        """Integer frequency indices q in numpy FFT order, the bits of
+        ``np.fft.fftfreq(n, d=1/n)``, built in place on one float array."""
+        q = np.arange(self.n, dtype=float)
+        q[self.n // 2:] -= self.n
+        q *= 1.0 / (self.n * (1.0 / self.n))
+        return q
 
     @functools.cached_property
     def xi(self) -> np.ndarray:
-        """Frequencies of the ``n//2 + 1`` rfft bins, built once per grid and
-        read-only."""
+        """Frequencies of the ``n//2 + 1`` rfft bins, built once per grid
+        with no temporary beyond ``freq_index``, and read-only."""
         # FFT order puts q = -n/2 in the last half-spectrum slot; rfft has +n/2
-        xi = np.abs((2.0 * np.pi / self.L) * self.freq_index[: self.n // 2 + 1])
+        xi = np.multiply(2.0 * np.pi / self.L, self.freq_index[: self.n // 2 + 1])
+        np.abs(xi, out=xi)
         xi.flags.writeable = False
         return xi
 

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from hkdvlab.experiments import SUITES, default_config, run
+from hkdvlab.experiments import _COMMUTATOR_L, SUITES, _commutator_grid, default_config, run
 from hkdvlab.spectral import make_grid
 
 
@@ -20,6 +20,16 @@ def grid():
 @pytest.fixture
 def fine_grid():
     return make_grid(1024, 60.0)
+
+
+@pytest.fixture(scope="session")
+def geometry_boxes():
+    """``(n, L)`` for every even ``n`` from 16 to 3000 and the 18 commutator
+    grid sizes, up to 800,000, each at five box lengths: where grid geometry
+    and Gaussians are checked bit for bit against their plain expressions."""
+    sizes = [*range(16, 3001, 2),
+             *(_commutator_grid(scale * L).n for L in _COMMUTATOR_L.values() for scale in (0.5, 1, 2))]
+    return [(n, L) for n in sizes for L in (0.7, 2 * np.pi, 60.0, 333.3, 80000.0)]
 
 
 @pytest.fixture(scope="session")

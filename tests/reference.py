@@ -7,7 +7,9 @@ the solver's right-hand side read out as a rfft half spectrum, a
 brute-force quadrature of the decay probe's kernel, the running-product
 synthesis that the probe's phase-table synthesis replaced, the bounds that
 size the probe's contour panels, the exact Talbot sum of the linear group
-at rational times, and the cutoff ramp's closed-form ``cutoff_derivative``.
+at rational times, the cutoff ramp's closed-form ``cutoff_derivative``, and
+the plain expressions of the grid's frequencies and nodes and of the
+Gaussian datum, which the in-place constructions must match bit for bit.
 
 The package keeps one coefficient layout, the ``n//2 + 1`` bins of
 ``scipy.fft.rfft``.  This module keeps the independent layout the oracle
@@ -42,9 +44,30 @@ def phase_signs(grid) -> np.ndarray:
     return signs
 
 
+def fft_index(n: int) -> np.ndarray:
+    """``Grid.freq_index`` the plain way: numpy's ``fftfreq``, which builds
+    an integer array and scales it into a second one."""
+    return np.fft.fftfreq(n, d=1.0 / n)
+
+
+def rfft_frequencies(n: int, L: float) -> np.ndarray:
+    """``Grid.xi`` the plain way, a fresh array for every intermediate."""
+    return np.abs((2.0 * np.pi / L) * fft_index(n)[: n // 2 + 1])
+
+
+def grid_nodes(n: int, L: float) -> np.ndarray:
+    """``Grid.nodes`` the plain way, ``-L/2 + dx * m``."""
+    return -L / 2 + (L / n) * np.arange(n)
+
+
+def gaussian(x: np.ndarray, center: float, width: float, amplitude: float) -> np.ndarray:
+    """``fields.gaussian`` the plain way."""
+    return amplitude * np.exp(-((x - center) / width) ** 2)
+
+
 def frequencies(grid) -> np.ndarray:
     """``xi_q = 2*pi*q/L`` in numpy FFT order."""
-    return (2.0 * np.pi / grid.L) * grid.freq_index
+    return (2.0 * np.pi / grid.L) * fft_index(grid.n)
 
 
 def odd_frequencies(grid) -> np.ndarray:

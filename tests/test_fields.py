@@ -7,6 +7,17 @@ from hkdvlab.norms import CutoffFunction
 from hkdvlab.spectral import make_grid
 
 
+def test_gaussian_is_the_plain_expression_bit_for_bit(geometry_boxes):
+    # computed in place on one array, with the plain expression's bits
+    for n, L in geometry_boxes:
+        g = make_grid(n, L)
+        x = reference.grid_nodes(n, L)
+        for center, width, amplitude in ((0.0, 1.0, 1.0), (0.37, 1.3, -2.5), (-3.1, 0.4, 0.7)):
+            got = fields.gaussian(g, center, width, amplitude).samples
+            assert got.tobytes() == reference.gaussian(x, center, width, amplitude).tobytes(), \
+                (n, L, center, width, amplitude)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_enveloped_datum_has_zero_mean_and_no_seam(seed):
     # the mean goes with the envelope, so nothing is left at the box edges,

@@ -51,6 +51,16 @@ class TestGrid:
         q = np.arange(grid.n // 2 + 1)
         assert np.allclose(grid.xi, 2 * math.pi * q / grid.L)
 
+    def test_geometry_is_the_plain_expressions_bit_for_bit(self, geometry_boxes):
+        # nodes, freq_index and xi are built in place, without the plain
+        # expressions' full-length temporaries, and keep their bits
+        for n, L in geometry_boxes:
+            g = make_grid(n, L)
+            assert g.freq_index.tobytes() == reference.fft_index(n).tobytes(), (n, L)
+            assert g.xi.tobytes() == reference.rfft_frequencies(n, L).tobytes(), (n, L)
+            assert g.nodes.tobytes() == reference.grid_nodes(n, L).tobytes(), (n, L)
+            assert not (g.xi.flags.writeable or g.nodes.flags.writeable)
+
     @pytest.mark.parametrize("n,L", [(64, 2 * math.pi), (512, 60.0), (2048, 320.0),
                                      (16384, 320.0), (800000, 80000.0)])
     def test_xi_is_the_fft_order_frequencies_bit_for_bit(self, n, L):
